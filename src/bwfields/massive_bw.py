@@ -154,22 +154,25 @@ def tensor_T(f: BWFieldAtP) -> np.ndarray:
 
     Each world slot pairs the unprimed index (from psi or its conjugate,
     whichever carries it) with the primed partner; entries are real.
+
+    The 2^n components are stacked with one (bit, index) pair per slot, so
+    the label sum becomes n slot contractions of psi (x) psibar, whose bit
+    is shared by both factors, with the kernel K[w, bit, i, j]: g[w, i, j]
+    for bit 0 and g[w, j, i] for bit 1.
     """
     g = build_ivdw().up
+    kernel = np.stack([g, np.swapaxes(g, 1, 2)], axis=1)
     n = f.n
-    world = _L[:n]
-    iw = _L[n: 2 * n]
-    jw = _L[2 * n: 3 * n]
-    total = None
-    for lab, arr in f.components.items():
-        ops = [arr, np.conj(arr)]
-        subs = [f"...{iw}", f"...{jw}"]
-        for k, bit in enumerate(lab):
-            u, v = (iw[k], jw[k]) if bit == 0 else (jw[k], iw[k])
-            ops.append(g)
-            subs.append(f"{world[k]}{u}{v}")
-        term = np.einsum(",".join(subs) + f"->...{world}", *ops)
-        total = term if total is None else total + term
+    comps = np.broadcast_arrays(*(f.components[lab] for lab in all_labels(n)))
+    batch = comps[0].shape[: comps[0].ndim - n]
+    nb = len(batch)
+    # (..., 2^n, (2,)*n) -> (..., bit_1, i_1, ..., bit_n, i_n)
+    stacked = np.stack(comps, axis=nb).reshape(batch + (2,) * (2 * n))
+    stacked = stacked.transpose(list(range(nb)) + [nb + a for k in range(n) for a in (k, n + k)])
+    total = stacked.reshape(batch + (2, 2, 1) * n) * np.conj(stacked).reshape(batch + (2, 1, 2) * n)
+    # each step contracts the leading (bit, i, j) slot and appends its world index
+    for _ in range(n):
+        total = np.tensordot(total, kernel, axes=([nb, nb + 1, nb + 2], [1, 2, 3]))
     scale = max(1.0, float(np.max(np.abs(total))))
     if np.max(np.abs(total.imag)) > 1e-12 * scale:
         raise AssertionError("world tensor has non-negligible imaginary part")

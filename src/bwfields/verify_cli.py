@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -155,6 +156,11 @@ def run_suite(config: dict, suite: str = "all") -> list[CheckResult]:
     return results
 
 
+def _json_number(x: float) -> float | str:
+    """JSON has no inf or nan: those go out as the strings the text report prints."""
+    return x if math.isfinite(x) else repr(x)
+
+
 def render_report(results: list[CheckResult], fmt: str) -> bytes:
     """Serialize results with stable field order; timings are omitted."""
     if fmt == "json":
@@ -164,14 +170,14 @@ def render_report(results: list[CheckResult], fmt: str) -> bytes:
                 "module": r.module,
                 "status": r.status,
                 "kind": r.kind,
-                "value": r.value,
-                "tolerance": r.tolerance,
+                "value": _json_number(r.value),
+                "tolerance": _json_number(r.tolerance),
                 "seed": r.seed,
                 "anchor": r.anchor,
             }
             for r in results
         ]
-        return (json.dumps(rows, indent=2) + "\n").encode()
+        return (json.dumps(rows, indent=2, allow_nan=False) + "\n").encode()
     if fmt == "text":
         lines = [
             f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.name} residual={r.value!r} tol={r.tolerance!r}"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,7 +117,79 @@ class TestFieldEquations:
         assert da.dirac_residual(da.pack_bispinor(broken), f.p, 1.2) > 1e-2
 
 
+def per_label_T(f):
+    """Reference for tensor_T: one einsum of psi, psibar and n g tables per label."""
+    g = sc.build_ivdw().up
+    n = f.n
+    world, iw, jw = "abcdef"[:n], "ghijkl"[:n], "mnopqr"[:n]
+    total = 0.0
+    for lab, arr in f.components.items():
+        ops = [arr, np.conj(arr)]
+        subs = [f"...{iw}", f"...{jw}"]
+        for k, bit in enumerate(lab):
+            u, v = (iw[k], jw[k]) if bit == 0 else (jw[k], iw[k])
+            ops.append(g)
+            subs.append(f"{world[k]}{u}{v}")
+        total = total + np.einsum(",".join(subs) + f"->...{world}", *ops)
+    return total.real
+
+
+def assert_matches_per_label(f, batch_shape):
+    T = mbw.tensor_T(f)
+    ref = per_label_T(f)
+    assert T.dtype == np.float64
+    assert T.shape == ref.shape == tuple(batch_shape) + (4,) * f.n
+    assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestTensor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_matches_per_label_sum_on_seed_fields(self, n, sign, batch):
+        rng = np.random.default_rng(1000 * n + 10 * sign + (batch or 0))
+        f = random_field(rng, n, 1.2, sign, batch=batch)
+        assert_matches_per_label(f, (batch,) if batch else ())
+
+    def test_matches_per_label_sum_on_transformed_field(self):
+        rng = np.random.default_rng(19)
+        for n in (2, 3):
+            seed = mbw.symmetrize(rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n), n)
+            packet = mbw.GaussianPacket(n, 1.0, -1, seed)
+            gen = mbw.transform(packet, sc.random_sl2c(rng))
+            assert_matches_per_label(gen(mom.on_shell(1.0, -1, rng.normal(size=(2, 3, 3)))), (2, 3))
+
+    def test_matches_per_label_sum_on_independent_components(self):
+        # components that no seed generates: every one of them enters T
+        rng = np.random.default_rng(20)
+        n = 3
+        p = mom.on_shell(1.0, 1, rng.normal(size=(5, 3)))
+        comps = {
+            lab: rng.normal(size=(5,) + (2,) * n) + 1j * rng.normal(size=(5,) + (2,) * n)
+            for lab in mbw.all_labels(n)
+        }
+        assert_matches_per_label(mbw.BWFieldAtP(n, p, comps), (5,))
+
+    def test_matches_per_label_sum_on_broadcast_components(self):
+        # an unbatched seed with batched momenta: the seed component has no
+        # batch axis, the generated ones do
+        seed = mbw.symmetrize(np.arange(4.0).reshape(2, 2) + 1j, 2)
+        f = mbw.build_from_seed(seed, mom.on_shell(1.0, 1, np.eye(3)), 2)
+        assert_matches_per_label(f, (3,))
+
+    def test_matches_per_label_sum_at_n5(self):
+        rng = np.random.default_rng(21)
+        assert_matches_per_label(random_field(rng, 5, 1.0, 1, batch=1), (1,))
+
+    def test_complex_tensor_rejected(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        f = random_field(rng, 2)
+        # a phase on the conversion table makes T complex
+        rotated = SimpleNamespace(up=np.exp(0.3j) * sc.build_ivdw().up)
+        monkeypatch.setattr(mbw, "build_ivdw", lambda: rotated)
+        with pytest.raises(AssertionError):
+            mbw.tensor_T(f)
+
     def test_zero_field_zero_tensor(self):
         f = mbw.build_from_seed(np.zeros(2), mom.on_shell(1.0, 1, [0.1, 0, 0]), 1)
         assert np.all(mbw.tensor_T(f) == 0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,25 @@ class TestReport:
         assert rows[0]["tolerance"] == 1e-30
         assert rows[0]["seed"] == 5
         assert rows[0]["value"] > 0
+
+    def test_non_finite_values_give_valid_json(self):
+        # the finite-difference checks return inf when they fail
+        results = [
+            vc.CheckResult(name=f"c{i}", module="massive", status="fail", kind="residual",
+                           value=value, tolerance=tol, seed=1, anchor="", runtime=0.0)
+            for i, (value, tol) in enumerate([(math.inf, 1.0), (math.nan, 1.0), (0.5, -math.inf)])
+        ]
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rows = json.loads(vc.render_report(results, "json"), parse_constant=reject)
+        assert [(r["value"], r["tolerance"]) for r in rows] == [
+            ("inf", 1.0), ("nan", 1.0), (0.5, "-inf"),
+        ]
+        assert vc.render_report(results, "text").decode().splitlines()[0] == (
+            "FAIL c0 residual=inf tol=1.0"
+        )
 
     def test_unknown_format(self):
         with pytest.raises(vc.ConfigError):
