@@ -298,8 +298,17 @@ def _check_fd_massive(params, rng):
 # ---------------------------------------------------------------------------
 
 
+MASSLESS_SPIN_CAP = 3
+
+
 def _massless_spins(params):
-    return [n for n in params["spins"] if n <= 3] or [1]
+    """The requested spins the massless checks run; spins above the cap are skipped."""
+    spins = [n for n in params["spins"] if n <= MASSLESS_SPIN_CAP]
+    if not spins:
+        raise ConfigError(
+            f"massless checks need a spin index in 1..{MASSLESS_SPIN_CAP}, got {params['spins']}"
+        )
+    return spins
 
 
 def _check_massless_field_equations(params, rng):

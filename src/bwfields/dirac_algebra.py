@@ -10,6 +10,7 @@ indices first are applied here, in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +40,13 @@ class GammaSet:
     gamma5: np.ndarray  # (4, 4)
 
 
+@lru_cache(maxsize=1)
 def build_gammas() -> GammaSet:
-    """gamma_q = sqrt2 * offdiag(g_{qA}^{B'}, -g_q^B_{A'}) in block form."""
+    """gamma_q = sqrt2 * offdiag(g_{qA}^{B'}, -g_q^B_{A'}) in block form.
+
+    Built once and shared; the arrays are read-only so no caller can alter
+    the cached set.
+    """
     g = build_ivdw()
     gamma = np.zeros((4, 4, 4), dtype=complex)
     for q in range(4):
@@ -54,6 +60,8 @@ def build_gammas() -> GammaSet:
     gamma5 = (1j / 24.0) * np.einsum(
         "abcd,aij,bjk,ckl,dlm->im", e, gamma, gamma, gamma, gamma
     )
+    for arr in (gamma, sigma, gamma5):
+        arr.setflags(write=False)
     return GammaSet(gamma=gamma, sigma=sigma, gamma5=gamma5)
 
 
@@ -109,8 +117,11 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
 def dirac_current_matrix_route(psi: np.ndarray) -> np.ndarray:
     """j_a = adjoint(psi) gamma_a psi; must match the spinor form."""
     gam = build_gammas().gamma
+    psi = np.asarray(psi, dtype=complex)
     adj = dirac_adjoint(psi)
-    j = np.einsum("...a,qab,...b->...q", adj, gam, psi)
+    # adj_a gamma_q^{ab}, one product over the batch, then the pairing with psi_b
+    row = (adj @ gam.transpose(1, 0, 2).reshape(4, 16)).reshape(adj.shape[:-1] + (4, 4))
+    j = (row @ psi[..., None])[..., 0]
     return j.real
 
 

@@ -10,13 +10,15 @@ generated by the first-order momentum-space equation
 applied slot by slot.  The companion equation with the opposite index
 staggering then holds automatically because p_{AB'} p^{BB'} = (m^2/2) delta.
 
-All operations broadcast over leading batch axes, so whole Monte-Carlo
-sample sets are processed in single einsum calls.
+All operations broadcast over leading batch axes, so a whole Monte-Carlo
+sample set goes through each slot contraction at once: a two-term update of
+array slices per slot, or one matrix product per label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product, permutations
 from typing import Callable
 
@@ -62,15 +64,16 @@ def _contract_slot(arr: np.ndarray, mat: np.ndarray, k: int, n: int, sum_first: 
     """Contract slot k of ``arr`` with a 2x2 (possibly batched) matrix.
 
     ``sum_first=True`` sums over the matrix's first index (new index is its
-    second); ``sum_first=False`` sums over the second.
+    second); ``sum_first=False`` sums over the second.  The sum has two
+    terms, each a one-value slice of ``arr`` on slot k times the matching
+    row (or column) of the matrix placed on that slot; batch axes broadcast.
     """
-    s = list(_L[:n])
-    s[k] = "y"
-    sin = "".join(s)
-    s[k] = "z"
-    sout = "".join(s)
-    msub = "yz" if sum_first else "zy"
-    return np.einsum(f"...{sin},...{msub}->...{sout}", arr, mat)
+    tail = (slice(None),) * (n - 1 - k)
+    place = (...,) + (None,) * k + (slice(None),) + (None,) * (n - 1 - k)
+    rows = mat if sum_first else np.swapaxes(mat, -1, -2)
+    out = arr[(..., slice(0, 1)) + tail] * rows[..., 0, :][place]
+    out += arr[(..., slice(1, 2)) + tail] * rows[..., 1, :][place]
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,23 +186,20 @@ def scalar_N(f: BWFieldAtP) -> np.ndarray:
     """Full contraction p^{a_1}..p^{a_n} T_{a_1..a_n}, computed per label.
 
     Uses p^{AA'} directly on the spinor pairs, which is the same contraction
-    as through the world tensor but cheaper for large sample batches.
+    as through the world tensor but cheaper for large sample batches: each
+    label's component is pushed through p^{AA'} slot by slot (its unprimed
+    index for bit 0, its primed one for bit 1) and paired with its conjugate.
     """
     p_uu = momentum_matrix(f.p, "uu")
     n = f.n
-    iw = _L[:n]
-    jw = _L[n: 2 * n]
-    total = None
+    spinor_axes = tuple(range(-n, 0))
+    total = 0.0
     for lab, arr in f.components.items():
-        ops = [arr, np.conj(arr)]
-        subs = [f"...{iw}", f"...{jw}"]
+        q = arr
         for k, bit in enumerate(lab):
-            u, v = (iw[k], jw[k]) if bit == 0 else (jw[k], iw[k])
-            ops.append(p_uu)
-            subs.append(f"...{u}{v}")
-        term = np.einsum(",".join(subs) + "->...", *ops)
-        total = term if total is None else total + term
-    return total.real
+            q = _contract_slot(q, p_uu, k, n, sum_first=bit == 0)
+        total = total + np.sum(q * np.conj(arr), axis=spinor_axes).real
+    return total
 
 
 def norm_standard_integrand(f: BWFieldAtP) -> np.ndarray:
@@ -273,18 +273,16 @@ def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
     """
     lam = sl2c_to_lorentz(s)
     lam_inv = lam.inverse()
-    smat = s.matrix
-    sbar = np.conj(s.matrix)
+    slot_maps = (s.matrix, np.conj(s.matrix))
 
     def new_gen(p: FourMomentum) -> BWFieldAtP:
         f = gen(act(lam_inv, p))
         comps = {}
         for lab, arr in f.components.items():
-            out = arr
-            for k, bit in enumerate(lab):
-                mat = smat if bit == 0 else sbar
-                out = _contract_slot(out, mat, k, f.n, sum_first=False)
-            comps[lab] = out
+            # row-major flattening of the n slots matches the Kronecker order
+            kron = reduce(np.kron, [slot_maps[bit] for bit in lab])
+            batch = arr.shape[: arr.ndim - f.n]
+            comps[lab] = (arr.reshape(batch + (2**f.n,)) @ kron.T).reshape(arr.shape)
         return BWFieldAtP(n=f.n, p=p, components=comps)
 
     return new_gen

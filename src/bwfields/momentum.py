@@ -59,13 +59,18 @@ class FourMomentum:
         sp = np.asarray(self.spatial, dtype=float)
         if sp.shape[-1:] != (3,):
             raise ValueError("spatial part must have a trailing axis of length 3")
-        if self.mass == 0.0 and np.any(np.sum(sp * sp, axis=-1) == 0.0):
+        sq = np.sum(sp * sp, axis=-1)
+        if self.mass == 0.0 and np.any(sq == 0.0):
             raise ValueError("massless momentum must have nonzero spatial part")
         object.__setattr__(self, "spatial", sp)
+        p0 = self.sign * np.sqrt(self.mass**2 + sq)
+        if isinstance(p0, np.ndarray):
+            p0.setflags(write=False)
+        object.__setattr__(self, "_p0", p0)
 
     @property
     def p0(self) -> np.ndarray:
-        return self.sign * np.sqrt(self.mass**2 + np.sum(self.spatial**2, axis=-1))
+        return self._p0
 
     @property
     def vec(self) -> np.ndarray:
@@ -90,21 +95,30 @@ def momentum_matrix(p: FourMomentum, positions: str = "uu") -> np.ndarray:
     ``positions`` selects the index heights: "uu" gives p^{AA'} (Hermitian,
     det = p.p/2), "ll" gives p_{AA'}, "ul" gives p^A_{A'} and "lu" gives
     p_A^{A'}.
+
+    Each position is one (4, 2, 2) table, so the batch work is a single real
+    product of p^a with the table's (4, 8) float view, written straight into
+    the complex output.
     """
-    g = build_ivdw()
-    up = np.einsum("...a,aij->...ij", p.vec, g.up)
+    up = build_ivdw().up
     if positions == "uu":
-        return up
-    lo = np.einsum("ki,...kl,lj->...ij", EPS_LO, up, EPS_LO)
-    if positions == "ll":
-        return lo
-    if positions == "ul":
+        table = up
+    elif positions == "ll":
+        # p_{AA'} = p^{BB'} eps_{BA} eps_{B'A'}
+        table = EPS_LO.T @ up @ EPS_LO
+    elif positions == "ul":
         # p^A_{A'} = p^{AB'} eps_{B'A'}
-        return up @ EPS_LO
-    if positions == "lu":
+        table = up @ EPS_LO
+    elif positions == "lu":
         # p_A^{A'} = eps^{A'B'} p_{AB'}
-        return lo @ EPS_UP.T
-    raise ValueError(f"unknown index positions {positions!r}")
+        table = EPS_LO.T @ up @ EPS_LO @ EPS_UP.T
+    else:
+        raise ValueError(f"unknown index positions {positions!r}")
+    vec = p.vec
+    batch = vec.shape[:-1]
+    out = np.empty(batch + (2, 2), dtype=complex)
+    np.matmul(vec, table.view(float).reshape(4, 8), out=out.view(float).reshape(batch + (8,)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -44,19 +45,47 @@ class CheckResult:
     runtime: float  # seconds; excluded from serialized reports
 
 
+def _integer(value, what: str) -> int:
+    """An integer config value: an integer, or a float with no fraction."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A finite real config value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _tolerance(value, what: str) -> float:
+    tol = _real(value, what)
+    if tol < 0.0:
+        raise ConfigError(f"{what} must be non-negative, got {value!r}")
+    return tol
+
+
 def _validate_parameters(params: dict) -> None:
     spins = params.get("spins", [])
+    if not isinstance(spins, (list, tuple)):
+        raise ConfigError(f"spins must be a list of spin indices, got {spins!r}")
     if not spins:
         raise ConfigError("no spins selected")
     for n in spins:
-        if not isinstance(n, int) or n < 1 or n > DEFAULT_SPIN_CAP:
-            raise ConfigError(f"spin index {n} outside 1..{DEFAULT_SPIN_CAP}")
-    if params.get("mass", 0.0) <= 0.0:
+        integral = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+        if not integral or not 1 <= n <= DEFAULT_SPIN_CAP:
+            raise ConfigError(f"spin index {n!r} outside 1..{DEFAULT_SPIN_CAP}")
+    if _real(params.get("mass", 0.0), "mass") <= 0.0:
         raise ConfigError("massive checks need mass > 0")
-    if params.get("samples", 0) < 2:
+    if _integer(params.get("samples", 0), "samples") < 2:
         raise ConfigError("need at least 2 quadrature samples")
-    if params.get("width", 0.0) <= 0.0:
+    if _real(params.get("width", 0.0), "sampler width") <= 0.0:
         raise ConfigError("sampler width must be positive")
+    if "fields" in params and _integer(params["fields"], "fields") < 1:
+        raise ConfigError("fields must be at least 1")
 
 
 def load_config(path: str | None) -> dict:
@@ -73,14 +102,16 @@ def load_config(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "seed" in raw:
-        config["seed"] = int(raw["seed"])
+        config["seed"] = _integer(raw["seed"], "seed")
     sampler = raw.get("sampler", {})
+    if not isinstance(sampler, dict):
+        raise ConfigError("sampler must be a mapping")
     if "samples" in sampler:
-        config["parameters"]["samples"] = int(sampler["samples"])
+        config["parameters"]["samples"] = _integer(sampler["samples"], "sampler samples")
     if "width" in sampler:
-        config["parameters"]["width"] = float(sampler["width"])
+        config["parameters"]["width"] = _real(sampler["width"], "sampler width")
     if "seed" in sampler:
-        config["seed"] = int(sampler["seed"])
+        config["seed"] = _integer(sampler["seed"], "sampler seed")
     scheme = sampler.get("scheme", "monte-carlo")
     if scheme not in ("monte-carlo", "grid"):
         raise ConfigError(f"unknown sampler scheme {scheme!r}")
@@ -91,7 +122,9 @@ def load_config(path: str | None) -> dict:
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be a mapping")
-    config["tolerances"] = {str(k): float(v) for k, v in tolerances.items()}
+    config["tolerances"] = {
+        str(k): _tolerance(v, f"tolerance of {k}") for k, v in tolerances.items()
+    }
     checks = raw.get("checks")
     if checks is not None:
         if not isinstance(checks, list):
@@ -102,8 +135,10 @@ def load_config(path: str | None) -> dict:
                 entry = {"name": entry}
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ConfigError(f"bad check entry {entry!r}")
-            parsed.append({"name": str(entry["name"]),
-                           "parameters": dict(entry.get("parameters", {}))})
+            overrides = entry.get("parameters", {})
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"parameters of check {entry['name']!r} must be a mapping")
+            parsed.append({"name": str(entry["name"]), "parameters": dict(overrides)})
         config["checks"] = parsed
     return config
 
@@ -129,7 +164,9 @@ def _selected(config: dict, suite: str) -> list[tuple[str, dict]]:
 
 def run_suite(config: dict, suite: str = "all") -> list[CheckResult]:
     """Run the selected checks; deterministic given the configured seed."""
-    seed = int(config.get("seed", DEFAULT_SEED))
+    seed = _integer(config.get("seed", DEFAULT_SEED), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     base_params = dict(default_parameters())
     base_params.update(config.get("parameters", {}))
     tolerances = config.get("tolerances", {})
@@ -222,7 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         if args.tol is not None:
-            config["tolerances"] = {name: args.tol for name in REGISTRY}
+            tol = _tolerance(args.tol, "--tol")
+            config["tolerances"] = {name: tol for name in REGISTRY}
         env_seed = os.environ.get("BW_SEED")
         if env_seed is not None:
             try:

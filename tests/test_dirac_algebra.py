@@ -51,6 +51,14 @@ class TestGammaSet:
             assert np.max(np.abs(gs.gamma5 @ gs.gamma[q] + gs.gamma[q] @ gs.gamma5)) < 1e-14
 
 
+    def test_cached_set_is_shared_and_read_only(self):
+        gs = da.build_gammas()
+        assert da.build_gammas() is gs
+        for arr in (gs.gamma, gs.sigma, gs.gamma5):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestBridge:
     def test_pack_requires_spin_half(self):
         rng = np.random.default_rng(0)
@@ -116,6 +124,15 @@ class TestCurrent:
         for _ in range(20):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             assert_allclose(da.dirac_current(psi), da.dirac_current_matrix_route(psi), atol=1e-13)
+
+    def test_matrix_route_matches_explicit_contraction(self):
+        rng = np.random.default_rng(31)
+        psi = rng.normal(size=(2, 9, 4)) + 1j * rng.normal(size=(2, 9, 4))
+        ref = np.einsum("...a,qab,...b->...q", da.dirac_adjoint(psi), da.build_gammas().gamma, psi)
+        j = da.dirac_current_matrix_route(psi)
+        assert j.shape == (2, 9, 4)
+        assert np.max(np.abs(j - ref.real)) <= 1e-14 * np.max(np.abs(ref))
+        assert_allclose(da.dirac_current_matrix_route(psi[0, 0]), j[0, 0], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_tensor_correspondence(self, sign):

@@ -241,6 +241,159 @@ class TestTensor:
         assert_allclose(mbw.norm_standard_integrand(f), 2.0 / mass, rtol=1e-13)
 
 
+def per_label_N(f):
+    """Reference for scalar_N: one einsum of psi, psibar and n p^{AA'} tables per label."""
+    p_uu = mom.momentum_matrix(f.p, "uu")
+    n = f.n
+    iw, jw = "abcdef"[:n], "ghijkl"[:n]
+    total = 0.0
+    for lab, arr in f.components.items():
+        ops = [arr, np.conj(arr)]
+        subs = [f"...{iw}", f"...{jw}"]
+        for k, bit in enumerate(lab):
+            u, v = (iw[k], jw[k]) if bit == 0 else (jw[k], iw[k])
+            ops.append(p_uu)
+            subs.append(f"...{u}{v}")
+        total = total + np.einsum(",".join(subs) + "->...", *ops)
+    return total.real
+
+
+def extended_N(f):
+    """The per-label contraction of the same float64 inputs in extended precision."""
+    g = sc.build_ivdw().up.astype(np.clongdouble)
+    p_uu = np.einsum("...a,aij->...ij", f.p.vec.astype(np.longdouble), g)
+    n = f.n
+    iw, jw = "abcdef"[:n], "ghijkl"[:n]
+    total = 0.0
+    for lab, arr in f.components.items():
+        arr = arr.astype(np.clongdouble)
+        ops = [arr, np.conj(arr)]
+        subs = [f"...{iw}", f"...{jw}"]
+        for k, bit in enumerate(lab):
+            u, v = (iw[k], jw[k]) if bit == 0 else (jw[k], iw[k])
+            ops.append(p_uu)
+            subs.append(f"...{u}{v}")
+        total = total + np.einsum(",".join(subs) + "->...", *ops)
+    return total.real
+
+
+def assert_N_matches_per_label(f, batch_shape):
+    N = mbw.scalar_N(f)
+    ref = per_label_N(f)
+    assert N.dtype == np.float64
+    assert np.shape(N) == np.shape(ref) == tuple(batch_shape)
+    assert np.max(np.abs(N - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestScalar:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_matches_per_label_sum_on_seed_fields(self, n, sign, batch):
+        rng = np.random.default_rng(2000 * n + 10 * sign + (batch or 0))
+        f = random_field(rng, n, 1.2, sign, batch=batch)
+        assert_N_matches_per_label(f, (batch,) if batch else ())
+
+    def test_matches_per_label_sum_on_transformed_field(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 4):
+            seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+            packet = mbw.GaussianPacket(n, 1.0, -1, mbw.symmetrize(seed, n))
+            gen = mbw.transform(packet, sc.random_sl2c(rng))
+            p = mom.on_shell(1.0, -1, rng.normal(size=(2, 3, 3)))
+            assert_N_matches_per_label(gen(p), (2, 3))
+
+    def test_matches_per_label_sum_on_broadcast_components(self):
+        # an unbatched seed with batched momenta
+        seed = mbw.symmetrize(np.arange(8.0).reshape(2, 2, 2) - 1j, 3)
+        f = mbw.build_from_seed(seed, mom.on_shell(1.0, 1, np.eye(3)), 3)
+        assert f.components[(0, 0, 0)].shape == (2, 2, 2)
+        assert_N_matches_per_label(f, (3,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_no_less_accurate_than_per_label_sum(self, n, sign):
+        rng = np.random.default_rng(3000 * n + sign)
+        f = random_field(rng, n, 1.0, sign, batch=200)
+        exact = extended_N(f)
+        scale = float(np.max(np.abs(exact)))
+        err = float(np.max(np.abs(mbw.scalar_N(f) - exact))) / scale
+        err_oracle = float(np.max(np.abs(per_label_N(f) - exact))) / scale
+        assert err <= max(err_oracle, 16 * np.finfo(float).eps)
+
+
+class TestMomentumMatrix:
+    @staticmethod
+    def explicit(p, positions):
+        up = np.einsum("...a,aij->...ij", p.vec, sc.build_ivdw().up)
+        lo = np.einsum("ki,...kl,lj->...ij", sc.EPS_LO, up, sc.EPS_LO)
+        return {"uu": up, "ll": lo, "ul": up @ sc.EPS_LO, "lu": lo @ sc.EPS_UP.T}[positions]
+
+    @pytest.mark.parametrize("positions", ["uu", "ll", "ul", "lu"])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    @pytest.mark.parametrize("mass", [0.0, 1.3])
+    def test_matches_explicit_contraction(self, positions, shape, mass):
+        rng = np.random.default_rng(50 + len(shape))
+        for sign in (1, -1):
+            p = mom.on_shell(mass, sign, rng.normal(scale=2.0, size=shape + (3,)))
+            mat = mom.momentum_matrix(p, positions)
+            ref = self.explicit(p, positions)
+            assert mat.shape == ref.shape == shape + (2, 2)
+            assert mat.dtype == np.complex128
+            assert np.max(np.abs(mat - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(p.vec))
+
+    def test_unknown_positions_rejected(self):
+        with pytest.raises(ValueError):
+            mom.momentum_matrix(mom.on_shell(1.0, 1, [0, 0, 1]), "uv")
+
+
+def slot_by_slot(f, s):
+    """Reference for transform: D(s) applied one slot at a time, S on 0-bits, conj(S) on 1-bits."""
+    comps = {}
+    for lab, arr in f.components.items():
+        for k, bit in enumerate(lab):
+            mat = s.matrix if bit == 0 else np.conj(s.matrix)
+            axis = arr.ndim - f.n + k
+            arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+        comps[lab] = arr
+    return comps
+
+
+class TestTransformOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_slot_by_slot_contraction(self, n):
+        rng = np.random.default_rng(40 + n)
+        seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+        packet = mbw.GaussianPacket(n, 1.0, 1, mbw.symmetrize(seed, n))
+        s = sc.random_sl2c(rng)
+        lam_inv = sc.sl2c_to_lorentz(s).inverse()
+        for shape in ((), (5,), (2, 3)):
+            p = mom.on_shell(1.0, 1, rng.normal(size=shape + (3,)))
+            got = mbw.transform(packet, s)(p)
+            ref = slot_by_slot(packet(mom.act(lam_inv, p)), s)
+            assert got.p is p
+            for lab in mbw.all_labels(n):
+                scale = np.max(np.abs(ref[lab]))
+                assert got.components[lab].shape == ref[lab].shape == shape + (2,) * n
+                assert np.max(np.abs(got.components[lab] - ref[lab])) <= 1e-13 * scale
+
+    def test_matches_slot_by_slot_on_broadcast_components(self):
+        rng = np.random.default_rng(45)
+        seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
+
+        def gen(p):
+            return mbw.build_from_seed(seed, p, 2)
+
+        s = sc.random_sl2c(rng)
+        p = mom.on_shell(1.0, -1, rng.normal(size=(4, 3)))
+        got = mbw.transform(gen, s)(p)
+        ref = slot_by_slot(gen(mom.act(sc.sl2c_to_lorentz(s).inverse(), p)), s)
+        for lab in mbw.all_labels(2):
+            assert got.components[lab].shape == ref[lab].shape
+            scale = np.max(np.abs(ref[lab]))
+            assert np.max(np.abs(got.components[lab] - ref[lab])) <= 1e-13 * scale
+
+
 class TestNorms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("sign", [1, -1])

@@ -185,3 +185,47 @@ class TestMain:
         vc.main(["identities", "--seed", "42", "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("raw", [
+        {"seed": "abc"},
+        {"seed": -1},
+        {"seed": 2.5},
+        {"spins": 3},
+        {"spins": [True]},
+        {"mass": "x"},
+        {"sampler": {"samples": "many"}},
+        {"sampler": {"width": None}},
+        {"sampler": [200]},
+        {"tolerances": {"epsilon_roundtrip": float("nan")}},
+        {"tolerances": {"epsilon_roundtrip": float("inf")}},
+        {"tolerances": {"epsilon_roundtrip": -1e-12}},
+        {"tolerances": {"epsilon_roundtrip": "1e-12"}},
+        {"checks": [{"name": "epsilon_roundtrip", "parameters": [1]}]},
+    ])
+    def test_malformed_config_value_is_usage_error(self, raw, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": ["epsilon_roundtrip"], **raw}))
+        assert vc.main(["identities", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--tol", "nan"],
+        ["identities", "--tol", "-1"],
+        ["massive", "--mass", "inf"],
+        ["identities", "--seed", "-5"],
+    ])
+    def test_malformed_flag_value_is_usage_error(self, argv, capsys):
+        assert vc.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unsupported_massless_spin_is_usage_error(self, capsys):
+        # the massless checks stop at spin index 3; spin 5 is not replaced by another
+        assert vc.main(["massless", "--spin", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: massless checks need a spin index in 1..3, got [5]\n"
