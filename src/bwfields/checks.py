@@ -136,13 +136,12 @@ def _check_world_spinor_roundtrip(params, rng):
 
 
 def _check_lorentz_homomorphism(params, rng):
-    worst = 0.0
-    for _ in range(100):
-        s1, s2 = sc.random_sl2c(rng), sc.random_sl2c(rng)
-        lhs = sc.sl2c_to_lorentz(s1 @ s2).matrix
-        rhs = sc.sl2c_to_lorentz(s1).matrix @ sc.sl2c_to_lorentz(s2).matrix
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    # 100 pairs in one batch; the draws are those of 100 pairs drawn in turn
+    pairs = sc.random_sl2c(rng, size=(100, 2)).matrix
+    s1, s2 = sc.SL2CElement(pairs[:, 0]), sc.SL2CElement(pairs[:, 1])
+    lhs = sc.sl2c_to_lorentz(s1 @ s2).matrix
+    rhs = sc.sl2c_to_lorentz(s1).matrix @ sc.sl2c_to_lorentz(s2).matrix
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _check_clifford(params, rng):
@@ -262,12 +261,12 @@ def _check_scalar_covariance(params, rng):
             return mbw.build_from_seed(np.broadcast_to(seed_sp, shape + (2,) * n), p, n)
 
         q = mom.on_shell(params["mass"], 1, rng.normal(size=(20, 3)))
-        for _ in range(100):
-            s = sc.random_sl2c(rng)
-            lam_inv = sc.sl2c_to_lorentz(s).inverse()
-            n_tr = mbw.scalar_N(mbw.transform(gen, s)(q))
-            n_ref = mbw.scalar_N(gen(mom.act(lam_inv, q)))
-            worst = max(worst, float(np.max(np.abs(n_tr - n_ref) / np.abs(n_ref))))
+        # one batch of 100 elements: N and N' have shape (100, 20)
+        s = sc.random_sl2c(rng, size=100)
+        lam_inv = sc.sl2c_to_lorentz(s).inverse()
+        n_tr = mbw.scalar_N(mbw.transform(gen, s)(q))
+        n_ref = mbw.scalar_N(gen(mom.act(lam_inv, q)))
+        worst = max(worst, float(np.max(np.abs(n_tr - n_ref) / np.abs(n_ref))))
     return worst
 
 
@@ -301,9 +300,15 @@ def _check_fd_massive(params, rng):
 MASSLESS_SPIN_CAP = 3
 
 
+def skipped_massless_spins(params):
+    """The requested spins the massless checks leave out: those above the cap."""
+    return [n for n in params["spins"] if n > MASSLESS_SPIN_CAP]
+
+
 def _massless_spins(params):
-    """The requested spins the massless checks run; spins above the cap are skipped."""
-    spins = [n for n in params["spins"] if n <= MASSLESS_SPIN_CAP]
+    """The requested spins the massless checks run, all but the skipped ones."""
+    skipped = skipped_massless_spins(params)
+    spins = [n for n in params["spins"] if n not in skipped]
     if not spins:
         raise ConfigError(
             f"massless checks need a spin index in 1..{MASSLESS_SPIN_CAP}, got {params['spins']}"

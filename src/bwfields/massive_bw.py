@@ -266,23 +266,43 @@ def trace_reverse_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.nda
 FieldGenerator = Callable[[FourMomentum], BWFieldAtP]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the trailing matrices; leading batch axes broadcast.
+
+    A plain product per entry, so one pair of matrices gives ``np.kron``'s
+    values bit for bit.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
     """Spinor transformation of a field family: psi'(p) = D(s) psi(L^{-1} p).
 
     Unprimed slots receive the stored matrix, primed slots its conjugate.
+    A batch of group elements, ``s.matrix`` of shape (B..., 2, 2), maps a
+    batch of fields at once: ``act`` gives L^{-1} p the batch (B..., N) for
+    N momenta, and each component, whose batch must start with B..., goes
+    through its own element's map.  Each label's map is the Kronecker
+    product of its slot maps, applied with one matrix product.
     """
-    lam = sl2c_to_lorentz(s)
-    lam_inv = lam.inverse()
+    lam_inv = sl2c_to_lorentz(s).inverse()
     slot_maps = (s.matrix, np.conj(s.matrix))
+    sbatch = s.matrix.shape[:-2]
 
     def new_gen(p: FourMomentum) -> BWFieldAtP:
         f = gen(act(lam_inv, p))
         comps = {}
         for lab, arr in f.components.items():
-            # row-major flattening of the n slots matches the Kronecker order
-            kron = reduce(np.kron, [slot_maps[bit] for bit in lab])
             batch = arr.shape[: arr.ndim - f.n]
-            comps[lab] = (arr.reshape(batch + (2**f.n,)) @ kron.T).reshape(arr.shape)
+            if batch[: len(sbatch)] != sbatch:
+                raise ValueError(
+                    f"component batch {batch} does not start with the group batch {sbatch}"
+                )
+            # row-major flattening of the n slots matches the Kronecker order
+            kron_t = np.swapaxes(reduce(_kron, [slot_maps[bit] for bit in lab]), -1, -2)
+            rows = arr.reshape(sbatch + (-1, 2**f.n))
+            comps[lab] = (rows @ kron_t).reshape(arr.shape)
         return BWFieldAtP(n=f.n, p=p, components=comps)
 
     return new_gen

@@ -160,10 +160,19 @@ def spin_frame(p: FourMomentum) -> SpinFrame:
 
 
 def act(lam: LorentzMatrix, p: FourMomentum) -> FourMomentum:
-    """Apply a Lorentz matrix; mass and energy branch are preserved."""
-    new = p.vec @ lam.matrix.T
+    """Apply a Lorentz matrix; mass and energy branch are preserved.
+
+    A batch of matrices, shape (B..., 4, 4), acts as in a matrix product
+    with the rows p^a: the momenta's last batch axis stays whole and the
+    axes before it broadcast against B...  So B matrices acting on N
+    momenta give a (B, N) batch, and on one momentum a (B,) batch.  Each
+    result's energy must match its mass shell to 1e-9 of that energy (at
+    least 1), which bounds all its entries.
+    """
+    new = p.vec @ np.swapaxes(lam.matrix, -1, -2)
     out = FourMomentum(mass=p.mass, sign=p.sign, spatial=new[..., 1:])
-    if np.max(np.abs(new[..., 0] - out.p0)) > 1e-9 * max(1.0, float(np.max(np.abs(new)))):
+    scale = np.maximum(1.0, np.abs(out.p0))
+    if np.any(np.abs(new[..., 0] - out.p0) > 1e-9 * scale):
         raise AssertionError("transformed momentum left its mass shell")
     return out
 

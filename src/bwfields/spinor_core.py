@@ -173,14 +173,21 @@ class IvdWSymbol:
     lo_w: np.ndarray  # (4, 2, 2) g^a_{AA'}
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark cached tables read-only, so no caller can change them for the next."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=1)
 def build_ivdw() -> IvdWSymbol:
-    """Build the g tables; g_a^{AA'} = sigma_a / sqrt(2)."""
+    """Build the g tables; g_a^{AA'} = sigma_a / sqrt(2).  Cached, read-only."""
     up = _PAULI / np.sqrt(2.0)
     lo = np.einsum("ba,nbc,cd->nad", EPS_LO, up, EPS_LO)
     up_w = np.einsum("ab,bij->aij", METRIC, up)
     lo_w = np.einsum("ab,bij->aij", METRIC, lo)
-    return IvdWSymbol(up=up, lo=lo, up_w=up_w, lo_w=lo_w)
+    return IvdWSymbol(*_read_only(up, lo, up_w, lo_w))
 
 
 _LETTERS = "abcdefghijklmnopqrst"
@@ -222,7 +229,7 @@ def spinor_from_world(arr: np.ndarray, n_world: int, upper: bool = False) -> np.
 
 @lru_cache(maxsize=1)
 def levi_civita4() -> np.ndarray:
-    """Rank-4 alternating tensor with e^{0123} = +1 (all indices upper)."""
+    """Rank-4 alternating tensor with e^{0123} = +1 (all indices upper).  Cached, read-only."""
     e = np.zeros((4, 4, 4, 4))
 
     def sign(p):
@@ -235,6 +242,7 @@ def levi_civita4() -> np.ndarray:
 
     for perm in permutations(range(4)):
         e[perm] = sign(perm)
+    e.setflags(write=False)
     return e
 
 
@@ -283,6 +291,7 @@ def sigma_generators() -> SigmaGenerators:
 
     The epsilon-spinor route is computed alongside and must agree
     entrywise; a mismatch means the index conventions have drifted.
+    Cached, read-only.
     """
     g = build_ivdw()
     # sigma^{ab}_X{}^Y = (1/2i)(g^a_{XA'} g^{bYA'} - g^b_{XA'} g^{aYA'})
@@ -298,7 +307,7 @@ def sigma_generators() -> SigmaGenerators:
 
     sigma_low = np.einsum("ac,bd,cdxy->abxy", METRIC, METRIC, sigma)
     sigma_bar_low = np.einsum("ac,bd,cdxy->abxy", METRIC, METRIC, sigma_bar)
-    return SigmaGenerators(sigma, sigma_bar, sigma_low, sigma_bar_low)
+    return SigmaGenerators(*_read_only(sigma, sigma_bar, sigma_low, sigma_bar_low))
 
 
 def dual(t: np.ndarray) -> np.ndarray:
@@ -317,17 +326,22 @@ def dual(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SL2CElement:
-    """Unit-determinant 2x2 complex matrix acting on lower unprimed indices."""
+    """Unit-determinant 2x2 complex matrix acting on lower unprimed indices.
+
+    ``matrix`` may carry leading batch axes, shape (..., 2, 2): a batch of
+    group elements, each validated on its own.  Products broadcast.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (2, 2):
+        if m.shape[-2:] != (2, 2):
             raise ValueError("SL(2,C) element must be 2x2")
-        if abs(np.linalg.det(m) - 1.0) > 1e-12:
-            raise ValueError(f"determinant {np.linalg.det(m)} is not 1")
+        det = np.linalg.det(m)
+        if np.any(np.abs(det - 1.0) > 1e-12):
+            raise ValueError(f"determinant {det} is not 1")
 
     def __matmul__(self, other: "SL2CElement") -> "SL2CElement":
         return SL2CElement(self.matrix @ other.matrix)
@@ -335,38 +349,47 @@ class SL2CElement:
 
 @dataclass(frozen=True)
 class LorentzMatrix:
-    """Real proper orthochronous Lorentz matrix Lambda^a_b."""
+    """Real proper orthochronous Lorentz matrix Lambda^a_b.
+
+    ``matrix`` may carry leading batch axes, shape (..., 4, 4); each matrix
+    of a batch is validated on its own.  Products and inverses broadcast.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError("Lorentz matrix must be 4x4")
-        if np.max(np.abs(m.T @ METRIC @ m - METRIC)) > 1e-9:
+        drift = np.abs(np.swapaxes(m, -1, -2) @ METRIC @ m - METRIC)
+        if np.any(drift > 1e-9):
             raise ValueError("metric is not preserved")
-        if m[0, 0] < 1.0 - 1e-12:
+        if np.any(m[..., 0, 0] < 1.0 - 1e-12):
             raise ValueError("matrix is not orthochronous")
-        if abs(np.linalg.det(m) - 1.0) > 1e-9:
+        if np.any(np.abs(np.linalg.det(m) - 1.0) > 1e-9):
             raise ValueError("determinant is not +1")
 
     def inverse(self) -> "LorentzMatrix":
         # Lambda^{-1} = g Lambda^T g for metric-preserving matrices.
-        return LorentzMatrix(METRIC @ self.matrix.T @ METRIC)
+        return LorentzMatrix(METRIC @ np.swapaxes(self.matrix, -1, -2) @ METRIC)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         return LorentzMatrix(self.matrix @ other.matrix)
 
 
 def exp_rep(omega: np.ndarray) -> SL2CElement:
-    """exp((i/2) omega^{ab} sigma_{ab}) for real antisymmetric parameters."""
+    """exp((i/2) omega^{ab} sigma_{ab}) for real antisymmetric parameters.
+
+    ``omega`` has shape (..., 4, 4); a batch of parameters gives a batch of
+    group elements from one call of ``expm`` on the stacked generators.
+    """
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (4, 4):
+    if omega.shape[-2:] != (4, 4):
         raise ValueError("parameter array must be 4x4")
-    if np.max(np.abs(omega + omega.T)) > 1e-12:
+    if np.any(np.abs(omega + np.swapaxes(omega, -1, -2)) > 1e-12):
         raise ValueError("parameter array must be antisymmetric")
-    gen = 0.5j * np.einsum("ab,abxy->xy", omega, sigma_generators().sigma_low)
+    gen = 0.5j * np.einsum("...ab,abxy->...xy", omega, sigma_generators().sigma_low)
     return SL2CElement(expm(gen))
 
 
@@ -374,24 +397,35 @@ def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     """Vector representation induced by the spinor one.
 
     Lambda_a{}^b = g_a^{AA'} S[A,B] conj(S)[A',B'] g^b_{BB'}, raised to
-    Lambda^a{}_b with the metric.  Imaginary parts must vanish.
+    Lambda^a{}_b with the metric.  Imaginary parts must vanish.  A batch of
+    elements gives a batch of matrices from one einsum, whose sums run in
+    the same order as for a single element, so each matrix is bit for bit
+    the single-element one (a Kronecker-product matrix product is not, and
+    moves the boosted checks' values in their last digits).
     """
     g = build_ivdw()
-    lam_lu = np.einsum("aij,ik,jl,bkl->ab", g.up, s.matrix, np.conj(s.matrix), g.lo_w)
-    if np.max(np.abs(lam_lu.imag)) > 1e-12:
+    lam_lu = np.einsum("aij,...ik,...jl,bkl->...ab", g.up, s.matrix, np.conj(s.matrix), g.lo_w)
+    if np.any(np.abs(lam_lu.imag) > 1e-12):
         raise AssertionError("induced Lorentz matrix has imaginary parts")
     lam = METRIC @ lam_lu.real @ METRIC
     return LorentzMatrix(lam)
 
 
-def random_sl2c(rng: np.random.Generator, scale: float = 1.0) -> SL2CElement:
-    """Random group element: uniform antisymmetric parameters in [-scale, scale]."""
-    w = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            w[a, b] = rng.uniform(-scale, scale)
-            w[b, a] = -w[a, b]
-    return exp_rep(w)
+def random_sl2c(
+    rng: np.random.Generator, scale: float = 1.0, size: int | tuple[int, ...] = ()
+) -> SL2CElement:
+    """Random group element: uniform antisymmetric parameters in [-scale, scale].
+
+    ``size`` (an int or a shape) gives a batch of that shape.  The six
+    parameters above the diagonal of each element are drawn in row order,
+    element after element, so a batch of k holds the same numbers as k
+    single draws in turn.
+    """
+    shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+    w = np.zeros(shape + (4, 4))
+    rows, cols = np.triu_indices(4, 1)
+    w[..., rows, cols] = rng.uniform(-scale, scale, shape + (6,))
+    return exp_rep(w - np.swapaxes(w, -1, -2))
 
 
 def boost_z(rapidity: float) -> SL2CElement:

@@ -4,7 +4,9 @@ Composes the registered identity checks into named suites, runs them with
 configured seeds and sizes, and emits machine-readable reports.  Given the
 same configuration and seed the results and the report bytes are
 identical run to run; wall-clock timings are kept on the in-memory results
-only, never serialized.
+and never enter the report (``--timings PATH`` writes them to a separate
+JSON file).  Notes, such as the spins the massless checks leave out, go to
+standard error.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad usage or
 configuration.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import MODULES, REGISTRY, ConfigError, default_parameters
+from .checks import MODULES, REGISTRY, ConfigError, default_parameters, skipped_massless_spins
 from .massive_bw import DEFAULT_SPIN_CAP
 
 __all__ = ["CheckResult", "ConfigError", "load_config", "run_suite", "render_report", "main"]
@@ -162,13 +164,18 @@ def _selected(config: dict, suite: str) -> list[tuple[str, dict]]:
     ]
 
 
+def _base_parameters(config: dict) -> dict:
+    params = dict(default_parameters())
+    params.update(config.get("parameters", {}))
+    return params
+
+
 def run_suite(config: dict, suite: str = "all") -> list[CheckResult]:
     """Run the selected checks; deterministic given the configured seed."""
     seed = _integer(config.get("seed", DEFAULT_SEED), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    base_params = dict(default_parameters())
-    base_params.update(config.get("parameters", {}))
+    base_params = _base_parameters(config)
     tolerances = config.get("tolerances", {})
     results = []
     for name, overrides in _selected(config, suite):
@@ -191,6 +198,28 @@ def run_suite(config: dict, suite: str = "all") -> list[CheckResult]:
         )
     results.sort(key=lambda r: r.name)
     return results
+
+
+def _skipped_massless_spins(config: dict, suite: str) -> list[int]:
+    """Requested spins that the selected massless checks leave out."""
+    base_params = _base_parameters(config)
+    skipped = set()
+    for name, overrides in _selected(config, suite):
+        if REGISTRY[name].module == "massless":
+            skipped.update(skipped_massless_spins({**base_params, **overrides}))
+    return sorted(skipped)
+
+
+def _write_timings(path: str, results: list[CheckResult]) -> None:
+    """Sidecar JSON of the per-check runtimes in seconds and their total."""
+    timings = {"checks": {r.name: r.runtime for r in results},
+               "total": sum(r.runtime for r in results)}
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(timings, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write timings: {exc}") from exc
 
 
 def _json_number(x: float) -> float | str:
@@ -239,6 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override every check tolerance (use sparingly)")
     parser.add_argument("--format", choices=["json", "text"], default="text")
     parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument("--timings", metavar="PATH",
+                        help="write per-check runtimes (seconds) and their total to a JSON file")
     return parser
 
 
@@ -268,6 +299,11 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"BW_SEED must be an integer, got {env_seed!r}") from exc
         results = run_suite(config, args.suite)
+        skipped = _skipped_massless_spins(config, args.suite)
+        if skipped:
+            print(f"note: massless checks skipped spin indices {skipped}", file=sys.stderr)
+        if args.timings is not None:
+            _write_timings(args.timings, results)
         sys.stdout.buffer.write(render_report(results, args.format))
         sys.stdout.buffer.flush()
     except ConfigError as exc:

@@ -1,3 +1,4 @@
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -392,6 +393,60 @@ class TestTransformOracle:
             assert got.components[lab].shape == ref[lab].shape
             scale = np.max(np.abs(ref[lab]))
             assert np.max(np.abs(got.components[lab] - ref[lab])) <= 1e-13 * scale
+
+
+class TestBatchedTransform:
+    @staticmethod
+    def follower(seed, n):
+        """A generator whose seed follows its momenta's batch."""
+        def gen(p):
+            shape = np.asarray(p.p0).shape
+            return mbw.build_from_seed(np.broadcast_to(seed, shape + (2,) * n), p, n)
+        return gen
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_element_transform(self, n):
+        rng = np.random.default_rng(60 + n)
+        seed = mbw.symmetrize(rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n), n)
+        gen = self.follower(seed, n)
+        s = sc.random_sl2c(rng, size=6)
+        p = mom.on_shell(1.0, 1, rng.normal(size=(4, 3)))
+        got = mbw.transform(gen, s)(p)
+        assert got.batch_shape() == (6, 4)
+        for k in range(6):
+            ref = mbw.transform(gen, sc.SL2CElement(s.matrix[k]))(p)
+            for lab in mbw.all_labels(n):
+                scale = np.max(np.abs(ref.components[lab]))
+                assert np.max(np.abs(got.components[lab][k] - ref.components[lab])) <= 1e-14 * scale
+            assert_allclose(mbw.scalar_N(got)[k], mbw.scalar_N(ref), rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_single_element_is_the_kronecker_product(self, n, shape):
+        # one element maps each label with exactly the np.kron matrix of its slot maps
+        rng = np.random.default_rng(70 + n)
+        seed = mbw.symmetrize(rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n), n)
+        packet = mbw.GaussianPacket(n, 1.0, 1, seed)
+        s = sc.random_sl2c(rng)
+        p = mom.on_shell(1.0, 1, rng.normal(size=shape + (3,)))
+        got = mbw.transform(packet, s)(p)
+        f = packet(mom.act(sc.sl2c_to_lorentz(s).inverse(), p))
+        maps = (s.matrix, np.conj(s.matrix))
+        for lab, arr in f.components.items():
+            kron = reduce(np.kron, [maps[bit] for bit in lab])
+            ref = (arr.reshape((-1, 2**n)) @ kron.T).reshape(arr.shape)
+            assert np.array_equal(got.components[lab], ref)
+
+    def test_component_outside_the_group_batch_rejected(self):
+        rng = np.random.default_rng(80)
+        seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 0j, 2)
+
+        def gen(p):  # an unbatched seed does not follow the group batch
+            return mbw.build_from_seed(seed, p, 2)
+
+        s = sc.random_sl2c(rng, size=3)
+        with pytest.raises(ValueError, match="group batch"):
+            mbw.transform(gen, s)(mom.on_shell(1.0, 1, rng.normal(size=(3, 3))))
 
 
 class TestNorms:

@@ -134,6 +134,29 @@ class TestAct:
                 assert q.mass == p.mass and q.sign == p.sign
                 assert np.max(np.abs(mom.minkowski_dot(q.vec, q.vec) - 0.64)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_batched_matrices(self, shape):
+        rng = np.random.default_rng(6)
+        lam = sc.sl2c_to_lorentz(sc.random_sl2c(rng, size=4))
+        p = mom.on_shell(0.8, -1, rng.normal(size=shape + (3,)))
+        q = mom.act(lam, p)
+        # 4 matrices on the momenta: a (4,) + shape batch
+        assert q.vec.shape == (4,) + shape + (4,)
+        assert q.mass == p.mass and q.sign == p.sign
+        for k in range(4):
+            assert np.array_equal(q.vec[k], mom.act(sc.LorentzMatrix(lam.matrix[k]), p).vec)
+
+    def test_batched_matrices_on_matching_batch(self):
+        # batch axes before the momenta's last one pair up with the matrices'
+        rng = np.random.default_rng(7)
+        lam = sc.sl2c_to_lorentz(sc.random_sl2c(rng, size=3))
+        p = mom.on_shell(1.0, 1, rng.normal(size=(3, 5, 3)))
+        q = mom.act(lam, p)
+        assert q.vec.shape == (3, 5, 4)
+        for k in range(3):
+            ref = mom.act(sc.LorentzMatrix(lam.matrix[k]), mom.on_shell(1.0, 1, p.spatial[k]))
+            assert np.array_equal(q.vec[k], ref.vec)
+
 
 class TestQuadrature:
     def test_zero_integrand(self):

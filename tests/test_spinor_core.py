@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from bwfields import momentum as mom
 from bwfields import spinor_core as sc
 
 
@@ -128,6 +129,31 @@ class TestIvdW:
         pauli = sc._PAULI
         tilde = np.array([np.eye(2), -pauli[1], -pauli[2], -pauli[3]])
         assert_allclose(g.lo, np.transpose(tilde, (0, 2, 1)) / np.sqrt(2.0), atol=1e-15)
+
+
+class TestCachedTables:
+    @staticmethod
+    def tables():
+        g, sg = sc.build_ivdw(), sc.sigma_generators()
+        return [g.up, g.lo, g.up_w, g.lo_w, sg.sigma, sg.sigma_bar, sg.sigma_low,
+                sg.sigma_bar_low, sc.levi_civita4()]
+
+    def test_shared_and_read_only(self):
+        assert sc.build_ivdw() is sc.build_ivdw()
+        assert sc.sigma_generators() is sc.sigma_generators()
+        assert sc.levi_civita4() is sc.levi_civita4()
+        for arr in self.tables():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] *= 2
+
+    def test_failed_write_leaves_later_results_unchanged(self):
+        p = mom.on_shell(1.0, 1, [0.1, 0.2, 0.3])
+        before = mom.momentum_matrix(p)
+        with pytest.raises(ValueError):
+            sc.build_ivdw().up[0] *= 2
+        assert np.array_equal(mom.momentum_matrix(p), before)
+        assert_allclose(before[0, 0], (p.p0 + 0.3) / np.sqrt(2.0))
 
 
 class TestWorldSpinor:
@@ -271,3 +297,96 @@ class TestExpRep:
             errs.append(np.max(np.abs(lam(t) - np.eye(4) - t * gen)) / t**2)
         # error/t^2 is a constant for a quadratic remainder
         assert errs[0] == pytest.approx(errs[1], rel=0.05)
+
+
+class TestBatchedGroupAction:
+    """Batched elements against the same elements taken one at a time."""
+
+    @staticmethod
+    def elements(k=12):
+        batch = sc.random_sl2c(np.random.default_rng(30), size=k)
+        return batch, [sc.SL2CElement(m) for m in batch.matrix]
+
+    @staticmethod
+    def loop_draw(rng, scale):
+        """One element drawn parameter by parameter, row by row above the diagonal."""
+        w = np.zeros((4, 4))
+        for a in range(4):
+            for b in range(a + 1, 4):
+                w[a, b] = rng.uniform(-scale, scale)
+                w[b, a] = -w[a, b]
+        return sc.exp_rep(w).matrix
+
+    @pytest.mark.parametrize("size", [7, (3, 2), (1,)])
+    def test_batched_draw_equals_sequential_draws(self, size):
+        rng_batch, rng_seq = np.random.default_rng(31), np.random.default_rng(31)
+        batch = sc.random_sl2c(rng_batch, scale=0.7, size=size).matrix
+        k = int(np.prod(size))
+        seq = np.array([self.loop_draw(rng_seq, 0.7) for _ in range(k)])
+        assert batch.shape == np.shape(np.empty(size)) + (2, 2)
+        assert np.array_equal(batch.reshape(k, 2, 2), seq)
+        # both generators end in the same state
+        assert rng_batch.uniform() == rng_seq.uniform()
+
+    def test_default_size_is_one_element(self):
+        rng, rng_loop = np.random.default_rng(1), np.random.default_rng(1)
+        assert np.array_equal(sc.random_sl2c(rng).matrix, self.loop_draw(rng_loop, 1.0))
+
+    def test_exp_rep_batch(self):
+        rng = np.random.default_rng(32)
+        w = rng.uniform(-1, 1, (2, 5, 4, 4))
+        w = w - np.swapaxes(w, -1, -2)
+        batch = sc.exp_rep(w).matrix
+        assert batch.shape == (2, 5, 2, 2)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(batch[idx], sc.exp_rep(w[idx]).matrix)
+
+    def test_lorentz_map_inverse_and_products(self):
+        batch, singles = self.elements()
+        lam = sc.sl2c_to_lorentz(batch)
+        assert lam.matrix.shape == (12, 4, 4)
+        inv = lam.inverse().matrix
+        prod_s = (batch @ batch).matrix
+        prod_l = (lam @ lam.inverse()).matrix
+        for k, s in enumerate(singles):
+            lam_k = sc.sl2c_to_lorentz(s)
+            assert np.array_equal(lam.matrix[k], lam_k.matrix)
+            assert np.array_equal(inv[k], lam_k.inverse().matrix)
+            assert np.array_equal(prod_s[k], (s @ s).matrix)
+            assert np.array_equal(prod_l[k], (lam_k @ lam_k.inverse()).matrix)
+        assert_allclose(prod_l, np.broadcast_to(np.eye(4), prod_l.shape), atol=1e-12)
+
+    def test_products_broadcast(self):
+        batch, singles = self.elements(4)
+        one = singles[0]
+        left = (one @ batch).matrix
+        assert left.shape == (4, 2, 2)
+        for k, s in enumerate(singles):
+            assert_allclose(left[k], (one @ s).matrix, atol=1e-14)
+
+    def test_one_bad_determinant_rejected(self):
+        batch, _ = self.elements(5)
+        m = batch.matrix.copy()
+        m[3] *= 1.01
+        with pytest.raises(ValueError, match="determinant"):
+            sc.SL2CElement(m)
+
+    def test_one_non_orthochronous_matrix_rejected(self):
+        lam = np.broadcast_to(np.eye(4), (2, 3, 4, 4)).copy()
+        lam[1, 2] = -np.eye(4)  # metric and determinant kept, time reversed
+        with pytest.raises(ValueError, match="orthochronous"):
+            sc.LorentzMatrix(lam)
+        lam[1, 2] = np.diag([1.0, 1.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="metric"):
+            sc.LorentzMatrix(lam)
+        lam[1, 2] = np.diag([1.0, -1.0, 1.0, 1.0])  # a reflection: det -1
+        with pytest.raises(ValueError, match="determinant"):
+            sc.LorentzMatrix(lam)
+
+    def test_one_non_antisymmetric_parameter_set_rejected(self):
+        rng = np.random.default_rng(33)
+        w = rng.uniform(-1, 1, (6, 4, 4))
+        w = w - np.swapaxes(w, -1, -2)
+        w[4, 0, 0] = 1e-6
+        with pytest.raises(ValueError, match="antisymmetric"):
+            sc.exp_rep(w)

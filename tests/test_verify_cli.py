@@ -229,3 +229,39 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: massless checks need a spin index in 1..3, got [5]\n"
+
+    def test_skipped_massless_spins_named_on_stderr(self, capsys):
+        assert vc.main(["massless", "--spin", "1", "--spin", "5", "--samples", "2000",
+                        "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "note: massless checks skipped spin indices [5]\n"
+        # the report is the one of the spins that ran
+        assert vc.main(["massless", "--spin", "1", "--samples", "2000", "--format", "json"]) == 0
+        alone = capsys.readouterr()
+        assert alone.err == ""
+        assert captured.out == alone.out
+
+    def test_no_note_without_massless_checks(self, capsys):
+        assert vc.main(["identities", "--spin", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_timings_sidecar(self, tmp_path, capsys):
+        argv = ["identities", "--seed", "4", "--format", "json"]
+        assert vc.main(argv) == 0
+        plain = capsys.readouterr().out
+        path = tmp_path / "timings.json"
+        assert vc.main(argv + ["--timings", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        timings = json.loads(path.read_text())
+        names = [row["name"] for row in json.loads(plain)]
+        assert list(timings["checks"]) == names
+        assert all(t >= 0.0 for t in timings["checks"].values())
+        assert timings["total"] == pytest.approx(sum(timings["checks"].values()))
+
+    def test_unwritable_timings_path_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "timings.json"
+        assert vc.main(["identities", "--timings", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write timings")
+        assert len(captured.err.splitlines()) == 1
