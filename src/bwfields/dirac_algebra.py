@@ -76,7 +76,7 @@ def unpack_bispinor(psi: np.ndarray, p: FourMomentum) -> BWFieldAtP:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 4:
         raise ValueError("bispinor must have 4 trailing components")
-    return BWFieldAtP(n=1, p=p, components={(0,): psi[..., :2], (1,): psi[..., 2:]})
+    return BWFieldAtP.from_components(1, p, {(0,): psi[..., :2], (1,): psi[..., 2:]})
 
 
 def dirac_residual(psi: np.ndarray, p: FourMomentum, mass: float) -> float:
@@ -109,7 +109,7 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     )
     j = np.sqrt(2.0) * np.einsum("aij,...ij->...a", g, pair)
     scale = max(1.0, float(np.max(np.abs(j))))
-    if np.max(np.abs(j.imag)) > 1e-12 * scale:
+    if not np.max(np.abs(j.imag)) <= 1e-12 * scale:
         raise AssertionError("current has non-negligible imaginary part")
     return j.real
 

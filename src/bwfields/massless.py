@@ -11,7 +11,6 @@ the helicity statement for the unprimed index convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .spinor_core import EPS_UP, build_ivdw, dual, sigma_generators
 __all__ = [
     "MasslessFieldAtP",
     "HertzPotentialAtP",
-    "Amplitude",
     "PLMatrices",
     "field_from_potential",
     "eta_canonical",
@@ -63,17 +61,6 @@ class HertzPotentialAtP:
 
     n: int
     xi: np.ndarray  # (..., 2)*n
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """Scalar degree of freedom per branch: momentum -> complex."""
-
-    fplus: Callable[[FourMomentum], np.ndarray]
-    fminus: Callable[[FourMomentum], np.ndarray]
-
-    def __call__(self, p: FourMomentum) -> np.ndarray:
-        return self.fplus(p) if p.sign > 0 else self.fminus(p)
 
 
 def _contract_slot_sum_first(arr: np.ndarray, mat: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -237,7 +224,7 @@ def tensor_U(xi: HertzPotentialAtP) -> np.ndarray:
         subs.append(f"{world[k]}{iw[k]}{jw[k]}")
     out = np.einsum(",".join(subs) + f"->...{world}", *ops)
     scale = max(1.0, float(np.max(np.abs(out))))
-    if np.max(np.abs(out.imag)) > 1e-12 * scale:
+    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
         raise AssertionError("potential tensor has non-negligible imaginary part")
     return out.real
 
@@ -256,7 +243,7 @@ def tensor_T_massless(field: MasslessFieldAtP) -> np.ndarray:
         subs.append(f"{world[k]}{iw[k]}{jw[k]}")
     out = np.einsum(",".join(subs) + f"->...{world}", *ops)
     scale = max(1.0, float(np.max(np.abs(out))))
-    if np.max(np.abs(out.imag)) > 1e-12 * scale:
+    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
         raise AssertionError("field tensor has non-negligible imaginary part")
     return out.real
 
@@ -271,7 +258,7 @@ def norm_primed_integrand(field: MasslessFieldAtP, ts: list[np.ndarray]) -> np.n
     for k, t in enumerate(ts):
         t = np.asarray(t, dtype=float)
         tp = minkowski_dot(t, field.p.vec)
-        if np.min(np.abs(tp)) < 1e-12:
+        if not np.min(np.abs(tp)) >= 1e-12:
             raise ValueError("division by vanishing t.p")
         rest = _L[: n - 1 - k]
         tsub = "z" if t.ndim == 1 else "...z"

@@ -56,7 +56,7 @@ class FaradayAtP:
         f = np.asarray(self.f, dtype=complex)
         object.__setattr__(self, "f", f)
         scale = max(1.0, float(np.max(np.abs(f))))
-        if np.max(np.abs(f + np.swapaxes(f, -1, -2))) > 1e-12 * scale:
+        if not np.max(np.abs(f + np.swapaxes(f, -1, -2))) <= 1e-12 * scale:
             raise ValueError("field tensor must be antisymmetric")
 
 
@@ -71,7 +71,7 @@ class PotentialAtP:
         phi = np.asarray(self.phi, dtype=complex)
         object.__setattr__(self, "phi", phi)
         scale = max(1.0, float(np.max(np.abs(phi))), float(np.max(np.abs(self.p.vec))))
-        if np.max(np.abs(minkowski_dot(self.p.vec, phi))) > 1e-10 * scale:
+        if not np.max(np.abs(minkowski_dot(self.p.vec, phi))) <= 1e-10 * scale:
             raise ValueError("potential violates the Lorenz gauge p.phi = 0")
 
 
@@ -111,7 +111,7 @@ def em_spinor(far: FaradayAtP) -> np.ndarray:
     f_up = np.einsum("...qr,qc,rd->...cd", far.f, METRIC, METRIC)
     phi = 0.5j * np.einsum("...qr,qrab->...ab", f_up, sig_ll)
     scale = max(1.0, float(np.max(np.abs(phi))))
-    if np.max(np.abs(phi - np.swapaxes(phi, -1, -2))) > 1e-12 * scale:
+    if not np.max(np.abs(phi - np.swapaxes(phi, -1, -2))) <= 1e-12 * scale:
         raise AssertionError("field spinor is not symmetric")
     return phi
 
@@ -137,7 +137,7 @@ def tensor_T_em(phi_ab: np.ndarray) -> np.ndarray:
     g = build_ivdw().up
     out = np.einsum("...ij,...kl,aik,bjl->...ab", phi_ab, np.conj(phi_ab), g, g)
     scale = max(1.0, float(np.max(np.abs(out))))
-    if np.max(np.abs(out.imag)) > 1e-12 * scale:
+    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
         raise AssertionError("quadratic tensor has non-negligible imaginary part")
     return out.real
 
@@ -152,7 +152,7 @@ def stress_form(far: FaradayAtP) -> np.ndarray:
     cross = np.einsum("...ac,...bc->...ab", f, fbar_mixed)
     out = 0.5 * (0.25 * np.einsum("...,ab->...ab", scalar, METRIC) - cross)
     scale = max(1.0, float(np.max(np.abs(out))))
-    if np.max(np.abs(out.imag)) > 1e-12 * scale:
+    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
         raise AssertionError("stress tensor has non-negligible imaginary part")
     return out.real
 

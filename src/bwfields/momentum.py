@@ -52,7 +52,7 @@ class FourMomentum:
     spatial: np.ndarray  # (..., 3)
 
     def __post_init__(self):
-        if self.mass < 0:
+        if not self.mass >= 0:
             raise ValueError("mass must be non-negative")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -172,7 +172,7 @@ def act(lam: LorentzMatrix, p: FourMomentum) -> FourMomentum:
     new = p.vec @ np.swapaxes(lam.matrix, -1, -2)
     out = FourMomentum(mass=p.mass, sign=p.sign, spatial=new[..., 1:])
     scale = np.maximum(1.0, np.abs(out.p0))
-    if np.any(np.abs(new[..., 0] - out.p0) > 1e-9 * scale):
+    if not np.all(np.abs(new[..., 0] - out.p0) <= 1e-9 * scale):
         raise AssertionError("transformed momentum left its mass shell")
     return out
 
@@ -192,9 +192,6 @@ class HyperboloidSampler:
     sign: int
     seed: int | None
     scheme: str  # "monte-carlo" | "grid"
-
-    def momenta(self) -> FourMomentum:
-        return FourMomentum(mass=self.mass, sign=self.sign, spatial=self.points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -242,24 +239,36 @@ def grid_sampler(
     )
 
 
+# Samples per integrand call: an n = 2 field stack on 4096 samples is 1 MiB
+# (16 components of 16 B per sample), so it and a temporary stay in a 2 MiB
+# L2 cache; larger blocks spill from it, smaller ones pay more call overhead.
+INTEGRATE_BLOCK = 4096
+
+
 def integrate(
     f: Callable[[FourMomentum], np.ndarray], sampler: HyperboloidSampler
 ) -> tuple[complex, float]:
     """Weighted-sample estimate of integral f(p) d^3p / (2|p^0|).
 
     Returns (value, standard_error); the error estimate is zero for grid
-    schemes.  Evaluation is vectorized over the whole sample set and the
-    reduction order is fixed, so results are deterministic per seed.
+    schemes.  ``f`` is evaluated on consecutive blocks of INTEGRATE_BLOCK
+    samples, so it must work sample by sample and return one value per
+    sample of each block.  The values are reduced together in a fixed
+    order, so results are deterministic per seed.
     """
-    if len(sampler) == 0:
+    n = len(sampler)
+    if n == 0:
         raise ValueError("sampler is empty")
-    vals = np.asarray(f(sampler.momenta()))
-    if vals.shape != sampler.weights.shape:
-        raise ValueError("integrand must return one value per sample")
-    contrib = sampler.weights * vals
+    blocks = []
+    for start in range(0, n, INTEGRATE_BLOCK):
+        pts = sampler.points[start:start + INTEGRATE_BLOCK]
+        vals = np.asarray(f(FourMomentum(mass=sampler.mass, sign=sampler.sign, spatial=pts)))
+        if vals.shape != pts.shape[:1]:
+            raise ValueError("integrand must return one value per sample")
+        blocks.append(vals)
+    contrib = sampler.weights * np.concatenate(blocks)
     if sampler.scheme == "grid":
         return complex(np.sum(contrib)), 0.0
-    n = len(sampler)
     mean = np.sum(contrib) / n
     var = np.sum(np.abs(contrib - mean) ** 2) / (n - 1) if n > 1 else 0.0
     return complex(mean), float(np.sqrt(var / n))

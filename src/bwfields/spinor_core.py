@@ -149,7 +149,7 @@ def check_symmetric(t: SpinorTensor, group: tuple[int, ...], tol: float = 1e-12)
             if t.slots[i] != t.slots[j]:
                 raise ValueError("cannot compare indices of different type")
             swapped = np.swapaxes(base, off + i, off + j)
-            if np.max(np.abs(base - swapped)) > tol:
+            if not np.max(np.abs(base - swapped)) <= tol:
                 return False
     return True
 
@@ -302,7 +302,7 @@ def sigma_generators() -> SigmaGenerators:
     sigma_bar = (t2 - np.transpose(t2, (1, 0, 2, 3))) / 2j
 
     s_eps, sb_eps = _sigma_from_epsilon_form()
-    if np.max(np.abs(sigma - s_eps)) > 1e-14 or np.max(np.abs(sigma_bar - sb_eps)) > 1e-14:
+    if not (np.max(np.abs(sigma - s_eps)) <= 1e-14 and np.max(np.abs(sigma_bar - sb_eps)) <= 1e-14):
         raise AssertionError("generator construction routes disagree")
 
     sigma_low = np.einsum("ac,bd,cdxy->abxy", METRIC, METRIC, sigma)
@@ -340,7 +340,7 @@ class SL2CElement:
         if m.shape[-2:] != (2, 2):
             raise ValueError("SL(2,C) element must be 2x2")
         det = np.linalg.det(m)
-        if np.any(np.abs(det - 1.0) > 1e-12):
+        if not np.all(np.abs(det - 1.0) <= 1e-12):
             raise ValueError(f"determinant {det} is not 1")
 
     def __matmul__(self, other: "SL2CElement") -> "SL2CElement":
@@ -363,11 +363,11 @@ class LorentzMatrix:
         if m.shape[-2:] != (4, 4):
             raise ValueError("Lorentz matrix must be 4x4")
         drift = np.abs(np.swapaxes(m, -1, -2) @ METRIC @ m - METRIC)
-        if np.any(drift > 1e-9):
+        if not np.all(drift <= 1e-9):
             raise ValueError("metric is not preserved")
-        if np.any(m[..., 0, 0] < 1.0 - 1e-12):
+        if not np.all(m[..., 0, 0] >= 1.0 - 1e-12):
             raise ValueError("matrix is not orthochronous")
-        if np.any(np.abs(np.linalg.det(m) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-9):
             raise ValueError("determinant is not +1")
 
     def inverse(self) -> "LorentzMatrix":
@@ -387,7 +387,7 @@ def exp_rep(omega: np.ndarray) -> SL2CElement:
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-2:] != (4, 4):
         raise ValueError("parameter array must be 4x4")
-    if np.any(np.abs(omega + np.swapaxes(omega, -1, -2)) > 1e-12):
+    if not np.all(np.abs(omega + np.swapaxes(omega, -1, -2)) <= 1e-12):
         raise ValueError("parameter array must be antisymmetric")
     gen = 0.5j * np.einsum("...ab,abxy->...xy", omega, sigma_generators().sigma_low)
     return SL2CElement(expm(gen))
@@ -405,7 +405,7 @@ def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     """
     g = build_ivdw()
     lam_lu = np.einsum("aij,...ik,...jl,bkl->...ab", g.up, s.matrix, np.conj(s.matrix), g.lo_w)
-    if np.any(np.abs(lam_lu.imag) > 1e-12):
+    if not np.all(np.abs(lam_lu.imag) <= 1e-12):
         raise AssertionError("induced Lorentz matrix has imaginary parts")
     lam = METRIC @ lam_lu.real @ METRIC
     return LorentzMatrix(lam)

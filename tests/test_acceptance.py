@@ -15,16 +15,11 @@ from bwfields import maxwell as mx
 from bwfields import momentum as mom
 from bwfields import spinor_core as sc
 from bwfields import verify_cli as vc
+from bwfields.checks import _rand_sym_seed
 
 
 def _report(num, text):
     print(f"PASS criterion {num}: {text}", flush=True)
-
-
-def _rand_sym_seed(rng, n, batch=None):
-    shape = ((batch,) if batch else ()) + (2,) * n
-    seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return mbw.symmetrize(seed, n) if n > 1 else seed
 
 
 def test_criterion_1_identity_suite():

@@ -1,4 +1,3 @@
-from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +17,42 @@ def random_field(rng, n, mass=1.0, sign=1, batch=None):
     return mbw.build_from_seed(seed, mom.on_shell(mass, sign, sp), n)
 
 
+def two_term(arr, mat, k, n, sum_first):
+    """One label's slot-k contraction, batch first: two slices times a row (or column) of mat."""
+    tail = (slice(None),) * (n - 1 - k)
+    place = (...,) + (None,) * k + (slice(None),) + (None,) * (n - 1 - k)
+    rows = mat if sum_first else np.swapaxes(mat, -1, -2)
+    out = arr[(..., slice(0, 1)) + tail] * rows[..., 0, :][place]
+    out += arr[(..., slice(1, 2)) + tail] * rows[..., 1, :][place]
+    return out
+
+
+def label_recursion(seed, p, n):
+    """Reference for build_from_seed: each label from the label with its first 1-bit cleared."""
+    p_ul = mom.momentum_matrix(p, "ul")
+    factor = -np.sqrt(2.0) / p.mass
+    comps = {(0,) * n: np.asarray(seed, dtype=complex)}
+    for lab in sorted(mbw.all_labels(n), key=lambda t: (sum(t), t)):
+        if lab not in comps:
+            k = lab.index(1)
+            comps[lab] = factor * two_term(comps[lab[:k] + (0,) + lab[k + 1:]], p_ul, k, n, sum_first=True)
+    return comps
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed_batch, p_batch", [((), ()), ((7,), (7,)), ((2, 3), (2, 3)), ((), (5,))])
+    def test_matches_label_recursion_bit_for_bit(self, n, seed_batch, p_batch):
+        rng = np.random.default_rng(90 + n + len(p_batch))
+        shape = seed_batch + (2,) * n
+        seed = mbw.symmetrize(rng.normal(size=shape) + 1j * rng.normal(size=shape), n)
+        p = mom.on_shell(1.3, 1, rng.normal(size=p_batch + (3,)))
+        f = mbw.build_from_seed(seed, p, n)
+        ref = label_recursion(seed, p, n)
+        for lab, arr in f.components.items():
+            assert arr.shape == p_batch + (2,) * n
+            assert np.array_equal(arr, np.broadcast_to(ref[lab], arr.shape))
+
     def test_rest_frame_recursion(self):
         # 2x2 contraction oracle at p = (m, 0): generated component is the
         # seed with swapped entries and one sign flip
@@ -93,7 +127,7 @@ class TestFieldEquations:
         doubled = pert[0]
         pert[0] *= 2.0
         comps[(1,)] = pert
-        broken = mbw.BWFieldAtP(1, f.p, comps)
+        broken = mbw.BWFieldAtP.from_components(1, f.p, comps)
         assert_allclose(
             mbw.residual_field_equations(broken),
             (mass / np.sqrt(2.0)) * abs(doubled),
@@ -113,7 +147,7 @@ class TestFieldEquations:
         # breaking the field breaks both
         comps = dict(f.components)
         comps[(1,)] = comps[(1,)] + 1.0
-        broken = mbw.BWFieldAtP(1, f.p, comps)
+        broken = mbw.BWFieldAtP.from_components(1, f.p, comps)
         assert mbw.residual_field_equations(broken) > 1e-2
         assert da.dirac_residual(da.pack_bispinor(broken), f.p, 1.2) > 1e-2
 
@@ -169,11 +203,10 @@ class TestTensor:
             lab: rng.normal(size=(5,) + (2,) * n) + 1j * rng.normal(size=(5,) + (2,) * n)
             for lab in mbw.all_labels(n)
         }
-        assert_matches_per_label(mbw.BWFieldAtP(n, p, comps), (5,))
+        assert_matches_per_label(mbw.BWFieldAtP.from_components(n, p, comps), (5,))
 
     def test_matches_per_label_sum_on_broadcast_components(self):
-        # an unbatched seed with batched momenta: the seed component has no
-        # batch axis, the generated ones do
+        # an unbatched seed with batched momenta, broadcast over them in the stack
         seed = mbw.symmetrize(np.arange(4.0).reshape(2, 2) + 1j, 2)
         f = mbw.build_from_seed(seed, mom.on_shell(1.0, 1, np.eye(3)), 2)
         assert_matches_per_label(f, (3,))
@@ -308,7 +341,8 @@ class TestScalar:
         # an unbatched seed with batched momenta
         seed = mbw.symmetrize(np.arange(8.0).reshape(2, 2, 2) - 1j, 3)
         f = mbw.build_from_seed(seed, mom.on_shell(1.0, 1, np.eye(3)), 3)
-        assert f.components[(0, 0, 0)].shape == (2, 2, 2)
+        # the stack holds the seed once per momentum
+        assert np.array_equal(f.components[(0, 0, 0)], np.broadcast_to(seed, (3, 2, 2, 2)))
         assert_N_matches_per_label(f, (3,))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -420,10 +454,29 @@ class TestBatchedTransform:
                 assert np.max(np.abs(got.components[lab][k] - ref.components[lab])) <= 1e-14 * scale
             assert_allclose(mbw.scalar_N(got)[k], mbw.scalar_N(ref), rtol=1e-13)
 
+    def test_unbatched_seed_follows_the_group_batch(self):
+        # the stack broadcasts an unbatched seed over the (B, N) batch that
+        # act gives, so each element maps the fields at its own momenta
+        rng = np.random.default_rng(81)
+        seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
+
+        def gen(p):
+            return mbw.build_from_seed(seed, p, 2)
+
+        s = sc.random_sl2c(rng, size=3)
+        p = mom.on_shell(1.0, 1, rng.normal(size=(4, 3)))
+        got = mbw.transform(gen, s)(p)
+        assert got.batch_shape() == (3, 4)
+        for k in range(3):
+            ref = mbw.transform(gen, sc.SL2CElement(s.matrix[k]))(p)
+            scale = np.max(np.abs(ref.stack))
+            assert np.max(np.abs(got.stack[..., k, :] - ref.stack)) <= 1e-14 * scale
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(), (5,)])
-    def test_single_element_is_the_kronecker_product(self, n, shape):
-        # one element maps each label with exactly the np.kron matrix of its slot maps
+    def test_single_element_is_n_slot_maps(self, n, shape):
+        # one element maps each label slot by slot, S on 0-bits and conj(S)
+        # on 1-bits, with the arithmetic of a label-by-label loop
         rng = np.random.default_rng(70 + n)
         seed = mbw.symmetrize(rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n), n)
         packet = mbw.GaussianPacket(n, 1.0, 1, seed)
@@ -433,20 +486,55 @@ class TestBatchedTransform:
         f = packet(mom.act(sc.sl2c_to_lorentz(s).inverse(), p))
         maps = (s.matrix, np.conj(s.matrix))
         for lab, arr in f.components.items():
-            kron = reduce(np.kron, [maps[bit] for bit in lab])
-            ref = (arr.reshape((-1, 2**n)) @ kron.T).reshape(arr.shape)
-            assert np.array_equal(got.components[lab], ref)
+            for k, bit in enumerate(lab):
+                arr = two_term(arr, maps[bit], k, n, sum_first=False)
+            assert np.array_equal(got.components[lab], arr)
 
     def test_component_outside_the_group_batch_rejected(self):
         rng = np.random.default_rng(80)
         seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 0j, 2)
+        elsewhere = mom.on_shell(1.0, 1, rng.normal(size=(4, 3)))
 
-        def gen(p):  # an unbatched seed does not follow the group batch
-            return mbw.build_from_seed(seed, p, 2)
+        def gen(p):  # ignores its momenta, so the field's batch is (4,), not (3, 3)
+            return mbw.build_from_seed(seed, elsewhere, 2)
 
         s = sc.random_sl2c(rng, size=3)
         with pytest.raises(ValueError, match="group batch"):
             mbw.transform(gen, s)(mom.on_shell(1.0, 1, rng.normal(size=(3, 3))))
+
+
+class TestStack:
+    def test_round_trip_unbatched_seed_with_batched_momenta(self):
+        rng = np.random.default_rng(82)
+        seed = mbw.symmetrize(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)), 3)
+        p = mom.on_shell(1.0, -1, rng.normal(size=(5, 3)))
+        f = mbw.build_from_seed(seed, p, 3)
+        assert f.stack.shape == (2, 2, 2, 2, 2, 2, 5)
+        for lab, view in f.components.items():
+            assert view.shape == (5, 2, 2, 2)
+            assert np.shares_memory(view, f.stack) and not view.flags.writeable
+        # axes (bit_1, i_1, bit_2, i_2, bit_3, i_3, batch)
+        assert np.array_equal(f.components[(0, 1, 1)][4, 1, 0, 1], f.stack[0, 1, 1, 0, 1, 1, 4])
+        back = mbw.BWFieldAtP.from_components(3, p, f.components)
+        assert np.array_equal(back.stack, f.stack)
+        comps = dict(f.components)
+        comps[(0, 0, 0)] = seed
+        assert np.array_equal(mbw.BWFieldAtP.from_components(3, p, comps).stack, f.stack)
+
+    def test_round_trip_batched_element(self):
+        rng = np.random.default_rng(83)
+        gen = TestBatchedTransform.follower(mbw.symmetrize(rng.normal(size=(2, 2)) + 0j, 2), 2)
+        p = mom.on_shell(1.0, 1, rng.normal(size=(4, 3)))
+        got = mbw.transform(gen, sc.random_sl2c(rng, size=2))(p)
+        assert got.batch_shape() == (2, 4) and got.stack.shape == (2, 2, 2, 2, 2, 4)
+        assert got.components[(1, 0)].shape == (2, 4, 2, 2)
+        assert np.array_equal(got.components[(1, 0)][1, 3, 0, 1], got.stack[1, 0, 0, 1, 1, 3])
+        back = mbw.BWFieldAtP.from_components(2, p, got.components)
+        assert np.array_equal(back.stack, got.stack)
+
+    def test_stack_without_slot_axes_rejected(self):
+        with pytest.raises(ValueError, match="slot"):
+            mbw.BWFieldAtP(2, mom.on_shell(1.0, 1, [0, 0, 0]), np.zeros((2, 2, 2)))
 
 
 class TestNorms:

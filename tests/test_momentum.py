@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bwfields import massive_bw as mbw
 from bwfields import momentum as mom
 from bwfields import spinor_core as sc
+
+
+def one_shot_integrate(f, sampler):
+    """Reference for integrate: the integrand on all samples at once, then the same reduction."""
+    p = mom.FourMomentum(mass=sampler.mass, sign=sampler.sign, spatial=sampler.points)
+    contrib = sampler.weights * np.asarray(f(p))
+    n = len(sampler)
+    mean = np.sum(contrib) / n
+    var = np.sum(np.abs(contrib - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    return complex(mean), float(np.sqrt(var / n))
 
 
 class TestOnShell:
@@ -218,6 +229,33 @@ class TestQuadrature:
         val, se = mom.integrate(f, s)
         assert se == 0.0
         assert abs(val.real - np.pi) < 0.05
+
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 200000])
+    def test_blocks_match_one_shot_evaluation(self, samples):
+        packet = mbw.GaussianPacket(2, 1.0, 1, mbw.symmetrize(np.arange(4.0).reshape(2, 2) - 1j, 2))
+        sampler = mom.monte_carlo_sampler(1.0, 1, samples, seed=17)
+        sizes = []
+
+        def norm(p):
+            sizes.append(len(p.p0))
+            return mbw.scalar_N(packet(p))
+
+        assert mom.integrate(norm, sampler) == one_shot_integrate(norm, sampler)
+        block = mom.INTEGRATE_BLOCK
+        blocks = [block] * (samples // block) + ([samples % block] if samples % block else [])
+        assert sizes == blocks + [samples]
+        gauss = lambda p: np.exp(-np.sum(p.spatial**2, axis=-1))
+        assert mom.integrate(gauss, sampler) == one_shot_integrate(gauss, sampler)
+
+    def test_wrong_shape_in_a_later_block_rejected(self):
+        sampler = mom.monte_carlo_sampler(1.0, 1, mom.INTEGRATE_BLOCK + 10, seed=18)
+
+        def f(p):
+            n = len(p.p0)
+            return np.zeros(n if n == mom.INTEGRATE_BLOCK else n + 1)
+
+        with pytest.raises(ValueError, match="one value per sample"):
+            mom.integrate(f, sampler)
 
     def test_deterministic_given_seed(self):
         f = lambda p: np.exp(-np.sum(p.spatial**2, axis=-1))

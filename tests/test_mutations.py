@@ -1,0 +1,121 @@
+"""Mutation matrix for the field core: each broken variant fails a registry check.
+
+Every mutation is installed with monkeypatch, then the registry check named
+beside it runs at 20000 samples and must fail; unmutated, the same checks
+pass.  A check that cannot fail under its mutation guards nothing.
+"""
+
+import numpy as np
+import pytest
+
+from bwfields import massive_bw as mbw
+from bwfields import maxwell as mx
+from bwfields import momentum as mom
+from bwfields import verify_cli as vc
+
+
+def run_check(name):
+    config = vc.load_config(None)
+    config["parameters"]["samples"] = 20000
+    config["checks"] = [{"name": name, "parameters": {}}]
+    (result,) = vc.run_suite(config)
+    return result
+
+
+def drop_sqrt2(monkeypatch):
+    # a factor -1/m in place of -sqrt2/m scales each 1-bit by 1/sqrt2
+    build = mbw.build_from_seed
+
+    def mutant(seed, p, n, **kwargs):
+        stack = build(seed, p, n, **kwargs).stack
+        for k in range(n):
+            stack = stack * np.array([1.0, 2.0**-0.5]).reshape((2,) + (1,) * (stack.ndim - 2 * k - 1))
+        return mbw.BWFieldAtP(n=n, p=p, stack=stack)
+
+    monkeypatch.setattr(mbw, "build_from_seed", mutant)
+
+
+def s_on_primed_slots(monkeypatch):
+    transform, kernel = mbw.transform, mbw._kernel
+
+    def mutant(gen, s):
+        # transform builds its kernel when called: S on both halves of a slot
+        with monkeypatch.context() as m:
+            m.setattr(mbw, "_kernel", lambda maps, nb: kernel(maps[:1] * 2, nb))
+            return transform(gen, s)
+
+    monkeypatch.setattr(mbw, "transform", mutant)
+
+
+def wrong_row(monkeypatch):
+    def mutant(stack, kernel, k):
+        later = (None,) * (stack.ndim - kernel.ndim - 2 * k + 1)
+        head = (slice(None),) * (2 * k + 1)
+        out = stack[head + (slice(0, 1),)] * kernel[(slice(None), slice(None), 0) + later]
+        out += stack[head + (slice(1, 2),)] * kernel[(slice(None), slice(None), 0) + later]
+        return out
+
+    monkeypatch.setattr(mbw, "_contract_slot", mutant)
+
+
+def scalar_N_mutant(transpose_bit1=False, unprimed_only=False):
+    def mutant(f):
+        n = f.n
+        p_uu = mom.momentum_matrix(f.p, "uu")
+        bit1 = np.swapaxes(p_uu, -1, -2) if transpose_bit1 else p_uu
+        q = f.stack
+        kernel = mbw._kernel((np.swapaxes(p_uu, -1, -2), bit1), q.ndim - 2 * n)
+        for k in range(n):
+            q = mbw._contract_slot(q, kernel, k)
+        prod = (q * np.conj(f.stack)).real
+        if unprimed_only:
+            return np.sum(prod[mbw._label_index((0,) * n)], axis=tuple(range(n)))
+        return np.sum(prod, axis=tuple(range(2 * n)))
+
+    return mutant
+
+
+def transposed_bit1_kernel(monkeypatch):
+    monkeypatch.setattr(mbw, "scalar_N", scalar_N_mutant(transpose_bit1=True))
+
+
+def unprimed_label_only(monkeypatch):
+    monkeypatch.setattr(mbw, "scalar_N", scalar_N_mutant(unprimed_only=True))
+
+
+def last_block_dropped(monkeypatch):
+    # the integrand's values on a final partial block never reach the sum
+    integrate = mom.integrate
+
+    def mutant(f, sampler):
+        def blockwise(p):
+            vals = np.asarray(f(p))
+            return np.zeros_like(vals) if len(vals) < mom.INTEGRATE_BLOCK else vals
+
+        return integrate(blockwise, sampler)
+
+    for module in (mom, mbw, mx):
+        monkeypatch.setattr(module, "integrate", mutant)
+
+
+MUTATIONS = {
+    "sqrt2 dropped in build_from_seed": (drop_sqrt2, "massive_field_equations"),
+    "S on primed slots in transform": (s_on_primed_slots, "scalar_lorentz_covariance"),
+    "wrong row in _contract_slot": (wrong_row, "massive_field_equations"),
+    "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, "norm_equivalences"),
+    "scalar_N on the all-unprimed label only": (unprimed_label_only, "norm_equivalences"),
+    "integrate drops its last partial block": (last_block_dropped, "amplitude_gaussian_norm"),
+}
+
+
+@pytest.mark.parametrize("check", sorted({check for _, check in MUTATIONS.values()}))
+def test_check_passes_unmutated(check):
+    assert run_check(check).status == "pass"
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_mutation_fails_its_check(mutation, monkeypatch):
+    install, check = MUTATIONS[mutation]
+    install(monkeypatch)
+    result = run_check(check)
+    assert result.status == "fail", f"{check} = {result.value} under: {mutation}"

@@ -390,3 +390,60 @@ class TestBatchedGroupAction:
         w[4, 0, 0] = 1e-6
         with pytest.raises(ValueError, match="antisymmetric"):
             sc.exp_rep(w)
+
+
+def _nan(*shape):
+    return np.full(shape, np.nan)
+
+
+def _nan_off_diagonal_seed():
+    seed = np.zeros((2, 2))
+    seed[0, 1] = np.nan
+    return seed
+
+
+def _nan_cases():
+    from types import SimpleNamespace
+
+    from bwfields import dirac_algebra as da
+    from bwfields import massive_bw as mbw
+    from bwfields import massless as ml
+    from bwfields import maxwell as mx
+
+    massive_p = mom.on_shell(1.0, 1, [0.1, 0.2, 0.3])
+    null_p = mom.on_shell(0.0, 1, [0.0, 0.0, 1.0])
+    field = mbw.build_from_seed(np.array([1.0, 2.0j]), massive_p, 1)
+    null_field = ml.MasslessFieldAtP(n=1, p=null_p, psi=np.array([1.0, 0.5j]))
+    return {
+        "SL2CElement": (lambda: sc.SL2CElement(_nan(2, 2)), ValueError),
+        "LorentzMatrix": (lambda: sc.LorentzMatrix(_nan(4, 4)), ValueError),
+        "exp_rep": (lambda: sc.exp_rep(_nan(4, 4)), ValueError),
+        "sl2c_to_lorentz": (lambda: sc.sl2c_to_lorentz(SimpleNamespace(matrix=_nan(2, 2))), AssertionError),
+        "FourMomentum mass": (lambda: mom.FourMomentum(mass=np.nan, sign=1, spatial=np.zeros(3)), ValueError),
+        "act": (lambda: mom.act(sc.LorentzMatrix(np.eye(4)), mom.on_shell(1.0, 1, _nan(3))), AssertionError),
+        "build_from_seed": (lambda: mbw.build_from_seed(_nan_off_diagonal_seed(), massive_p, 2), ValueError),
+        "massive tensor_T": (lambda: mbw.tensor_T(mbw.BWFieldAtP(1, massive_p, _nan(2, 2))), AssertionError),
+        "massive t.p": (lambda: mbw.norm_primed_integrand(field, [_nan(4)]), ValueError),
+        "tensor_T_massless": (
+            lambda: ml.tensor_T_massless(ml.MasslessFieldAtP(n=1, p=null_p, psi=_nan(2))), AssertionError),
+        "tensor_U": (lambda: ml.tensor_U(ml.HertzPotentialAtP(n=1, xi=_nan(2))), AssertionError),
+        "massless t.p": (lambda: ml.norm_primed_integrand(null_field, [_nan(4)]), ValueError),
+        "FaradayAtP": (lambda: mx.FaradayAtP(f=_nan(4, 4), p=null_p), ValueError),
+        "PotentialAtP": (lambda: mx.PotentialAtP(phi=_nan(4), p=null_p), ValueError),
+        "em_spinor": (lambda: mx.em_spinor(SimpleNamespace(f=_nan(4, 4))), AssertionError),
+        "tensor_T_em": (lambda: mx.tensor_T_em(_nan(2, 2)), AssertionError),
+        "stress_form": (lambda: mx.stress_form(SimpleNamespace(f=_nan(4, 4) + 0j)), AssertionError),
+        "dirac_current": (lambda: da.dirac_current(_nan(4)), AssertionError),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nan_cases()))
+def test_nan_input_rejected(case):
+    # every validation reads "not value <= tol", which NaN cannot pass
+    build, error = _nan_cases()[case]
+    with pytest.raises(error):
+        build()
+
+
+def test_nan_tensor_is_not_symmetric():
+    assert not sc.check_symmetric(sc.SpinorTensor(_nan(2, 2), ((False, False),) * 2), (0, 1))
