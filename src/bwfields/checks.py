@@ -19,6 +19,7 @@ from . import massive_bw as mbw
 from . import massless as ml
 from . import maxwell as mx
 from . import momentum as mom
+from . import slot_core as core
 from . import spinor_core as sc
 
 __all__ = ["Check", "ConfigError", "REGISTRY", "MODULES", "default_parameters"]
@@ -39,21 +40,11 @@ class Check:
 
 
 def default_parameters() -> dict:
-    return {"spins": [1, 2, 3, 4], "mass": 1.0, "samples": 100000, "width": 1.0,
-            "scheme": "monte-carlo"}
+    return {"spins": [1, 2, 3, 4], "mass": 1.0, "samples": 100000, "width": 1.0}
 
 
 def _monte_carlo_sampler_from(params, mass, sign, seed):
-    if params.get("scheme", "monte-carlo") != "monte-carlo":
-        raise ConfigError("z-score checks need the monte-carlo sampling scheme")
     return mom.monte_carlo_sampler(mass, sign, params["samples"], params["width"], seed=seed)
-
-
-def _pow_outer(vec: np.ndarray, n: int) -> np.ndarray:
-    """n-fold outer product over a trailing axis: (..., 4) -> (..., 4)^n."""
-    letters = "abcdef"[:n]
-    subs = [f"...{letters[k]}" for k in range(n)]
-    return np.einsum(",".join(subs) + f"->...{letters}", *(vec for _ in range(n)))
 
 
 def _rand_sym_seed(rng, n, batch=None):
@@ -213,7 +204,7 @@ def _check_projection(params, rng):
                     float(np.max(np.abs(T - mbw.trace_reverse_slot(T, f.p, k, n)))) / scale,
                 )
             full = mbw.scalar_N(f) / f.p.mass ** (2 * n)
-            nfold = full[(...,) + (None,) * n] * _pow_outer(f.p.covec, n)
+            nfold = full[(...,) + (None,) * n] * core.outer_power(f.p.covec, n)
             worst = max(worst, float(np.max(np.abs(T - nfold))) / scale)
     return worst
 
@@ -233,6 +224,13 @@ def _check_norm_equivalences(params, rng):
                 worst = max(worst, float(np.max(np.abs(pr - cov))) / scale)
                 if first is None:
                     first = pr
+                    # the same probes through the world tensor, a route that
+                    # shares no code with the spinor-pair contraction
+                    world = mbw.tensor_T(f)
+                    for t in reversed(ts):
+                        world = world @ t
+                    world = world / np.prod([mom.minkowski_dot(t, f.p.vec) for t in ts], axis=0)
+                    worst = max(worst, float(np.max(np.abs(world - pr))) / scale)
                 else:
                     worst = max(worst, float(np.max(np.abs(pr - first))) / scale)
             tpm = [np.array([float(sign), 0.0, 0.0, 0.0])] * n
@@ -284,9 +282,9 @@ def _check_packet_norm_invariance(params, rng):
 def _check_fd_massive(params, rng):
     f = mbw.random_field(rng, 2, params["mass"], 1)
     x = rng.normal(size=4) * 0.3
-    r1 = mbw.fd_spacetime_residual(f, x, 0.1)
-    r2 = mbw.fd_spacetime_residual(f, x, 0.05)
-    exact = mbw.fd_spacetime_residual(f, x, 0.1, exact=True)
+    r1 = core.fd_spacetime_residual(f, x, 0.1)
+    r2 = core.fd_spacetime_residual(f, x, 0.05)
+    exact = core.fd_spacetime_residual(f, x, 0.1, exact=True)
     if exact > 1e-12:
         return float("inf")
     return abs(r1 / r2 - 4.0)
@@ -394,9 +392,9 @@ def _check_fd_massless(params, rng):
     p = mom.on_shell(0.0, 1, rng.normal(size=3))
     fld = ml.field_from_amplitude(np.asarray(1.0 + 0.5j), p, 2)
     x = rng.normal(size=4) * 0.3
-    r1 = ml.fd_spacetime_residual_massless(fld, x, 0.1)
-    r2 = ml.fd_spacetime_residual_massless(fld, x, 0.05)
-    exact = ml.fd_spacetime_residual_massless(fld, x, 0.1, exact=True)
+    r1 = core.fd_spacetime_residual(fld, x, 0.1)
+    r2 = core.fd_spacetime_residual(fld, x, 0.05)
+    exact = core.fd_spacetime_residual(fld, x, 0.1, exact=True)
     if exact > 1e-12:
         return float("inf")
     return abs(r1 / r2 - 4.0)
@@ -466,13 +464,11 @@ def _check_maxwell_vs_massless_norm(params, rng):
     worst = 0.0
     for _ in range(20):
         p = mom.on_shell(0.0, int(rng.choice([1, -1])), rng.normal(size=(10, 3)))
-        v = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
-        v[..., 0] -= mom.minkowski_dot(p.vec, v) / p.p0
-        pot = mx.PotentialAtP(phi=v, p=p)
-        phi_ab = mx.em_spinor_from_potential(pot)
+        # real F: the field-tensor and spinor forms agree only on real fields
+        pot = mx.PotentialAtP(phi=1j * mx.random_transverse_polarization(rng, p), p=p)
         t1, t2 = rng.normal(size=4), rng.normal(size=4)
-        v_em = mx.em_norm_integrand(phi_ab, p, t1, t2)
-        fld = ml.MasslessFieldAtP(n=2, p=p, psi=phi_ab)
+        v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
+        fld = ml.MasslessFieldAtP.from_psi(2, p, mx.em_spinor_from_potential(pot))
         v_ml = ml.norm_primed_integrand(fld, [t1, t2])
         worst = max(worst, float(np.max(np.abs(v_em - v_ml)) / np.max(np.abs(v_ml))))
     return worst

@@ -11,10 +11,9 @@ applied slot by slot.  The companion equation with the opposite index
 staggering then holds automatically because p_{AB'} p^{BB'} = (m^2/2) delta.
 
 All 2^n components live in one array, the field's stack, with a (bit, index)
-pair of axes per slot and the batch axes last.  Every label-wise operation is
-then n slot contractions of the stack with a per-slot kernel K[bit, i, j],
-each a two-term update whose inner loops run over the whole batch with unit
-stride.
+pair of axes per slot and the batch axes last (the layout of
+:mod:`bwfields.slot_core`).  Every label-wise operation is then n slot
+contractions of the stack with a per-slot kernel K[bit, i, j].
 """
 
 from __future__ import annotations
@@ -23,12 +22,24 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, permutations
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from .momentum import FourMomentum, HyperboloidSampler, act, integrate, minkowski_dot, momentum_matrix
-from .spinor_core import EPS_UP, SL2CElement, build_ivdw, sl2c_to_lorentz
+from .momentum import FourMomentum, HyperboloidSampler, act, integrate, momentum_matrix
+from .slot_core import (
+    Label,
+    StackField,
+    _batch_last,
+    _contract_slot,
+    _kernel,
+    _label_index,
+    contract_probes,
+    probe_kernel,
+    probe_norm,
+    world_tensor,
+)
+from .spinor_core import SL2CElement, build_ivdw, sl2c_to_lorentz
 
 __all__ = [
     "Label",
@@ -48,13 +59,8 @@ __all__ = [
     "GaussianPacket",
     "norm_covariant",
     "norm_standard",
-    "fd_spacetime_residual",
     "random_field",
 ]
-
-Label = tuple[int, ...]
-
-_L = "abcdefghijklmnopqrst"
 
 DEFAULT_SPIN_CAP = 6  # 4^n world-tensor entries; raise deliberately if needed
 
@@ -63,42 +69,8 @@ def all_labels(n: int) -> list[Label]:
     return [tuple(bits) for bits in product((0, 1), repeat=n)]
 
 
-def _label_index(lab: Label) -> tuple:
-    """Index of one label's components in a stack: (bit_1, :, ..., bit_n, :)."""
-    return sum(((bit, slice(None)) for bit in lab), ())
-
-
-def _batch_last(a: np.ndarray, n: int, nb: int) -> np.ndarray:
-    """Batch-first array batch + (2,)*n as (2,)*n + batch, padded to nb batch axes."""
-    a = np.moveaxis(a, range(a.ndim - n, a.ndim), range(n))
-    return a.reshape(a.shape[:n] + (1,) * (nb + n - a.ndim) + a.shape[n:])
-
-
-def _kernel(maps: tuple[np.ndarray, ...], nb: int) -> np.ndarray:
-    """Per-bit 2x2 maps M[..., i, j] as a kernel K[bit, i, j] + batch.
-
-    The maps' batch lines up with the last of the ``nb`` batch axes.  A new
-    C-ordered array (np.stack would keep the maps' batch-first memory order)
-    gives kernel columns that run over the batch with unit stride.
-    """
-    return np.array([_batch_last(m, 2, nb) for m in maps], dtype=complex)
-
-
-def _contract_slot(stack: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
-    """new[.., b, i, ..] = sum_j kernel[b, i, j] stack[.., b, j, ..] on slot k.
-
-    ``kernel`` has one or two bit values and the stack's batch axes (size 1
-    where they broadcast); each of the two terms is a slice times a column.
-    """
-    later = (None,) * (stack.ndim - kernel.ndim - 2 * k + 1)
-    head = (slice(None),) * (2 * k + 1)
-    out = stack[head + (slice(0, 1),)] * kernel[(slice(None), slice(None), 0) + later]
-    out += stack[head + (slice(1, 2),)] * kernel[(slice(None), slice(None), 1) + later]
-    return out
-
-
 @dataclass(frozen=True)
-class BWFieldAtP:
+class BWFieldAtP(StackField):
     """All 2^n components of a spin-n/2 field at one momentum (or a batch).
 
     ``stack`` holds them in one complex array of shape (2, 2)*n + batch, axes
@@ -106,13 +78,7 @@ class BWFieldAtP:
     to a read-only batch-first view of the stack, shape batch + (2,)*n.
     """
 
-    n: int
-    p: FourMomentum
-    stack: np.ndarray
-
-    def __post_init__(self):
-        if self.stack.shape[: 2 * self.n] != (2, 2) * self.n:
-            raise ValueError("stack must start with a (bit, index) pair of axes per slot")
+    bits: ClassVar[int] = 2
 
     @classmethod
     def from_components(cls, n: int, p: FourMomentum, components: Mapping[Label, np.ndarray]) -> "BWFieldAtP":
@@ -126,15 +92,7 @@ class BWFieldAtP:
 
     @cached_property
     def components(self) -> Mapping[Label, np.ndarray]:
-        views = {}
-        for lab in all_labels(self.n):
-            view = np.moveaxis(self.stack[_label_index(lab)], range(self.n), range(-self.n, 0))
-            view.flags.writeable = False
-            views[lab] = view
-        return MappingProxyType(views)
-
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.stack.shape[2 * self.n:]
+        return MappingProxyType({lab: self._batch_first(lab) for lab in all_labels(self.n)})
 
 
 def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
@@ -147,13 +105,7 @@ def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
     return out / len(perms)
 
 
-def build_from_seed(
-    seed: np.ndarray,
-    p: FourMomentum,
-    n: int,
-    require_symmetric: bool = True,
-    spin_cap: int = DEFAULT_SPIN_CAP,
-) -> BWFieldAtP:
+def build_from_seed(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
     """Generate all 2^n components from a symmetric all-unprimed seed.
 
     Slot k, last to first, fills its bit-1 half from its bit-0 half with
@@ -162,12 +114,12 @@ def build_from_seed(
     """
     if p.mass <= 0:
         raise ValueError("massive construction needs m > 0")
-    if n < 1 or n > spin_cap:
-        raise ValueError(f"n must be between 1 and {spin_cap}")
+    if n < 1 or n > DEFAULT_SPIN_CAP:
+        raise ValueError(f"n must be between 1 and {DEFAULT_SPIN_CAP}")
     seed = np.asarray(seed, dtype=complex)
     if seed.shape[seed.ndim - n:] != (2,) * n:
         raise ValueError("seed must have n trailing spinor axes")
-    if require_symmetric and n > 1:
+    if n > 1:
         if not np.max(np.abs(seed - symmetrize(seed, n))) <= 1e-12 * max(1.0, np.max(np.abs(seed))):
             raise ValueError("seed is not totally symmetric")
 
@@ -209,42 +161,22 @@ def tensor_T(f: BWFieldAtP) -> np.ndarray:
     """Rank-n world tensor sum over labels of psi psibar, shape (..., 4)*n.
 
     Each world slot pairs the unprimed index (from psi or its conjugate,
-    whichever carries it) with the primed partner; entries are real.
-
-    With the (bit, index) pair per slot of the stack, the label sum is n
-    slot contractions of psi (x) psibar, whose bit is shared by both
-    factors, with the kernel K[w, bit, i, j]: g[w, i, j] for bit 0 and
-    g[w, j, i] for bit 1.
+    whichever carries it) with the primed partner; entries are real.  The
+    slot kernel K[w, bit, i, j] is g[w, i, j] for bit 0 and g[w, j, i] for
+    bit 1.
     """
     g = build_ivdw().up
-    kernel = np.stack([g, np.swapaxes(g, 1, 2)], axis=1)
-    n = f.n
-    batch = f.batch_shape()
-    total = f.stack.reshape((2, 2, 1) * n + batch) * np.conj(f.stack).reshape((2, 1, 2) * n + batch)
-    # each step contracts the leading (bit, i, j) slot and appends its world index
-    for _ in range(n):
-        total = np.tensordot(total, kernel, axes=([0, 1, 2], [1, 2, 3]))
-    scale = max(1.0, float(np.max(np.abs(total))))
-    if not np.max(np.abs(total.imag)) <= 1e-12 * scale:
-        raise AssertionError("world tensor has non-negligible imaginary part")
-    return total.real
+    return world_tensor(f.stack, np.stack([g, np.swapaxes(g, 1, 2)], axis=1), f.n)
 
 
 def scalar_N(f: BWFieldAtP) -> np.ndarray:
     """Full contraction p^{a_1}..p^{a_n} T_{a_1..a_n}, on the spinor pairs.
 
-    Uses p^{AA'} directly, which is the same contraction as through the
-    world tensor but cheaper for large sample batches: the stack is pushed
-    through p^{AA'} slot by slot (the unprimed index for bit 0, the primed
-    one for bit 1) and paired with its conjugate in one reduction.
+    The probe contraction with every t_k = p: one kernel of p^{AA'} (the
+    unprimed index for bit 0, the primed one for bit 1) on every slot.
     """
-    n = f.n
-    p_uu = momentum_matrix(f.p, "uu")
-    q = f.stack
-    kernel = _kernel((np.swapaxes(p_uu, -1, -2), p_uu), q.ndim - 2 * n)
-    for k in range(n):
-        q = _contract_slot(q, kernel, k)
-    return np.sum((q * np.conj(f.stack)).real, axis=tuple(range(2 * n)))
+    kernel = probe_kernel(momentum_matrix(f.p, "uu"), 2, f.stack.ndim - 2 * f.n)
+    return contract_probes(f.stack, [kernel] * f.n)
 
 
 def norm_standard_integrand(f: BWFieldAtP) -> np.ndarray:
@@ -255,22 +187,7 @@ def norm_standard_integrand(f: BWFieldAtP) -> np.ndarray:
 
 def norm_primed_integrand(f: BWFieldAtP, ts: list[np.ndarray]) -> np.ndarray:
     """(t_1..t_n . T) / prod_k (t_k . p) for arbitrary probe world vectors."""
-    n = f.n
-    if len(ts) != n:
-        raise ValueError("need one probe vector per tensor slot")
-    T = tensor_T(f)
-    num = T
-    den = 1.0
-    for k, t in enumerate(ts):
-        t = np.asarray(t, dtype=float)
-        tp = minkowski_dot(t, f.p.vec)
-        if not np.min(np.abs(tp)) >= 1e-12:
-            raise ValueError("division by vanishing t.p")
-        rest = _L[: n - 1 - k]
-        tsub = "z" if t.ndim == 1 else "...z"
-        num = np.einsum(f"...z{rest},{tsub}->...{rest}", num, t)
-        den = den * tp
-    return num / den
+    return probe_norm(f, ts)
 
 
 def norm_covariant_integrand(f: BWFieldAtP) -> np.ndarray:
@@ -278,26 +195,24 @@ def norm_covariant_integrand(f: BWFieldAtP) -> np.ndarray:
     return scalar_N(f) / f.p.mass ** (2 * f.n)
 
 
+def _apply_world_slot(T: np.ndarray, op: np.ndarray, k: int, n: int) -> np.ndarray:
+    """new[.., z, ..] = sum_y op[.., z, y] T[.., y, ..] on world slot k of T."""
+    first = T.ndim - n
+    moved = np.moveaxis(T, first + k, first)
+    out = op @ moved.reshape(moved.shape[: first + 1] + (-1,))
+    return np.moveaxis(out.reshape(moved.shape), first, first + k)
+
+
 def project_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.ndarray:
     """Apply m^{-2} p_{a_k} p^{b} T_{..b..} to world slot k."""
     proj = np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2
-    s = list(_L[:n])
-    s[k] = "y"
-    sin = "".join(s)
-    s[k] = "z"
-    sout = "".join(s)
-    return np.einsum(f"...zy,...{sin}->...{sout}", proj, T)
+    return _apply_world_slot(T, proj, k, n)
 
 
 def trace_reverse_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.ndarray:
     """Apply 2 m^{-2} (p_a p^b - (m^2/2) delta_a^b) to world slot k."""
     op = 2.0 * np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2 - np.eye(4)
-    s = list(_L[:n])
-    s[k] = "y"
-    sin = "".join(s)
-    s[k] = "z"
-    sout = "".join(s)
-    return np.einsum(f"...zy,...{sin}->...{sout}", op, T)
+    return _apply_world_slot(T, op, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,54 +284,3 @@ def random_field(rng: np.random.Generator, n: int, mass: float, sign: int, momen
     p = FourMomentum(mass=mass, sign=sign, spatial=rng.normal(scale=momentum_scale, size=3))
     seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
     return build_from_seed(symmetrize(seed, n) if n > 1 else seed, p, n)
-
-
-# ---------------------------------------------------------------------------
-# Spacetime finite-difference residual for a single plane-wave mode
-# ---------------------------------------------------------------------------
-
-
-def _mode_value(f: BWFieldAtP, x: np.ndarray, flip_frequency: bool) -> np.ndarray:
-    p0 = f.p.p0 if not flip_frequency else -f.p.p0
-    return np.exp(1j * (f.p.spatial @ x[1:] - p0 * x[0])) * f.stack
-
-
-def fd_spacetime_residual(
-    f: BWFieldAtP, x: np.ndarray, h: float, exact: bool = False, flip_frequency: bool = False
-) -> float:
-    """Residual of the position-space equations on one plane-wave mode.
-
-    Derivatives are second-order central differences of step ``h`` (or the
-    analytic derivative of the exponential with ``exact=True``, in which
-    case the residual reduces to the momentum-space one).  The gradient's
-    unprimed (primed) index is contracted against each 0-bit (1-bit) slot.
-    """
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if f.batch_shape() != ():
-        raise ValueError("spacetime residual expects a single-momentum field")
-    x = np.asarray(x, dtype=float)
-    n = f.n
-    value = _mode_value(f, x, flip_frequency)
-    if exact:
-        p0 = f.p.p0 if not flip_frequency else -f.p.p0
-        pa = np.concatenate([[p0], -f.p.spatial])  # covariant components
-        grad = -1j * pa[(slice(None),) + (None,) * (2 * n)] * value
-    else:
-        grad = np.stack([
-            (_mode_value(f, x + e, flip_frequency) - _mode_value(f, x - e, flip_frequency)) / (2 * h)
-            for e in h * np.eye(4)
-        ])
-    nabla_ll = np.einsum("aij,a...->ij...", build_ivdw().lo_w, grad)  # nabla_{AA'} psi
-    nabla_ul = np.einsum("iB,Bj...->ij...", EPS_UP, nabla_ll)  # nabla^A_{A'}
-    nabla_lu = np.einsum("jB,iB...->ij...", EPS_UP, nabla_ll)  # nabla_A^{A'}
-    c = f.p.mass / np.sqrt(2.0)
-    worst = 0.0
-    for k in range(n):
-        head = (slice(None),) * (2 * k)
-        for bit, nabla, axis, sign in ((0, nabla_ul, 0, -1.0), (1, nabla_lu, 1, 1.0)):
-            # the gradient's index `axis` summed against the field's slot-k index
-            lhs = 1j * np.moveaxis(np.trace(nabla, axis1=axis, axis2=2 * k + 3), 0, 2 * k + 1)
-            rhs = sign * c * value[head + (1 - bit,)]
-            worst = max(worst, float(np.max(np.abs(lhs[head + (bit,)] - rhs))))
-    return worst

@@ -11,10 +11,23 @@ the helicity statement for the unprimed index convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-from .momentum import FourMomentum, spin_frame, minkowski_dot, momentum_matrix
+from .momentum import FourMomentum, spin_frame, momentum_matrix
+from .slot_core import (
+    StackField,
+    _contract_slot,
+    _kernel,
+    _unprimed_stack,
+    contract_probes,
+    outer_power,
+    probe_kernel,
+    probe_norm,
+    world_tensor,
+)
 from .spinor_core import EPS_UP, build_ivdw, dual, sigma_generators
 
 __all__ = [
@@ -30,29 +43,37 @@ __all__ = [
     "helicity_eigenvalue",
     "massless_equation_residual",
     "tensor_U",
-    "tensor_T_massless",
     "norm_primed_integrand",
     "potential_route_integrand",
     "amplitude_norm_integrand",
-    "fd_spacetime_residual_massless",
 ]
-
-_L = "abcdefghijklmnopqrst"
 
 HELICITY_SIGN = -1  # eigenvalue of the slot-summed spin vector is -(n/2) p^a
 
 
 @dataclass(frozen=True)
-class MasslessFieldAtP:
-    """Totally symmetric rank-n lower unprimed field at a null momentum."""
+class MasslessFieldAtP(StackField):
+    """Totally symmetric rank-n lower unprimed field at a null momentum.
 
-    n: int
-    p: FourMomentum
-    psi: np.ndarray  # (..., 2)*n
+    ``stack`` is the one-bit stack, shape (1, 2)*n + batch; ``psi`` is a
+    read-only batch-first view of it, shape batch + (2,)*n.
+    """
+
+    bits: ClassVar[int] = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.p.mass != 0.0:
             raise ValueError("field lives on the null shell")
+
+    @classmethod
+    def from_psi(cls, n: int, p: FourMomentum, psi: np.ndarray) -> "MasslessFieldAtP":
+        """Stack a batch-first array of shape batch + (2,)*n into a new array."""
+        return cls(n=n, p=p, stack=np.array(_unprimed_stack(psi, n)))
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self._batch_first((0,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -63,13 +84,11 @@ class HertzPotentialAtP:
     xi: np.ndarray  # (..., 2)*n
 
 
-def _contract_slot_sum_first(arr: np.ndarray, mat: np.ndarray, k: int, n: int) -> np.ndarray:
-    s = list(_L[:n])
-    s[k] = "y"
-    sin = "".join(s)
-    s[k] = "z"
-    sout = "".join(s)
-    return np.einsum(f"...{sin},...zy->...{sout}", arr, mat)
+def _potential_stack(xi: HertzPotentialAtP, p: FourMomentum) -> tuple[np.ndarray, int]:
+    """xi as a one-bit stack whose batch axes also fit p's, and their number."""
+    arr = np.asarray(xi.xi, dtype=complex)
+    nb = len(np.broadcast_shapes(arr.shape[: arr.ndim - xi.n], np.shape(p.p0)))
+    return _unprimed_stack(arr, xi.n, nb), nb
 
 
 def field_from_potential(xi: HertzPotentialAtP, p: FourMomentum) -> MasslessFieldAtP:
@@ -77,12 +96,12 @@ def field_from_potential(xi: HertzPotentialAtP, p: FourMomentum) -> MasslessFiel
     if p.mass != 0.0:
         raise ValueError("potential construction needs a null momentum")
     n = xi.n
-    p_ll = momentum_matrix(p, "ll")
-    out = np.asarray(xi.xi, dtype=complex)
+    stack, nb = _potential_stack(xi, p)
+    # new index A at slot k from p_{AA'} xi^{..A'..}
+    kernel = _kernel((momentum_matrix(p, "ll"),), nb)
     for k in range(n):
-        # new index A at slot k from p_{AA'} xi^{..A'..}
-        out = _contract_slot_sum_first(out, p_ll, k, n)
-    return MasslessFieldAtP(n=n, p=p, psi=(-1j) ** n * out)
+        stack = _contract_slot(stack, kernel, k)
+    return MasslessFieldAtP(n=n, p=p, stack=(-1j) ** n * stack)
 
 
 def eta_canonical(p: FourMomentum, n: int, gauge_shift: complex = 0.0) -> np.ndarray:
@@ -96,22 +115,16 @@ def eta_canonical(p: FourMomentum, n: int, gauge_shift: complex = 0.0) -> np.nda
     if gauge_shift != 0.0:
         pi_up = np.einsum("AB,...B->...A", EPS_UP, fr.pi)
         omega = omega + gauge_shift * pi_up
-    ob = np.conj(omega)
-    letters = _L[:n]
-    subs = [f"...{letters[k]}" for k in range(n)]
-    return np.einsum(",".join(subs) + f"->...{letters}", *(ob for _ in range(n)))
+    return outer_power(np.conj(omega), n)
 
 
 def field_from_amplitude(f_values: np.ndarray, p: FourMomentum, n: int) -> MasslessFieldAtP:
     """psi = (-+i)^n pi x ... x pi f, the single-degree-of-freedom form."""
     if p.mass != 0.0:
         raise ValueError("amplitude construction needs a null momentum")
-    pi = spin_frame(p).pi
-    letters = _L[:n]
-    subs = [f"...{letters[k]}" for k in range(n)]
-    outer = np.einsum(",".join(subs) + f"->...{letters}", *(pi for _ in range(n)))
+    outer = outer_power(spin_frame(p).pi, n)
     factor = (-1j * p.sign) ** n
-    return MasslessFieldAtP(n=n, p=p, psi=factor * np.asarray(f_values)[(...,) + (None,) * n] * outer)
+    return MasslessFieldAtP.from_psi(n, p, factor * np.asarray(f_values)[(...,) + (None,) * n] * outer)
 
 
 @dataclass(frozen=True)
@@ -152,25 +165,17 @@ def pl_from_dual_route(p: FourMomentum) -> PLMatrices:
 
 
 def apply_spin_vector(field: MasslessFieldAtP, pl: PLMatrices | None = None) -> np.ndarray:
-    """Slot-summed action, shape (..., 4) + (2,)*n: sum_k S^a(slot k) psi."""
+    """Slot-summed action sum_k S^a(slot k) psi, as a stack with the world
+    index a as its last batch axis: shape (1, 2)*n + batch + (4,)."""
     if pl is None:
         pl = pl_matrices(field.p)
-    n = field.n
-    total = None
-    for k in range(n):
-        s = list(_L[:n])
-        s[k] = "y"
-        sin = "".join(s)
-        s[k] = "z"
-        sout = "".join(s)
-        term = np.einsum(f"...{sin},...wzy->...w{sout}", field.psi, pl.unprimed)
-        total = term if total is None else total + term
-    return total
+    stack = field.stack[..., None]
+    kernel = _kernel((pl.unprimed,), stack.ndim - 2 * field.n)
+    return sum(_contract_slot(stack, kernel, k) for k in range(field.n))
 
 
 def _momentum_times_field(field: MasslessFieldAtP) -> np.ndarray:
-    slots = _L[: field.n]
-    return np.einsum(f"...w,...{slots}->...w{slots}", field.p.vec, field.psi)
+    return field.stack[..., None] * field.p.vec
 
 
 def helicity_residual(field: MasslessFieldAtP) -> float:
@@ -192,17 +197,8 @@ def helicity_eigenvalue(field: MasslessFieldAtP) -> float:
 def massless_equation_residual(field: MasslessFieldAtP) -> float:
     """Max over slots of |p^{AA'} psi_{..A..}| (the momentum-space equation)."""
     p_uu = momentum_matrix(field.p, "uu")
-    n = field.n
-    worst = 0.0
-    for k in range(n):
-        s = list(_L[:n])
-        s[k] = "y"
-        sin = "".join(s)
-        s[k] = "z"
-        sout = "".join(s)
-        val = np.einsum(f"...{sin},...yz->...{sout}", field.psi, p_uu)
-        worst = max(worst, float(np.max(np.abs(val))))
-    return worst
+    kernel = _kernel((np.swapaxes(p_uu, -1, -2),), field.stack.ndim - 2 * field.n)
+    return max(float(np.max(np.abs(_contract_slot(field.stack, kernel, k)))) for k in range(field.n))
 
 
 # ---------------------------------------------------------------------------
@@ -212,122 +208,24 @@ def massless_equation_residual(field: MasslessFieldAtP) -> float:
 
 def tensor_U(xi: HertzPotentialAtP) -> np.ndarray:
     """Upper-index world tensor U^{b_1..b_n} = xi xibar, real entries."""
-    g = build_ivdw().lo_w
-    n = xi.n
-    world = _L[:n]
-    iw = _L[n: 2 * n]
-    jw = _L[2 * n: 3 * n]
-    ops = [np.conj(xi.xi), xi.xi]
-    subs = [f"...{iw}", f"...{jw}"]
-    for k in range(n):
-        ops.append(g)
-        subs.append(f"{world[k]}{iw[k]}{jw[k]}")
-    out = np.einsum(",".join(subs) + f"->...{world}", *ops)
-    scale = max(1.0, float(np.max(np.abs(out))))
-    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
-        raise AssertionError("potential tensor has non-negligible imaginary part")
-    return out.real
-
-
-def tensor_T_massless(field: MasslessFieldAtP) -> np.ndarray:
-    """Lower-index world tensor psi psibar, real entries."""
-    g = build_ivdw().up
-    n = field.n
-    world = _L[:n]
-    iw = _L[n: 2 * n]
-    jw = _L[2 * n: 3 * n]
-    ops = [field.psi, np.conj(field.psi)]
-    subs = [f"...{iw}", f"...{jw}"]
-    for k in range(n):
-        ops.append(g)
-        subs.append(f"{world[k]}{iw[k]}{jw[k]}")
-    out = np.einsum(",".join(subs) + f"->...{world}", *ops)
-    scale = max(1.0, float(np.max(np.abs(out))))
-    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
-        raise AssertionError("field tensor has non-negligible imaginary part")
-    return out.real
+    return world_tensor(np.conj(_unprimed_stack(xi.xi, xi.n)), build_ivdw().lo_w[:, None], xi.n)
 
 
 def norm_primed_integrand(field: MasslessFieldAtP, ts: list[np.ndarray]) -> np.ndarray:
     """(t_1..t_n . T) / prod_k (t_k . p) with T = psi psibar."""
-    n = field.n
-    if len(ts) != n:
-        raise ValueError("need one probe vector per tensor slot")
-    num = tensor_T_massless(field)
-    den = 1.0
-    for k, t in enumerate(ts):
-        t = np.asarray(t, dtype=float)
-        tp = minkowski_dot(t, field.p.vec)
-        if not np.min(np.abs(tp)) >= 1e-12:
-            raise ValueError("division by vanishing t.p")
-        rest = _L[: n - 1 - k]
-        tsub = "z" if t.ndim == 1 else "...z"
-        num = np.einsum(f"...z{rest},{tsub}->...{rest}", num, t)
-        den = den * tp
-    return num / den
+    return probe_norm(field, ts)
 
 
 def potential_route_integrand(xi: HertzPotentialAtP, p: FourMomentum) -> np.ndarray:
-    """p_{b_1}..p_{b_n} U^{b_1..b_n}; equals the probe form pointwise."""
-    U = tensor_U(xi)
-    out = U
-    for k in range(xi.n):
-        rest = _L[: xi.n - 1 - k]
-        out = np.einsum(f"...z{rest},...z->...{rest}", out, p.covec)
-    return out
+    """p_{b_1}..p_{b_n} U^{b_1..b_n}; equals the probe form pointwise.
+
+    The probe contraction of xibar with p_{AA'} = p_b g^b_{AA'} on every slot.
+    """
+    stack, nb = _potential_stack(xi, p)
+    kernel = probe_kernel(momentum_matrix(p, "ll"), 1, nb)
+    return contract_probes(np.conj(stack), [kernel] * xi.n)
 
 
 def amplitude_norm_integrand(f_values: np.ndarray) -> np.ndarray:
     """|f(p)|^2, the single-degree-of-freedom norm density."""
     return np.abs(np.asarray(f_values)) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Spacetime finite-difference residual for one null mode
-# ---------------------------------------------------------------------------
-
-
-def _mode_value(field: MasslessFieldAtP, x: np.ndarray, flip_frequency: bool) -> np.ndarray:
-    p0 = field.p.p0 if not flip_frequency else -field.p.p0
-    phase = np.exp(1j * (field.p.spatial @ x[1:] - p0 * x[0]))
-    return phase * field.psi
-
-
-def fd_spacetime_residual_massless(
-    field: MasslessFieldAtP, x: np.ndarray, h: float, exact: bool = False, flip_frequency: bool = False
-) -> float:
-    """Central-difference residual of nabla^A_{A'} psi_{..A..} = 0 at x."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if np.asarray(field.p.p0).shape != ():
-        raise ValueError("spacetime residual expects a single-momentum field")
-    x = np.asarray(x, dtype=float)
-    g = build_ivdw()
-    n = field.n
-    if exact:
-        p0 = field.p.p0 if not flip_frequency else -field.p.p0
-        pa = np.concatenate([[p0], -field.p.spatial])
-        grad = -1j * pa[(slice(None),) + (None,) * n] * _mode_value(field, x, flip_frequency)
-    else:
-        cols = []
-        for a in range(4):
-            xp = x.copy()
-            xp[a] += h
-            xm = x.copy()
-            xm[a] -= h
-            cols.append(
-                (_mode_value(field, xp, flip_frequency) - _mode_value(field, xm, flip_frequency)) / (2 * h)
-            )
-        grad = np.stack(cols, axis=0)
-    nabla_ll = np.einsum("aij,a...->ij...", g.lo_w, grad)
-    nabla_ul = np.einsum("iB,Bj...->ij...", EPS_UP, nabla_ll)
-    worst = 0.0
-    for k in range(n):
-        s = list(_L[:n])
-        s[k] = "y"
-        sin = "".join(s)
-        s[k] = "z"
-        sout = "".join(s)
-        val = np.einsum(f"yz{sin}->{sout}", nabla_ul)
-        worst = max(worst, float(np.max(np.abs(val))))
-    return worst

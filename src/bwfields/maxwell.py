@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .massless import MasslessFieldAtP, norm_primed_integrand
 from .momentum import FourMomentum, HyperboloidSampler, integrate, minkowski_dot, momentum_matrix
+from .slot_core import _unprimed_stack, world_tensor
 from .spinor_core import EPS_LO, EPS_UP, METRIC, build_ivdw, sigma_generators
 
 __all__ = [
@@ -134,12 +134,7 @@ def em_spinor_from_potential(pot: PotentialAtP, ordering: str = "first") -> np.n
 
 def tensor_T_em(phi_ab: np.ndarray) -> np.ndarray:
     """World form of phi_{AB} phibar_{A'B'}, a real rank-2 tensor."""
-    g = build_ivdw().up
-    out = np.einsum("...ij,...kl,aik,bjl->...ab", phi_ab, np.conj(phi_ab), g, g)
-    scale = max(1.0, float(np.max(np.abs(out))))
-    if not np.max(np.abs(out.imag)) <= 1e-12 * scale:
-        raise AssertionError("quadratic tensor has non-negligible imaginary part")
-    return out.real
+    return world_tensor(_unprimed_stack(phi_ab, 2), build_ivdw().up[:, None], 2)
 
 
 def stress_form(far: FaradayAtP) -> np.ndarray:
@@ -165,10 +160,18 @@ def potential_form(pot: PotentialAtP) -> np.ndarray:
     return out.real
 
 
-def em_norm_integrand(phi_ab: np.ndarray, p: FourMomentum, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """(t1.t2.T) / ((t1.p)(t2.p)) with T the field-spinor quadratic form."""
-    field = MasslessFieldAtP(n=2, p=p, psi=phi_ab)
-    return norm_primed_integrand(field, [t1, t2])
+def em_norm_integrand(far: FaradayAtP, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """t1^a t2^b T_ab / ((t1.p)(t2.p)) with T the field-tensor (stress) form.
+
+    On real F it equals the spin-1 probe norm of phi_AB; see the module note.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    t1p = minkowski_dot(t1, far.p.vec)
+    t2p = minkowski_dot(t2, far.p.vec)
+    if not min(np.min(np.abs(t1p)), np.min(np.abs(t2p))) >= 1e-12:
+        raise ValueError("division by vanishing t.p")
+    return np.einsum("...ab,...a,...b->...", stress_form(far), t1, t2) / (t1p * t2p)
 
 
 def maxwell_norm(
@@ -183,9 +186,7 @@ def maxwell_norm(
     """
     def branch_integrand(gen):
         def f(p: FourMomentum) -> np.ndarray:
-            pot = PotentialAtP(phi=gen(p), p=p)
-            phi_ab = em_spinor_from_potential(pot)
-            return em_norm_integrand(phi_ab, p, t1, t2)
+            return em_norm_integrand(faraday_from_potential(PotentialAtP(phi=gen(p), p=p)), t1, t2)
         return f
 
     v1, se1 = integrate(branch_integrand(potential_plus), sampler_plus)

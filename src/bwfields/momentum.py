@@ -30,7 +30,6 @@ __all__ = [
     "spin_frame",
     "act",
     "monte_carlo_sampler",
-    "grid_sampler",
     "integrate",
     "minkowski_dot",
 ]
@@ -59,6 +58,8 @@ class FourMomentum:
         sp = np.asarray(self.spatial, dtype=float)
         if sp.shape[-1:] != (3,):
             raise ValueError("spatial part must have a trailing axis of length 3")
+        if not np.all(np.isfinite(sp)):
+            raise ValueError("spatial components must be finite")
         sq = np.sum(sp * sp, axis=-1)
         if self.mass == 0.0 and np.any(sq == 0.0):
             raise ValueError("massless momentum must have nonzero spatial part")
@@ -190,8 +191,7 @@ class HyperboloidSampler:
     weights: np.ndarray  # (N,)
     mass: float
     sign: int
-    seed: int | None
-    scheme: str  # "monte-carlo" | "grid"
+    seed: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -214,29 +214,7 @@ def monte_carlo_sampler(
     )
     p0 = np.sqrt(mass**2 + np.sum(pts**2, axis=1))
     w = np.exp(-log_rho) / (2 * p0)
-    return HyperboloidSampler(
-        points=pts, weights=w, mass=mass, sign=sign, seed=seed, scheme="monte-carlo"
-    )
-
-
-def grid_sampler(
-    mass: float, sign: int, n_per_axis: int, extent: float
-) -> HyperboloidSampler:
-    """Uniform cubic grid on [-extent, extent]^3 with midpoint weights."""
-    if n_per_axis < 1:
-        raise ValueError("need at least one grid point per axis")
-    step = 2 * extent / n_per_axis
-    axis = -extent + step * (np.arange(n_per_axis) + 0.5)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    if mass == 0.0:
-        keep = np.sum(pts**2, axis=1) > 0
-        pts = pts[keep]
-    p0 = np.sqrt(mass**2 + np.sum(pts**2, axis=1))
-    w = step**3 / (2 * p0)
-    return HyperboloidSampler(
-        points=pts, weights=w, mass=mass, sign=sign, seed=None, scheme="grid"
-    )
+    return HyperboloidSampler(points=pts, weights=w, mass=mass, sign=sign, seed=seed)
 
 
 # Samples per integrand call: an n = 2 field stack on 4096 samples is 1 MiB
@@ -250,10 +228,9 @@ def integrate(
 ) -> tuple[complex, float]:
     """Weighted-sample estimate of integral f(p) d^3p / (2|p^0|).
 
-    Returns (value, standard_error); the error estimate is zero for grid
-    schemes.  ``f`` is evaluated on consecutive blocks of INTEGRATE_BLOCK
-    samples, so it must work sample by sample and return one value per
-    sample of each block.  The values are reduced together in a fixed
+    Returns (value, standard_error).  ``f`` is evaluated on consecutive
+    blocks of INTEGRATE_BLOCK samples, so it must work sample by sample and
+    return one value per sample of each block.  The values are reduced together in a fixed
     order, so results are deterministic per seed.
     """
     n = len(sampler)
@@ -267,8 +244,6 @@ def integrate(
             raise ValueError("integrand must return one value per sample")
         blocks.append(vals)
     contrib = sampler.weights * np.concatenate(blocks)
-    if sampler.scheme == "grid":
-        return complex(np.sum(contrib)), 0.0
     mean = np.sum(contrib) / n
     var = np.sum(np.abs(contrib - mean) ** 2) / (n - 1) if n > 1 else 0.0
     return complex(mean), float(np.sqrt(var / n))

@@ -1,0 +1,219 @@
+"""Slot core shared by the massive, massless and Maxwell fields.
+
+A rank-n field at one momentum, or at a batch of momenta, is one complex
+array, its stack, of shape (bits, 2)*n + batch: a (bit, index) pair of axes
+per slot, then the batch axes.  A massive field has two bit values (bit 0
+marks a lower unprimed slot, bit 1 a lower primed one); a massless field
+has only unprimed slots, one bit value.  Three operations then serve every
+field:
+
+- the slot contraction: slot k of a stack through a per-bit 2x2 kernel,
+  a two-term update whose inner loops run over the whole batch;
+- the world tensor: the sesquilinear map psi psibar -> T_{a_1..a_n}, one
+  conversion-table contraction per slot;
+- the probe contraction: t_1..t_n . T taken on the spinor pairs, slot by
+  slot, without building T.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
+
+import numpy as np
+
+from .momentum import FourMomentum, minkowski_dot
+from .spinor_core import EPS_UP, build_ivdw
+
+__all__ = [
+    "StackField",
+    "outer_power",
+    "world_tensor",
+    "probe_kernel",
+    "contract_probes",
+    "probe_norm",
+    "fd_spacetime_residual",
+]
+
+Label = tuple[int, ...]
+
+
+def _label_index(lab: Label) -> tuple:
+    """Index of one label's components in a stack: (bit_1, :, ..., bit_n, :)."""
+    return sum(((bit, slice(None)) for bit in lab), ())
+
+
+def _batch_last(a: np.ndarray, n: int, nb: int) -> np.ndarray:
+    """Batch-first array batch + (2,)*n as (2,)*n + batch, padded to nb batch axes."""
+    a = np.moveaxis(a, range(a.ndim - n, a.ndim), range(n))
+    return a.reshape(a.shape[:n] + (1,) * (nb + n - a.ndim) + a.shape[n:])
+
+
+def _unprimed_stack(a, n: int, nb: int | None = None) -> np.ndarray:
+    """Batch-first unprimed array batch + (2,)*n as a one-bit stack (1, 2)*n + batch."""
+    a = np.asarray(a, dtype=complex)
+    nb = a.ndim - n if nb is None else nb
+    return _batch_last(a, n, nb)[(None, slice(None)) * n]
+
+
+def _kernel(maps: tuple[np.ndarray, ...], nb: int) -> np.ndarray:
+    """Per-bit 2x2 maps M[..., i, j] as a kernel K[bit, i, j] + batch.
+
+    The maps' batch lines up with the last of the ``nb`` batch axes.  A new
+    C-ordered array (np.stack would keep the maps' batch-first memory order)
+    gives kernel columns that run over the batch with unit stride.
+    """
+    return np.array([_batch_last(m, 2, nb) for m in maps], dtype=complex)
+
+
+def _contract_slot(stack: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
+    """new[.., b, i, ..] = sum_j kernel[b, i, j] stack[.., b, j, ..] on slot k.
+
+    ``kernel`` has the stack's bit values and its batch axes (size 1 where
+    they broadcast); each of the two terms is a slice times a column.
+    """
+    later = (None,) * (stack.ndim - kernel.ndim - 2 * k + 1)
+    head = (slice(None),) * (2 * k + 1)
+    out = stack[head + (slice(0, 1),)] * kernel[(slice(None), slice(None), 0) + later]
+    out += stack[head + (slice(1, 2),)] * kernel[(slice(None), slice(None), 1) + later]
+    return out
+
+
+def outer_power(v: np.ndarray, n: int) -> np.ndarray:
+    """n-fold outer product over the trailing axis: (..., d) -> (..., d)^n."""
+    out = v
+    for k in range(1, n):
+        out = out[..., None] * v.reshape(v.shape[:-1] + (1,) * k + v.shape[-1:])
+    return out
+
+
+@dataclass(frozen=True)
+class StackField:
+    """A rank-n field as one stack of shape (bits, 2)*n + batch."""
+
+    n: int
+    p: FourMomentum
+    stack: np.ndarray
+    bits: ClassVar[int]
+
+    def __post_init__(self):
+        if self.stack.shape[: 2 * self.n] != (self.bits, 2) * self.n:
+            raise ValueError(f"stack must start with a ({self.bits}, 2) pair of axes per slot")
+
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.stack.shape[2 * self.n:]
+
+    def _batch_first(self, lab: Label) -> np.ndarray:
+        """Read-only view of one label's components, shape batch + (2,)*n."""
+        view = np.moveaxis(self.stack[_label_index(lab)], range(self.n), range(-self.n, 0))
+        view.flags.writeable = False
+        return view
+
+
+def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
+    """Rank-n world tensor sum over labels of psi psibar, shape batch + (4,)*n.
+
+    ``kernel[w, bit, i, j]`` pairs psi's index i with psibar's index j on a
+    slot of that bit (the bit is shared by both factors): a bit axis of size
+    2 for a massive stack, 1 for an unprimed one.  Entries must be real.
+    """
+    bits = kernel.shape[1]
+    batch = stack.shape[2 * n:]
+    total = stack.reshape((bits, 2, 1) * n + batch) * np.conj(stack).reshape((bits, 1, 2) * n + batch)
+    # each step contracts the leading (bit, i, j) slot and appends its world index
+    columns = kernel.reshape(4, -1).T
+    for _ in range(n):
+        total = total.reshape(len(columns), -1).T @ columns
+    total = total.reshape(batch + (4,) * n)
+    scale = max(1.0, float(np.max(np.abs(total))))
+    if not np.max(np.abs(total.imag)) <= 1e-12 * scale:
+        raise AssertionError("world tensor has non-negligible imaginary part")
+    return total.real
+
+
+def probe_kernel(t_pair: np.ndarray, bits: int, nb: int) -> np.ndarray:
+    """Slot kernel of a spinor-pair vector t^{AA'}: its unprimed index is
+    summed against a bit-0 slot, its primed index against a bit-1 slot."""
+    return _kernel((np.swapaxes(t_pair, -1, -2), t_pair)[:bits], nb)
+
+
+def contract_probes(stack: np.ndarray, kernels: Sequence[np.ndarray]) -> np.ndarray:
+    """sum over labels of psibar (t_1 x .. x t_n) psi, one probe kernel per slot.
+
+    Equals t_1^{a_1}..t_n^{a_n} T_{a_1..a_n} for the world tensor of the
+    stack; real, with the stack's batch shape.
+    """
+    q = stack
+    for k, kernel in enumerate(kernels):
+        q = _contract_slot(q, kernel, k)
+    return np.sum((q * np.conj(stack)).real, axis=tuple(range(2 * len(kernels))))
+
+
+def probe_norm(f: StackField, ts: Sequence[np.ndarray]) -> np.ndarray:
+    """(t_1..t_n . T) / prod_k (t_k . p) for probe world vectors t_k^a."""
+    if len(ts) != f.n:
+        raise ValueError("need one probe vector per tensor slot")
+    up = build_ivdw().up
+    nb = f.stack.ndim - 2 * f.n
+    kernels = []
+    den = 1.0
+    for t in ts:
+        t = np.asarray(t, dtype=float)
+        tp = minkowski_dot(t, f.p.vec)
+        if not np.min(np.abs(tp)) >= 1e-12:
+            raise ValueError("division by vanishing t.p")
+        # t^{AA'} = t^a g_a^{AA'}
+        kernels.append(probe_kernel(np.tensordot(t, up, axes=1), f.bits, nb))
+        den = den * tp
+    return contract_probes(f.stack, kernels) / den
+
+
+# ---------------------------------------------------------------------------
+# Spacetime finite-difference residual for a single plane-wave mode
+# ---------------------------------------------------------------------------
+
+
+def _mode_value(f: StackField, x: np.ndarray, flip_frequency: bool) -> np.ndarray:
+    p0 = f.p.p0 if not flip_frequency else -f.p.p0
+    return np.exp(1j * (f.p.spatial @ x[1:] - p0 * x[0])) * f.stack
+
+
+def fd_spacetime_residual(
+    f: StackField, x: np.ndarray, h: float, exact: bool = False, flip_frequency: bool = False
+) -> float:
+    """Residual of the position-space equations on one plane-wave mode.
+
+    On slot k, i nabla^A_{A'} maps the bit-0 half to -(m/sqrt2) times the
+    bit-1 half and i nabla_A^{A'} the bit-1 half to +(m/sqrt2) times the
+    bit-0 half; an unprimed field has the bit-0 half only, and m = 0.
+    Derivatives are second-order central differences of step ``h`` (or the
+    analytic derivative of the exponential with ``exact=True``, in which
+    case the residual reduces to the momentum-space one).
+    """
+    if h <= 0:
+        raise ValueError("step must be positive")
+    if f.batch_shape() != ():
+        raise ValueError("spacetime residual expects a single-momentum field")
+    x = np.asarray(x, dtype=float)
+    n = f.n
+    value = _mode_value(f, x, flip_frequency)
+    # the gradient's world index a is the last axis
+    if exact:
+        p0 = f.p.p0 if not flip_frequency else -f.p.p0
+        pa = np.concatenate([[p0], -f.p.spatial])  # covariant components
+        grad = -1j * pa * value[..., None]
+    else:
+        grad = np.stack([
+            (_mode_value(f, x + e, flip_frequency) - _mode_value(f, x - e, flip_frequency)) / (2 * h)
+            for e in h * np.eye(4)
+        ], axis=-1)
+    # nabla^A_{A'} = eps^{AB} g^a_{BA'} d_a and nabla_A^{A'} = eps^{A'B'} g^a_{AB'} d_a
+    g = build_ivdw().lo_w
+    kernel = _kernel((np.swapaxes(EPS_UP @ g, -1, -2), g @ EPS_UP.T)[: f.bits], 1)
+    c = f.p.mass / np.sqrt(2.0)
+    worst = 0.0
+    for k in range(n):
+        lhs = 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1)
+        sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (2 * (n - k) - 1))
+        worst = max(worst, float(np.max(np.abs(lhs - np.flip(value, axis=2 * k) * sign))))
+    return worst

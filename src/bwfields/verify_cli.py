@@ -115,9 +115,8 @@ def load_config(path: str | None) -> dict:
     if "seed" in sampler:
         config["seed"] = _integer(sampler["seed"], "sampler seed")
     scheme = sampler.get("scheme", "monte-carlo")
-    if scheme not in ("monte-carlo", "grid"):
+    if scheme != "monte-carlo":
         raise ConfigError(f"unknown sampler scheme {scheme!r}")
-    config["parameters"]["scheme"] = scheme
     for key in ("spins", "mass"):
         if key in raw:
             config["parameters"][key] = raw[key]

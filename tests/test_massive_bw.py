@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bwfields import massive_bw as mbw
+from bwfields import massless as ml
 from bwfields import momentum as mom
 from bwfields import spinor_core as sc
+from bwfields.slot_core import fd_spacetime_residual
 
 
 def random_field(rng, n, mass=1.0, sign=1, batch=None):
@@ -87,11 +89,6 @@ class TestConstruction:
     def test_spin_cap(self):
         with pytest.raises(ValueError):
             mbw.build_from_seed(np.zeros((2,) * 7), mom.on_shell(1.0, 1, [0, 0, 0]), 7)
-        # cap is adjustable for deliberate high-spin work
-        f = mbw.build_from_seed(
-            np.zeros((2,) * 7), mom.on_shell(1.0, 1, [0, 0, 0]), 7, spin_cap=7
-        )
-        assert len(f.components) == 2**7
 
     def test_generated_components_symmetric(self):
         rng = np.random.default_rng(1)
@@ -652,29 +649,33 @@ class TestTransform:
         assert_allclose(v_cov, v_std, rtol=1e-12)
 
 
+def plane_wave(kind, rng, n, sign=1):
+    if kind == "massive":
+        return random_field(rng, n, 1.0, sign)
+    return ml.field_from_amplitude(np.asarray(1.3 - 0.4j), mom.on_shell(0.0, sign, rng.normal(size=3)), n)
+
+
+@pytest.mark.parametrize("kind", ["massive", "massless"])
 class TestSpacetimeResidual:
-    def test_second_order_convergence(self):
-        rng = np.random.default_rng(15)
-        f = random_field(rng, 2)
+    def test_second_order_convergence(self, kind):
+        f = plane_wave(kind, np.random.default_rng(15), 2)
         x = np.array([0.3, -0.2, 0.5, 0.1])
-        r1 = mbw.fd_spacetime_residual(f, x, 0.1)
-        r2 = mbw.fd_spacetime_residual(f, x, 0.05)
+        r1 = fd_spacetime_residual(f, x, 0.1)
+        r2 = fd_spacetime_residual(f, x, 0.05)
         assert 3.5 < r1 / r2 < 4.5
 
-    def test_exact_derivative_variant(self):
+    def test_exact_derivative_variant(self, kind):
         rng = np.random.default_rng(16)
         for sign in (1, -1):
-            f = random_field(rng, 1, 1.0, sign)
-            assert mbw.fd_spacetime_residual(f, np.zeros(4), 0.1, exact=True) < 1e-12
+            f = plane_wave(kind, rng, 1, sign)
+            assert fd_spacetime_residual(f, np.zeros(4), 0.1, exact=True) < 1e-12
 
-    def test_wrong_frequency_sign(self):
-        rng = np.random.default_rng(17)
-        f = random_field(rng, 1)
-        r = mbw.fd_spacetime_residual(f, np.array([0.1, 0.2, -0.3, 0.4]), 0.05, flip_frequency=True)
+    def test_wrong_frequency_sign(self, kind):
+        f = plane_wave(kind, np.random.default_rng(17), 1)
+        r = fd_spacetime_residual(f, np.array([0.1, 0.2, -0.3, 0.4]), 0.05, flip_frequency=True)
         assert r > 0.1
 
-    def test_invalid_step(self):
-        rng = np.random.default_rng(18)
-        f = random_field(rng, 1)
+    def test_invalid_step(self, kind):
+        f = plane_wave(kind, np.random.default_rng(18), 1)
         with pytest.raises(ValueError):
-            mbw.fd_spacetime_residual(f, np.zeros(4), 0.0)
+            fd_spacetime_residual(f, np.zeros(4), 0.0)

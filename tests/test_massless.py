@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from bwfields import massless as ml
 from bwfields import momentum as mom
+from bwfields import slot_core as core
 from bwfields import spinor_core as sc
 from bwfields.massive_bw import symmetrize
 
@@ -49,6 +50,20 @@ class TestPotentialRoute:
         f = ml.field_from_potential(rand_potential(rng, 1), p)
         pi = mom.spin_frame(p).pi
         assert abs(f.psi[0] * pi[1] - f.psi[1] * pi[0]) < 1e-13
+
+
+def test_one_bit_stack_with_read_only_psi_view():
+    rng = np.random.default_rng(19)
+    p = rand_null(rng, 5)
+    psi = rng.normal(size=(5, 2, 2)) + 0j
+    f = ml.MasslessFieldAtP.from_psi(2, p, psi)
+    assert f.stack.shape == (1, 2, 1, 2, 5) and f.batch_shape() == (5,)
+    assert np.array_equal(f.psi, psi) and not np.shares_memory(f.stack, psi)
+    assert np.shares_memory(f.psi, f.stack) and not f.psi.flags.writeable
+    with pytest.raises(ValueError, match="pair of axes"):
+        ml.MasslessFieldAtP(n=2, p=p, stack=np.zeros((2, 2, 2, 2, 5)))
+    with pytest.raises(ValueError, match="null shell"):
+        ml.MasslessFieldAtP.from_psi(1, mom.on_shell(1.0, 1, [0, 0, 1.0]), np.ones(2))
 
 
 class TestEta:
@@ -174,7 +189,7 @@ class TestHelicity:
         fr = mom.spin_frame(p)
         omega_low = np.einsum("B,BA->A", fr.omega, sc.EPS_LO)
         psi = np.einsum("i,j->ij", fr.pi, omega_low)
-        bad = ml.MasslessFieldAtP(n=2, p=p, psi=psi)
+        bad = ml.MasslessFieldAtP.from_psi(2, p, psi)
         assert ml.helicity_residual(bad) > 0.1
 
 
@@ -226,13 +241,9 @@ class TestNormIntegrands:
                 p = rand_null(rng, sign=sign)
                 xi = rand_potential(rng, n)
                 f = ml.field_from_potential(xi, p)
-                T = ml.tensor_T_massless(f)
+                T = core.world_tensor(f.stack, sc.build_ivdw().up[:, None], n)
                 scalar = ml.potential_route_integrand(xi, p)
-                outer = np.einsum(
-                    ",".join(f"...{c}" for c in "abc"[:n]) + "->..." + "abc"[:n],
-                    *(p.covec for _ in range(n)),
-                )
-                assert np.max(np.abs(T - scalar * outer)) < 1e-10 * max(
+                assert np.max(np.abs(T - scalar * core.outer_power(p.covec, n))) < 1e-10 * max(
                     1.0, float(np.max(np.abs(T)))
                 )
 
@@ -256,39 +267,13 @@ class TestNormIntegrands:
             q = mom.act(lam_inv, p)
             fv = np.exp(-np.sum(q.spatial**2, -1)) * (1 + 0.5j)
             f_q = ml.field_from_amplitude(fv, q, n)
-            psi = f_q.psi
+            stack = f_q.stack
+            kernel = core._kernel((s.matrix,), 1)
             for k in range(n):
-                letters = list("abc"[:n])
-                letters[k] = "y"
-                sin = "".join(letters)
-                letters[k] = "z"
-                sout = "".join(letters)
-                psi = np.einsum(f"...{sin},zy->...{sout}", psi, s.matrix)
-            f_tr = ml.MasslessFieldAtP(n=n, p=p, psi=psi)
+                stack = core._contract_slot(stack, kernel, k)
+            f_tr = ml.MasslessFieldAtP(n=n, p=p, stack=stack)
             assert ml.massless_equation_residual(f_tr) < 1e-9
             ts = [rng.normal(size=4) for _ in range(n)]
             pr_t = ml.norm_primed_integrand(f_tr, ts)
             pr_o = ml.norm_primed_integrand(f_q, ts)
             assert np.max(np.abs(pr_t - pr_o)) < 1e-10 * np.max(np.abs(pr_o))
-
-
-class TestSpacetimeResidual:
-    def test_second_order_convergence(self):
-        p = mom.on_shell(0.0, 1, [0.3, -0.5, 0.8])
-        f = ml.field_from_amplitude(np.asarray(1.3 - 0.4j), p, 2)
-        x = np.array([0.2, 0.1, -0.3, 0.25])
-        r1 = ml.fd_spacetime_residual_massless(f, x, 0.1)
-        r2 = ml.fd_spacetime_residual_massless(f, x, 0.05)
-        assert 3.5 < r1 / r2 < 4.5
-
-    def test_exact_variant_vanishes(self):
-        for sign in (1, -1):
-            p = mom.on_shell(0.0, sign, [0.3, -0.5, 0.8])
-            f = ml.field_from_amplitude(np.asarray(1.0 + 1.0j), p, 1)
-            assert ml.fd_spacetime_residual_massless(f, np.zeros(4), 0.1, exact=True) < 1e-12
-
-    def test_wrong_frequency(self):
-        p = mom.on_shell(0.0, 1, [0.3, -0.5, 0.8])
-        f = ml.field_from_amplitude(np.asarray(1.0), p, 1)
-        assert ml.fd_spacetime_residual_massless(f, np.array([0.1, 0.0, 0.2, -0.1]), 0.05,
-                                                 flip_frequency=True) > 0.1

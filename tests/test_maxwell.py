@@ -160,29 +160,31 @@ class TestTensorForms:
 class TestNorms:
     def test_zero_field_zero_norm(self):
         p = mom.on_shell(0.0, 1, [0, 0.2, 1.0])
-        val = mx.em_norm_integrand(np.zeros((2, 2)), p, np.array([1.0, 0, 0, 0]),
+        val = mx.em_norm_integrand(mx.FaradayAtP(f=np.zeros((4, 4)), p=p), np.array([1.0, 0, 0, 0]),
                                    np.array([1.0, 0.1, 0, 0]))
         assert val == 0
 
-    def test_matches_massless_spin1_route(self):
+    def test_matches_massless_spin1_route_on_real_fields_only(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             p = rand_null(rng, batch=10)
-            pot = complex_lorenz_potential(rng, p)
-            phi = mx.em_spinor_from_potential(pot)
             t1, t2 = rng.normal(size=4), rng.normal(size=4)
-            v_em = mx.em_norm_integrand(phi, p, t1, t2)
-            fld = ml.MasslessFieldAtP(n=2, p=p, psi=phi)
-            v_ml = ml.norm_primed_integrand(fld, [t1, t2])
-            assert np.max(np.abs(v_em - v_ml)) < 1e-10 * max(1.0, float(np.max(np.abs(v_ml))))
+            gaps = []
+            for pot in (real_mode(rng, p), complex_lorenz_potential(rng, p)):
+                v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
+                fld = ml.MasslessFieldAtP.from_psi(2, p, mx.em_spinor_from_potential(pot))
+                v_ml = ml.norm_primed_integrand(fld, [t1, t2])
+                gaps.append(np.max(np.abs(v_em - v_ml)) / max(1.0, float(np.max(np.abs(v_ml)))))
+            # complex F carries unbalanced circular content, which the spinor form misses
+            assert gaps[0] < 1e-10 and gaps[1] > 1e-3
 
     def test_probe_independence(self):
         rng = np.random.default_rng(10)
         p = rand_null(rng)
-        phi = mx.em_spinor_from_potential(complex_lorenz_potential(rng, p))
+        far = mx.faraday_from_potential(complex_lorenz_potential(rng, p))
         base = None
         for _ in range(10):
-            v = mx.em_norm_integrand(phi, p, rng.normal(size=4), rng.normal(size=4))
+            v = mx.em_norm_integrand(far, rng.normal(size=4), rng.normal(size=4))
             if base is None:
                 base = v
             else:
@@ -191,10 +193,10 @@ class TestNorms:
     def test_vanishing_probe_rejected(self):
         rng = np.random.default_rng(11)
         p = mom.on_shell(0.0, 1, [0, 0, 1.0])
-        phi = mx.em_spinor_from_potential(complex_lorenz_potential(rng, p))
+        far = mx.faraday_from_potential(complex_lorenz_potential(rng, p))
         t_bad = np.array([0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            mx.em_norm_integrand(phi, p, t_bad, np.array([1.0, 0, 0, 0]))
+            mx.em_norm_integrand(far, t_bad, np.array([1.0, 0, 0, 0]))
 
     def test_two_branch_norm_against_massless_quadrature(self):
         rng = np.random.default_rng(12)
@@ -217,7 +219,7 @@ class TestNorms:
 
         def massless_integrand(p):
             pot = mx.PotentialAtP(phi=gen(p), p=p)
-            fld = ml.MasslessFieldAtP(n=2, p=p, psi=mx.em_spinor_from_potential(pot))
+            fld = ml.MasslessFieldAtP.from_psi(2, p, mx.em_spinor_from_potential(pot))
             return ml.norm_primed_integrand(fld, [t1, t2])
 
         v1, e1 = mom.integrate(massless_integrand, sp)

@@ -223,13 +223,6 @@ class TestQuadrature:
         ratio = se1 / se2
         assert abs(ratio - np.sqrt(2.0)) < 0.2 * np.sqrt(2.0)
 
-    def test_grid_scheme(self):
-        s = mom.grid_sampler(0.0, 1, 40, 5.0)
-        f = lambda p: np.exp(-np.sum(p.spatial**2, axis=-1))
-        val, se = mom.integrate(f, s)
-        assert se == 0.0
-        assert abs(val.real - np.pi) < 0.05
-
     @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 200000])
     def test_blocks_match_one_shot_evaluation(self, samples):
         packet = mbw.GaussianPacket(2, 1.0, 1, mbw.symmetrize(np.arange(4.0).reshape(2, 2) - 1j, 2))

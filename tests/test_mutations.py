@@ -1,16 +1,18 @@
 """Mutation matrix for the field core: each broken variant fails a registry check.
 
-Every mutation is installed with monkeypatch, then the registry check named
+Every mutation is installed with monkeypatch, then each registry check named
 beside it runs at 20000 samples and must fail; unmutated, the same checks
 pass.  A check that cannot fail under its mutation guards nothing.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from bwfields import massive_bw as mbw
-from bwfields import maxwell as mx
 from bwfields import momentum as mom
+from bwfields import slot_core as core
 from bwfields import verify_cli as vc
 
 
@@ -20,6 +22,16 @@ def run_check(name):
     config["checks"] = [{"name": name, "parameters": {}}]
     (result,) = vc.run_suite(config)
     return result
+
+
+def patch_everywhere(monkeypatch, module, name, mutant):
+    """Point every bwfields binding of module.name, imported ones too, at mutant."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("bwfields"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, mutant)
 
 
 def drop_sqrt2(monkeypatch):
@@ -36,12 +48,12 @@ def drop_sqrt2(monkeypatch):
 
 
 def s_on_primed_slots(monkeypatch):
-    transform, kernel = mbw.transform, mbw._kernel
+    transform, kernel = mbw.transform, core._kernel
 
     def mutant(gen, s):
         # transform builds its kernel when called: S on both halves of a slot
         with monkeypatch.context() as m:
-            m.setattr(mbw, "_kernel", lambda maps, nb: kernel(maps[:1] * 2, nb))
+            patch_everywhere(m, core, "_kernel", lambda maps, nb: kernel(maps[:1] * 2, nb))
             return transform(gen, s)
 
     monkeypatch.setattr(mbw, "transform", mutant)
@@ -55,7 +67,16 @@ def wrong_row(monkeypatch):
         out += stack[head + (slice(1, 2),)] * kernel[(slice(None), slice(None), 0) + later]
         return out
 
-    monkeypatch.setattr(mbw, "_contract_slot", mutant)
+    patch_everywhere(monkeypatch, core, "_contract_slot", mutant)
+
+
+def transposed_probe_kernel(monkeypatch):
+    contract = core.contract_probes
+
+    def mutant(stack, kernels):
+        return contract(stack, [np.swapaxes(kernel, 1, 2) for kernel in kernels])
+
+    patch_everywhere(monkeypatch, core, "contract_probes", mutant)
 
 
 def scalar_N_mutant(transpose_bit1=False, unprimed_only=False):
@@ -64,12 +85,12 @@ def scalar_N_mutant(transpose_bit1=False, unprimed_only=False):
         p_uu = mom.momentum_matrix(f.p, "uu")
         bit1 = np.swapaxes(p_uu, -1, -2) if transpose_bit1 else p_uu
         q = f.stack
-        kernel = mbw._kernel((np.swapaxes(p_uu, -1, -2), bit1), q.ndim - 2 * n)
+        kernel = core._kernel((np.swapaxes(p_uu, -1, -2), bit1), q.ndim - 2 * n)
         for k in range(n):
-            q = mbw._contract_slot(q, kernel, k)
+            q = core._contract_slot(q, kernel, k)
         prod = (q * np.conj(f.stack)).real
         if unprimed_only:
-            return np.sum(prod[mbw._label_index((0,) * n)], axis=tuple(range(n)))
+            return np.sum(prod[core._label_index((0,) * n)], axis=tuple(range(n)))
         return np.sum(prod, axis=tuple(range(2 * n)))
 
     return mutant
@@ -94,28 +115,31 @@ def last_block_dropped(monkeypatch):
 
         return integrate(blockwise, sampler)
 
-    for module in (mom, mbw, mx):
-        monkeypatch.setattr(module, "integrate", mutant)
+    patch_everywhere(monkeypatch, mom, "integrate", mutant)
 
 
 MUTATIONS = {
-    "sqrt2 dropped in build_from_seed": (drop_sqrt2, "massive_field_equations"),
-    "S on primed slots in transform": (s_on_primed_slots, "scalar_lorentz_covariance"),
-    "wrong row in _contract_slot": (wrong_row, "massive_field_equations"),
-    "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, "norm_equivalences"),
-    "scalar_N on the all-unprimed label only": (unprimed_label_only, "norm_equivalences"),
-    "integrate drops its last partial block": (last_block_dropped, "amplitude_gaussian_norm"),
+    "sqrt2 dropped in build_from_seed": (drop_sqrt2, ["massive_field_equations"]),
+    "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
+    "wrong row in the shared slot contraction": (
+        wrong_row, ["massive_field_equations", "massless_field_equations"]),
+    "transposed kernel in the shared probe contraction": (
+        transposed_probe_kernel, ["norm_equivalences", "maxwell_vs_massless_norm"]),
+    "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, ["norm_equivalences"]),
+    "scalar_N on the all-unprimed label only": (unprimed_label_only, ["norm_equivalences"]),
+    "integrate drops its last partial block": (last_block_dropped, ["amplitude_gaussian_norm"]),
 }
 
 
-@pytest.mark.parametrize("check", sorted({check for _, check in MUTATIONS.values()}))
+@pytest.mark.parametrize("check", sorted({check for _, checks in MUTATIONS.values() for check in checks}))
 def test_check_passes_unmutated(check):
     assert run_check(check).status == "pass"
 
 
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
 def test_mutation_fails_its_check(mutation, monkeypatch):
-    install, check = MUTATIONS[mutation]
+    install, checks = MUTATIONS[mutation]
     install(monkeypatch)
-    result = run_check(check)
-    assert result.status == "fail", f"{check} = {result.value} under: {mutation}"
+    for check in checks:
+        result = run_check(check)
+        assert result.status == "fail", f"{check} = {result.value} under: {mutation}"

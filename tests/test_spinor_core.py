@@ -409,23 +409,28 @@ def _nan_cases():
     from bwfields import massive_bw as mbw
     from bwfields import massless as ml
     from bwfields import maxwell as mx
+    from bwfields import slot_core as core
 
     massive_p = mom.on_shell(1.0, 1, [0.1, 0.2, 0.3])
     null_p = mom.on_shell(0.0, 1, [0.0, 0.0, 1.0])
     field = mbw.build_from_seed(np.array([1.0, 2.0j]), massive_p, 1)
-    null_field = ml.MasslessFieldAtP(n=1, p=null_p, psi=np.array([1.0, 0.5j]))
+    null_field = ml.MasslessFieldAtP.from_psi(1, null_p, np.array([1.0, 0.5j]))
     return {
         "SL2CElement": (lambda: sc.SL2CElement(_nan(2, 2)), ValueError),
         "LorentzMatrix": (lambda: sc.LorentzMatrix(_nan(4, 4)), ValueError),
         "exp_rep": (lambda: sc.exp_rep(_nan(4, 4)), ValueError),
         "sl2c_to_lorentz": (lambda: sc.sl2c_to_lorentz(SimpleNamespace(matrix=_nan(2, 2))), AssertionError),
         "FourMomentum mass": (lambda: mom.FourMomentum(mass=np.nan, sign=1, spatial=np.zeros(3)), ValueError),
-        "act": (lambda: mom.act(sc.LorentzMatrix(np.eye(4)), mom.on_shell(1.0, 1, _nan(3))), AssertionError),
+        "FourMomentum spatial": (lambda: mom.on_shell(1.0, 1, _nan(3)), ValueError),
+        "FourMomentum infinite spatial": (lambda: mom.on_shell(0.0, 1, [np.inf, 0.0, 1.0]), ValueError),
+        "act": (lambda: mom.act(sc.LorentzMatrix(np.eye(4)), SimpleNamespace(vec=_nan(4), mass=1.0, sign=1)),
+                ValueError),
         "build_from_seed": (lambda: mbw.build_from_seed(_nan_off_diagonal_seed(), massive_p, 2), ValueError),
         "massive tensor_T": (lambda: mbw.tensor_T(mbw.BWFieldAtP(1, massive_p, _nan(2, 2))), AssertionError),
         "massive t.p": (lambda: mbw.norm_primed_integrand(field, [_nan(4)]), ValueError),
-        "tensor_T_massless": (
-            lambda: ml.tensor_T_massless(ml.MasslessFieldAtP(n=1, p=null_p, psi=_nan(2))), AssertionError),
+        "massless world_tensor": (
+            lambda: core.world_tensor(ml.MasslessFieldAtP.from_psi(1, null_p, _nan(2)).stack,
+                                      sc.build_ivdw().up[:, None], 1), AssertionError),
         "tensor_U": (lambda: ml.tensor_U(ml.HertzPotentialAtP(n=1, xi=_nan(2))), AssertionError),
         "massless t.p": (lambda: ml.norm_primed_integrand(null_field, [_nan(4)]), ValueError),
         "FaradayAtP": (lambda: mx.FaradayAtP(f=_nan(4, 4), p=null_p), ValueError),

@@ -145,24 +145,13 @@ class TestMain:
         assert vc.main(["massive", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
-    def test_grid_scheme_rejected_for_zscore_checks(self, tmp_path, capsys):
+    def test_only_the_monte_carlo_scheme_is_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "sampler": {"scheme": "grid"},
-            "checks": ["packet_norm_invariance"],
-        }))
-        assert vc.main(["massive", "--config", str(cfg)]) == 2
-        capsys.readouterr()
-        cfg.write_text(json.dumps({"sampler": {"scheme": "nonsense"}}))
-        assert vc.main(["massive", "--config", str(cfg)]) == 2
-        capsys.readouterr()
-        # grid scheme is fine for pure-residual checks
-        cfg.write_text(json.dumps({
-            "sampler": {"scheme": "grid"},
-            "checks": ["epsilon_roundtrip"],
-        }))
-        assert vc.main(["all", "--config", str(cfg)]) == 0
-        capsys.readouterr()
+        for scheme, code in (("grid", 2), ("nonsense", 2), ("monte-carlo", 0)):
+            cfg.write_text(json.dumps({"sampler": {"scheme": scheme}, "checks": ["epsilon_roundtrip"]}))
+            assert vc.main(["all", "--config", str(cfg)]) == code
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else f"error: unknown sampler scheme {scheme!r}\n")
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
