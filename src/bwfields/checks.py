@@ -405,72 +405,76 @@ def _check_fd_massless(params, rng):
 # ---------------------------------------------------------------------------
 
 
+def _sample_max(a, axes=(-2, -1)):
+    """Largest |entry| of each sample of a batch of matrices."""
+    return np.max(np.abs(a), axis=axes)
+
+
+def _real_modes(rng, sign, shape):
+    """Real-F Lorenz-gauge potentials on a batch of null momenta of one branch."""
+    p = mom.on_shell(0.0, sign, rng.normal(size=shape + (3,)))
+    return mx.PotentialAtP(phi=1j * mx.random_transverse_polarization(rng, p), p=p)
+
+
 def _check_em_spinor_symmetry(params, rng):
     worst = 0.0
-    for _ in range(20):
-        p = mom.on_shell(0.0, int(rng.choice([1, -1])), rng.normal(size=3))
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v[0] -= mom.minkowski_dot(p.vec, v) / p.p0
+    for sign in (1, -1):
+        p = mom.on_shell(0.0, sign, rng.normal(size=(10, 3)))
+        v = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
+        v[:, 0] -= mom.minkowski_dot(p.vec, v) / p.p0
         pot = mx.PotentialAtP(phi=v, p=p)
         phi1 = mx.em_spinor_from_potential(pot, "first")
         phi2 = mx.em_spinor_from_potential(pot, "second")
-        worst = max(worst, float(np.max(np.abs(phi1 - phi2))))
-        worst = max(worst, float(np.max(np.abs(phi1 - np.swapaxes(phi1, -1, -2)))))
         gauge = mx.PotentialAtP(phi=(0.7 + 0.1j) * p.vec, p=p)
-        worst = max(worst, float(np.max(np.abs(mx.em_spinor_from_potential(gauge)))))
+        worst = max(
+            worst,
+            float(np.max(np.abs(phi1 - phi2))),
+            float(np.max(np.abs(phi1 - np.swapaxes(phi1, -1, -2)))),
+            float(np.max(np.abs(mx.em_spinor_from_potential(gauge)))),
+        )
     return worst
 
 
 def _check_three_way_tensor(params, rng):
     worst = 0.0
-    for _ in range(50):
-        p = mom.on_shell(0.0, int(rng.choice([1, -1])), rng.normal(size=3))
-        psi_vec = mx.random_transverse_polarization(rng, p)
-        pot = mx.PotentialAtP(phi=1j * psi_vec, p=p)
+    for sign in (1, -1):
+        pot = _real_modes(rng, sign, (25,))
         far = mx.faraday_from_potential(pot)
         phi_ab = mx.em_spinor_from_potential(pot)
         t_spinor = mx.tensor_T_em(phi_ab)
-        t_stress = mx.stress_form(far)
-        t_pot = mx.potential_form(pot)
-        scale = max(float(np.max(np.abs(t_spinor))), 1e-30)
+        scale = np.maximum(_sample_max(t_spinor), 1e-30)
+        phi_scale = np.maximum(_sample_max(phi_ab), 1e-30)
         worst = max(
             worst,
-            float(np.max(np.abs(t_spinor - t_stress))) / scale,
-            float(np.max(np.abs(t_spinor - t_pot))) / scale,
-        )
-        worst = max(
-            worst,
-            float(np.max(np.abs(mx.em_spinor(far) - phi_ab)))
-            / max(float(np.max(np.abs(phi_ab))), 1e-30),
+            float(np.max(_sample_max(t_spinor - mx.stress_form(far)) / scale)),
+            float(np.max(_sample_max(t_spinor - mx.potential_form(pot)) / scale)),
+            float(np.max(_sample_max(mx.em_spinor(far) - phi_ab) / phi_scale)),
         )
     return worst
 
 
 def _check_energy_density(params, rng):
     worst = 0.0
-    for _ in range(100):
-        p = mom.on_shell(0.0, int(rng.choice([1, -1])), rng.normal(size=3))
-        psi_vec = mx.random_transverse_polarization(rng, p)
-        pot = mx.PotentialAtP(phi=1j * psi_vec, p=p)
-        far = mx.faraday_from_potential(pot)
-        e_vec, b_vec = mx.eb_from_faraday(far.f)
+    for sign in (1, -1):
+        pot = _real_modes(rng, sign, (50,))
+        e_vec, b_vec = mx.eb_from_faraday(mx.faraday_from_potential(pot).f)
         t00 = mx.tensor_T_em(mx.em_spinor_from_potential(pot))[..., 0, 0]
         target = 0.25 * (np.sum(e_vec.real**2, -1) + np.sum(b_vec.real**2, -1))
-        worst = max(worst, float(np.abs(t00 - target)) / max(float(target), 1e-30))
+        worst = max(worst, float(np.max(np.abs(t00 - target) / np.maximum(target, 1e-30))))
     return worst
 
 
 def _check_maxwell_vs_massless_norm(params, rng):
     worst = 0.0
-    for _ in range(20):
-        p = mom.on_shell(0.0, int(rng.choice([1, -1])), rng.normal(size=(10, 3)))
-        # real F: the field-tensor and spinor forms agree only on real fields
-        pot = mx.PotentialAtP(phi=1j * mx.random_transverse_polarization(rng, p), p=p)
-        t1, t2 = rng.normal(size=4), rng.normal(size=4)
+    for sign in (1, -1):
+        # 10 groups of 10 momenta, one probe pair per group; real F: the
+        # field-tensor and spinor forms agree only on real fields
+        pot = _real_modes(rng, sign, (10, 10))
+        t1, t2 = rng.normal(size=(10, 1, 4)), rng.normal(size=(10, 1, 4))
         v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
-        fld = ml.MasslessFieldAtP.from_psi(2, p, mx.em_spinor_from_potential(pot))
+        fld = ml.MasslessFieldAtP.from_psi(2, pot.p, mx.em_spinor_from_potential(pot))
         v_ml = ml.norm_primed_integrand(fld, [t1, t2])
-        worst = max(worst, float(np.max(np.abs(v_em - v_ml)) / np.max(np.abs(v_ml))))
+        worst = max(worst, float(np.max(_sample_max(v_em - v_ml, -1) / _sample_max(v_ml, -1))))
     return worst
 
 

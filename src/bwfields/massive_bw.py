@@ -105,15 +105,9 @@ def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
     return out / len(perms)
 
 
-def build_from_seed(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
-    """Generate all 2^n components from a symmetric all-unprimed seed.
-
-    Slot k, last to first, fills its bit-1 half from its bit-0 half with
-    earlier slots at bit 0, so each label comes from the label with its
-    first 1-bit cleared.
-    """
-    if p.mass <= 0:
-        raise ValueError("massive construction needs m > 0")
+def _symmetric_seed(seed: np.ndarray, n: int) -> np.ndarray:
+    """The seed as a complex array with n trailing spinor axes, checked to be
+    totally symmetric in them."""
     if n < 1 or n > DEFAULT_SPIN_CAP:
         raise ValueError(f"n must be between 1 and {DEFAULT_SPIN_CAP}")
     seed = np.asarray(seed, dtype=complex)
@@ -122,7 +116,23 @@ def build_from_seed(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
     if n > 1:
         if not np.max(np.abs(seed - symmetrize(seed, n))) <= 1e-12 * max(1.0, np.max(np.abs(seed))):
             raise ValueError("seed is not totally symmetric")
+    return seed
 
+
+def build_from_seed(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
+    """Generate all 2^n components from a symmetric all-unprimed seed.
+
+    Slot k, last to first, fills its bit-1 half from its bit-0 half with
+    earlier slots at bit 0, so each label comes from the label with its
+    first 1-bit cleared.
+    """
+    return _build_from_symmetric(_symmetric_seed(seed, n), p, n)
+
+
+def _build_from_symmetric(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
+    """build_from_seed on a seed that ``_symmetric_seed`` has already passed."""
+    if p.mass <= 0:
+        raise ValueError("massive construction needs m > 0")
     p_ul = momentum_matrix(p, "ul")
     batch = np.broadcast_shapes(seed.shape[: seed.ndim - n], p_ul.shape[:-2])
     stack = np.empty((2, 2) * n + batch, dtype=complex)
@@ -260,10 +270,14 @@ class GaussianPacket:
     seed_spinor: np.ndarray  # (2,)*n, totally symmetric
     width: float = 1.0
 
+    def __post_init__(self):
+        # checked once here: a scalar amplitude times it stays symmetric
+        object.__setattr__(self, "seed_spinor", _symmetric_seed(self.seed_spinor, self.n))
+
     def __call__(self, p: FourMomentum) -> BWFieldAtP:
         amp = np.exp(-np.sum(p.spatial**2, axis=-1) / (2 * self.width**2))
         seed = np.asarray(amp)[(...,) + (None,) * self.n] * self.seed_spinor
-        return build_from_seed(seed, p, self.n)
+        return _build_from_symmetric(seed, p, self.n)
 
 
 def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mass: float, sign: int) -> tuple[float, float]:

@@ -12,6 +12,13 @@ i.e. F real at the given null momentum; the spinor-squared form alone
 captures one circular component, so for complex F with unbalanced circular
 content the field-tensor form differs.  Tests generate real-F data from a
 real transverse polarization vector.
+
+Every function here takes a batch of momenta: the leading axes of the
+potential, field-tensor and spinor arrays are the batch shape of ``p``,
+and probe vectors broadcast against it, so probes of shape (g, 1, 4) give
+one probe per group of a (g, k) batch.  The registry's Maxwell checks draw
+one batch of null momenta per energy branch and call each function once
+per branch.
 """
 
 from __future__ import annotations

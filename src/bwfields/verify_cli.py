@@ -32,6 +32,9 @@ from .massive_bw import DEFAULT_SPIN_CAP
 __all__ = ["CheckResult", "ConfigError", "load_config", "run_suite", "render_report", "main"]
 
 DEFAULT_SEED = 20240901
+# keys a check entry's "parameters" may set; "fields" is the batch size of
+# trace_reversal_projection
+CHECK_PARAMETERS = frozenset(default_parameters()) | {"fields"}
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,12 @@ def load_config(path: str | None) -> dict:
             overrides = entry.get("parameters", {})
             if not isinstance(overrides, dict):
                 raise ConfigError(f"parameters of check {entry['name']!r} must be a mapping")
+            unknown = sorted(set(overrides) - CHECK_PARAMETERS)
+            if unknown:
+                raise ConfigError(
+                    f"unknown parameters {unknown} of check {entry['name']!r}; "
+                    f"accepted: {', '.join(sorted(CHECK_PARAMETERS))}"
+                )
             parsed.append({"name": str(entry["name"]), "parameters": dict(overrides)})
         config["checks"] = parsed
     return config

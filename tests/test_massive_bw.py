@@ -8,6 +8,7 @@ from bwfields import massive_bw as mbw
 from bwfields import massless as ml
 from bwfields import momentum as mom
 from bwfields import spinor_core as sc
+from bwfields.checks import REGISTRY, default_parameters
 from bwfields.slot_core import fd_spacetime_residual
 
 
@@ -85,6 +86,24 @@ class TestConstruction:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             mbw.build_from_seed(bad, mom.on_shell(1.0, 1, [0, 0, 0]), 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            mbw.GaussianPacket(2, 1.0, 1, bad)
+
+    @pytest.mark.parametrize("check", ["packet_norm_invariance", "bilinear_norm_equality"])
+    def test_packet_values_match_the_checked_builder(self, check, monkeypatch):
+        # a packet checks its seed once and skips the check on every block
+        def run():
+            params = {**default_parameters(), "samples": 20000}
+            return REGISTRY[check].run(params, np.random.default_rng(8))
+
+        def checked_call(packet, p):
+            amp = np.exp(-np.sum(p.spatial**2, axis=-1) / (2 * packet.width**2))
+            seed = np.asarray(amp)[(...,) + (None,) * packet.n] * packet.seed_spinor
+            return mbw.build_from_seed(seed, p, packet.n)
+
+        value = run()
+        monkeypatch.setattr(mbw.GaussianPacket, "__call__", checked_call)
+        assert run() == value
 
     def test_spin_cap(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from bwfields import massless as ml
 from bwfields import maxwell as mx
 from bwfields import momentum as mom
+from bwfields.checks import REGISTRY, default_parameters
 
 
 def rand_null(rng, sign=None, batch=None):
@@ -178,6 +179,22 @@ class TestNorms:
             # complex F carries unbalanced circular content, which the spinor form misses
             assert gaps[0] < 1e-10 and gaps[1] > 1e-3
 
+    def test_grouped_probe_batch_matches_per_group_loop(self):
+        # maxwell_vs_massless_norm's layout: probes (10, 1, 4) against momenta (10, 10)
+        rng = np.random.default_rng(13)
+        pot = real_mode(rng, mom.on_shell(0.0, -1, rng.normal(size=(10, 10, 3))))
+        t1, t2 = rng.normal(size=(10, 1, 4)), rng.normal(size=(10, 1, 4))
+        v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
+        fld = ml.MasslessFieldAtP.from_psi(2, pot.p, mx.em_spinor_from_potential(pot))
+        v_ml = ml.norm_primed_integrand(fld, [t1, t2])
+        for g in range(10):
+            pg = mom.on_shell(0.0, -1, pot.p.spatial[g])
+            pot_g = mx.PotentialAtP(phi=pot.phi[g], p=pg)
+            probes = [t1[g, 0], t2[g, 0]]
+            assert np.array_equal(v_em[g], mx.em_norm_integrand(mx.faraday_from_potential(pot_g), *probes))
+            fld_g = ml.MasslessFieldAtP.from_psi(2, pg, mx.em_spinor_from_potential(pot_g))
+            assert np.array_equal(v_ml[g], ml.norm_primed_integrand(fld_g, probes))
+
     def test_probe_independence(self):
         rng = np.random.default_rng(10)
         p = rand_null(rng)
@@ -226,3 +243,18 @@ class TestNorms:
         v2, e2 = mom.integrate(massless_integrand, sm)
         assert_allclose(total, (v1 + v2).real, rtol=1e-12)
         assert total > 0
+
+
+@pytest.mark.parametrize("name", [name for name, check in REGISTRY.items() if check.module == "maxwell"])
+def test_registry_checks_make_one_call_per_energy_branch(name, monkeypatch):
+    # a per-momentum loop in a check would make these calls once per sample
+    calls = {}
+    for module, fn in ((mom, "on_shell"), (mx, "tensor_T_em"), (mx, "stress_form")):
+        def counted(*args, _original=getattr(module, fn), _fn=fn, **kwargs):
+            calls[_fn] = calls.get(_fn, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, counted)
+    REGISTRY[name].run(default_parameters(), np.random.default_rng(0))
+    assert calls["on_shell"] == 2
+    assert calls.get("tensor_T_em", 0) <= 2 and calls.get("stress_form", 0) <= 2, calls

@@ -5,12 +5,15 @@ beside it runs at 20000 samples and must fail; unmutated, the same checks
 pass.  A check that cannot fail under its mutation guards nothing.
 """
 
+import dataclasses
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bwfields import massive_bw as mbw
+from bwfields import maxwell as mx
 from bwfields import momentum as mom
 from bwfields import slot_core as core
 from bwfields import verify_cli as vc
@@ -118,6 +121,27 @@ def last_block_dropped(monkeypatch):
     patch_everywhere(monkeypatch, mom, "integrate", mutant)
 
 
+def rolled_faraday_momenta(monkeypatch):
+    # each sample's F from its neighbour's momentum: a batch of one cannot show it
+    faraday = mx.faraday_from_potential
+
+    def mutant(pot):
+        covec = pot.p.covec
+        if covec.ndim > 1:
+            covec = np.roll(covec, 1, axis=0)
+        f = faraday(SimpleNamespace(p=SimpleNamespace(covec=covec), phi=pot.phi)).f
+        return mx.FaradayAtP(f=f, p=pot.p)
+
+    patch_everywhere(monkeypatch, mx, "faraday_from_potential", mutant)
+
+
+def swapped_em_generators(monkeypatch):
+    # sigma_{rq} in place of sigma_{qr} flips the sign of em_spinor
+    sg = mx.sigma_generators()
+    swapped = dataclasses.replace(sg, sigma_low=np.swapaxes(sg.sigma_low, 0, 1))
+    monkeypatch.setattr(mx, "sigma_generators", lambda: swapped)
+
+
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (drop_sqrt2, ["massive_field_equations"]),
     "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
@@ -128,6 +152,9 @@ MUTATIONS = {
     "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, ["norm_equivalences"]),
     "scalar_N on the all-unprimed label only": (unprimed_label_only, ["norm_equivalences"]),
     "integrate drops its last partial block": (last_block_dropped, ["amplitude_gaussian_norm"]),
+    "momenta rolled by one sample in faraday_from_potential": (
+        rolled_faraday_momenta, ["three_way_tensor_equality", "energy_density"]),
+    "generator pair swapped in em_spinor": (swapped_em_generators, ["three_way_tensor_equality"]),
 }
 
 

@@ -426,6 +426,7 @@ def _nan_cases():
         "act": (lambda: mom.act(sc.LorentzMatrix(np.eye(4)), SimpleNamespace(vec=_nan(4), mass=1.0, sign=1)),
                 ValueError),
         "build_from_seed": (lambda: mbw.build_from_seed(_nan_off_diagonal_seed(), massive_p, 2), ValueError),
+        "GaussianPacket": (lambda: mbw.GaussianPacket(2, 1.0, 1, _nan_off_diagonal_seed()), ValueError),
         "massive tensor_T": (lambda: mbw.tensor_T(mbw.BWFieldAtP(1, massive_p, _nan(2, 2))), AssertionError),
         "massive t.p": (lambda: mbw.norm_primed_integrand(field, [_nan(4)]), ValueError),
         "massless world_tensor": (

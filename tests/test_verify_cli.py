@@ -153,6 +153,20 @@ class TestMain:
             err = capsys.readouterr().err
             assert err == ("" if code == 0 else f"error: unknown sampler scheme {scheme!r}\n")
 
+    def test_unknown_check_parameter_is_usage_error(self, tmp_path, capsys):
+        # a misspelled key must not leave the check at its default sample count
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "packet_norm_invariance",
+                                               "parameters": {"scheme": "grid", "sampels": 10}}]}))
+        assert vc.main(["all", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'sampels'" in captured.err
+        accepted = {"spins": [1], "mass": 1.0, "samples": 2000, "width": 1.0, "fields": 5}
+        cfg.write_text(json.dumps({"checks": [{"name": "epsilon_roundtrip", "parameters": accepted}]}))
+        assert vc.main(["all", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": ["epsilon_roundtrip"], "seed": 3}))
