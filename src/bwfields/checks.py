@@ -380,7 +380,7 @@ def _check_amplitude_gaussian_norm(params, rng):
     sampler = _monte_carlo_sampler_from(params, 0.0, 1, int(rng.integers(2**31)))
 
     def integrand(p):
-        fv = np.exp(-np.sum(p.spatial**2, axis=-1) / (2 * width**2))
+        fv = np.exp(-p.spatial_sq / (2 * width**2))
         return ml.amplitude_norm_integrand(fv)
 
     val, se = mom.integrate(integrand, sampler)

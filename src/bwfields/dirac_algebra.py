@@ -94,8 +94,9 @@ def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
     off-diagonal epsilon block matrix from the left.
     """
     psi = np.asarray(psi, dtype=complex)
-    psibar_up = np.einsum("AB,...B->...A", EPS_UP, np.conj(psi[..., :2]))
-    xibar_up = np.einsum("AB,...B->...A", EPS_UP, np.conj(psi[..., 2:]))
+    # eps^{AB} v_B as a row product; exact, as eps has entries 0 and +-1
+    psibar_up = np.conj(psi[..., :2]) @ EPS_UP.T
+    xibar_up = np.conj(psi[..., 2:]) @ EPS_UP.T
     return np.concatenate([-xibar_up, psibar_up], axis=-1)
 
 

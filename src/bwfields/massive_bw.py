@@ -275,7 +275,7 @@ class GaussianPacket:
         object.__setattr__(self, "seed_spinor", _symmetric_seed(self.seed_spinor, self.n))
 
     def __call__(self, p: FourMomentum) -> BWFieldAtP:
-        amp = np.exp(-np.sum(p.spatial**2, axis=-1) / (2 * self.width**2))
+        amp = np.exp(-p.spatial_sq / (2 * self.width**2))
         seed = np.asarray(amp)[(...,) + (None,) * self.n] * self.seed_spinor
         return _build_from_symmetric(seed, p, self.n)
 

@@ -3,12 +3,19 @@
 Momenta carry their energy-sign branch as data: p^0 = sign * sqrt(m^2 + |p|^2).
 All operations broadcast over leading batch axes of the spatial components,
 so a :class:`FourMomentum` can hold one momentum or a whole sample set.
+
+Each momentum's kinematics is computed once, when it is built, and kept
+read-only: |p|^2 (by column sums, which round exactly as a sum over the
+length-3 axis does), p^0 and the rows p^a.  The four index-position tables
+of :func:`momentum_matrix` are built once, at import, so a call is one
+product of p^a with a cached (4, 8) table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -17,6 +24,7 @@ from .spinor_core import (
     EPS_UP,
     METRIC,
     LorentzMatrix,
+    _read_only,
     build_ivdw,
     world_from_spinor,
 )
@@ -42,9 +50,23 @@ def minkowski_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] - np.sum(u[..., 1:] * v[..., 1:], axis=-1)
 
 
+def _spatial_sq(sp: np.ndarray) -> np.ndarray:
+    """|p|^2 over the trailing axis of length 3, as column sums.
+
+    Rounds exactly as np.sum(sp * sp, axis=-1), whose length-3 reduction adds
+    in the same order, at a fifth of its cost on a block of samples.
+    """
+    x, y, z = sp[..., 0], sp[..., 1], sp[..., 2]
+    return x * x + y * y + z * z
+
+
 @dataclass(frozen=True)
 class FourMomentum:
-    """On-shell momentum with an explicit energy-sign branch."""
+    """On-shell momentum with an explicit energy-sign branch.
+
+    |p|^2 (``spatial_sq``), ``p0`` and the rows p^a (``vec``) are computed
+    once, at construction, and are read-only like ``spatial``.
+    """
 
     mass: float
     sign: int
@@ -60,14 +82,23 @@ class FourMomentum:
             raise ValueError("spatial part must have a trailing axis of length 3")
         if not np.all(np.isfinite(sp)):
             raise ValueError("spatial components must be finite")
-        sq = np.sum(sp * sp, axis=-1)
+        sq = _spatial_sq(sp)
         if self.mass == 0.0 and np.any(sq == 0.0):
             raise ValueError("massless momentum must have nonzero spatial part")
-        object.__setattr__(self, "spatial", sp)
         p0 = self.sign * np.sqrt(self.mass**2 + sq)
-        if isinstance(p0, np.ndarray):
-            p0.setflags(write=False)
+        # spatial becomes a read-only view of the input, as vec holds a copy
+        spatial = sp.view()
+        vec = np.concatenate([np.asarray(p0)[..., None], sp], axis=-1)
+        _read_only(spatial, sq, p0, vec)
+        object.__setattr__(self, "spatial", spatial)
+        object.__setattr__(self, "_spatial_sq", sq)
         object.__setattr__(self, "_p0", p0)
+        object.__setattr__(self, "_vec", vec)
+
+    @property
+    def spatial_sq(self) -> np.ndarray:
+        """|p|^2, shape (...)."""
+        return self._spatial_sq
 
     @property
     def p0(self) -> np.ndarray:
@@ -76,9 +107,7 @@ class FourMomentum:
     @property
     def vec(self) -> np.ndarray:
         """Contravariant components p^a, shape (..., 4)."""
-        return np.concatenate(
-            [np.asarray(self.p0)[..., None], self.spatial], axis=-1
-        )
+        return self._vec
 
     @property
     def covec(self) -> np.ndarray:
@@ -90,6 +119,31 @@ def on_shell(mass: float, sign: int, spatial) -> FourMomentum:
     return FourMomentum(mass=float(mass), sign=int(sign), spatial=np.asarray(spatial, dtype=float))
 
 
+def _build_position_tables() -> Mapping[str, np.ndarray]:
+    """The (4, 2, 2) table of each index position as a read-only (4, 8)
+    float view."""
+    up = build_ivdw().up
+    # p_{AA'} = p^{BB'} eps_{BA} eps_{B'A'}
+    ll = EPS_LO.T @ up @ EPS_LO
+    tables = {
+        "uu": up,
+        "ll": ll,
+        # p^A_{A'} = p^{AB'} eps_{B'A'}
+        "ul": up @ EPS_LO,
+        # p_A^{A'} = eps^{A'B'} p_{AB'}
+        "lu": ll @ EPS_UP.T,
+    }
+    views = {k: t.view(float).reshape(4, 8) for k, t in tables.items()}
+    _read_only(*views.values())
+    return MappingProxyType(views)
+
+
+# Built at import, before any sample arrays exist: a cache filled inside the
+# first integrand call leaves its small arrays above that call's temporaries
+# on the heap, which then cannot shrink when they are freed.
+_POSITION_TABLES = _build_position_tables()
+
+
 def momentum_matrix(p: FourMomentum, positions: str = "uu") -> np.ndarray:
     """Spinor-pair form of the momentum, shape (..., 2, 2).
 
@@ -98,27 +152,15 @@ def momentum_matrix(p: FourMomentum, positions: str = "uu") -> np.ndarray:
     p_A^{A'}.
 
     Each position is one (4, 2, 2) table, so the batch work is a single real
-    product of p^a with the table's (4, 8) float view, written straight into
-    the complex output.
+    product of p^a with the table's cached (4, 8) float view, written
+    straight into the complex output.
     """
-    up = build_ivdw().up
-    if positions == "uu":
-        table = up
-    elif positions == "ll":
-        # p_{AA'} = p^{BB'} eps_{BA} eps_{B'A'}
-        table = EPS_LO.T @ up @ EPS_LO
-    elif positions == "ul":
-        # p^A_{A'} = p^{AB'} eps_{B'A'}
-        table = up @ EPS_LO
-    elif positions == "lu":
-        # p_A^{A'} = eps^{A'B'} p_{AB'}
-        table = EPS_LO.T @ up @ EPS_LO @ EPS_UP.T
-    else:
+    if positions not in _POSITION_TABLES:
         raise ValueError(f"unknown index positions {positions!r}")
     vec = p.vec
     batch = vec.shape[:-1]
     out = np.empty(batch + (2, 2), dtype=complex)
-    np.matmul(vec, table.view(float).reshape(4, 8), out=out.view(float).reshape(batch + (8,)))
+    np.matmul(vec, _POSITION_TABLES[positions], out=out.view(float).reshape(batch + (8,)))
     return out
 
 
@@ -209,10 +251,9 @@ def monte_carlo_sampler(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     pts = rng.normal(scale=width, size=(n, 3))
-    log_rho = -np.sum(pts**2, axis=1) / (2 * width**2) - 1.5 * np.log(
-        2 * np.pi * width**2
-    )
-    p0 = np.sqrt(mass**2 + np.sum(pts**2, axis=1))
+    sq = _spatial_sq(pts)
+    log_rho = -sq / (2 * width**2) - 1.5 * np.log(2 * np.pi * width**2)
+    p0 = np.sqrt(mass**2 + sq)
     w = np.exp(-log_rho) / (2 * p0)
     return HyperboloidSampler(points=pts, weights=w, mass=mass, sign=sign, seed=seed)
 

@@ -115,7 +115,8 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
 
     ``kernel[w, bit, i, j]`` pairs psi's index i with psibar's index j on a
     slot of that bit (the bit is shared by both factors): a bit axis of size
-    2 for a massive stack, 1 for an unprimed one.  Entries must be real.
+    2 for a massive stack, 1 for an unprimed one.  Entries must be real: each
+    sample's imaginary parts within 1e-12 of its own largest entry (at least 1).
     """
     bits = kernel.shape[1]
     batch = stack.shape[2 * n:]
@@ -125,8 +126,9 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         total = total.reshape(len(columns), -1).T @ columns
     total = total.reshape(batch + (4,) * n)
-    scale = max(1.0, float(np.max(np.abs(total))))
-    if not np.max(np.abs(total.imag)) <= 1e-12 * scale:
+    entries = tuple(range(len(batch), total.ndim))
+    scale = np.maximum(1.0, np.max(np.abs(total), axis=entries))
+    if not np.all(np.max(np.abs(total.imag), axis=entries) <= 1e-12 * scale):
         raise AssertionError("world tensor has non-negligible imaginary part")
     return total.real
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,8 @@ from numpy.testing import assert_allclose
 from bwfields import massless as ml
 from bwfields import maxwell as mx
 from bwfields import momentum as mom
+from bwfields import slot_core as core
+from bwfields import spinor_core as sc
 from bwfields.checks import REGISTRY, default_parameters
 
 
@@ -258,3 +262,83 @@ def test_registry_checks_make_one_call_per_energy_branch(name, monkeypatch):
     REGISTRY[name].run(default_parameters(), np.random.default_rng(0))
     assert calls["on_shell"] == 2
     assert calls.get("tensor_T_em", 0) <= 2 and calls.get("stress_form", 0) <= 2, calls
+
+
+def along_z(batch):
+    return mom.on_shell(0.0, 1, np.broadcast_to([0.0, 0.0, 1.0], batch + (3,)))
+
+
+def potential_case(monkeypatch):
+    def validate(phi):
+        mx.PotentialAtP(phi=phi, p=along_z(phi.shape[:-1]))
+
+    # p.phi = 0 on a large sample; 1e-5 on a small one
+    return validate, np.array([0, 1e6, 0, 0]), np.array([1e-5, 1, 0, 0])
+
+
+def faraday_case(monkeypatch):
+    def validate(f):
+        mx.FaradayAtP(f=f, p=along_z(f.shape[:-2]))
+
+    big = mx.em_field_tensor(np.zeros(3), [1e6, 0, 0])
+    big[2, 3] += 1e-7  # symmetric part within 1e-12 of its own largest entry
+    small = mx.em_field_tensor([1.0, 0, 0], np.zeros(3))
+    small[1, 2] += 1e-8
+    return validate, big, small
+
+
+def em_spinor_case(monkeypatch):
+    # a non-symmetric term in sigma_{01} reaches phi_AB through F^{01} only
+    sg = sc.sigma_generators()
+    sigma_low = sg.sigma_low.copy()
+    sigma_low[0, 1] += 1e-8 * np.array([[1.0, 0], [0, 0]])
+    monkeypatch.setattr(mx, "sigma_generators", lambda: dataclasses.replace(sg, sigma_low=sigma_low))
+
+    def validate(f):
+        mx.em_spinor(mx.FaradayAtP(f=f, p=along_z(f.shape[:-2])))
+
+    return validate, mx.em_field_tensor(np.zeros(3), [1e6, 0, 0]), mx.em_field_tensor([1.0, 0, 0], np.zeros(3))
+
+
+def stress_case(monkeypatch):
+    def validate(f):
+        mx.stress_form(mx.FaradayAtP(f=f, p=along_z(f.shape[:-2])))
+
+    # real F gives a real stress tensor; a small imaginary B gives it an imaginary part
+    big = mx.em_field_tensor(np.zeros(3), [1e6, 0, 0])
+    small = mx.em_field_tensor([1.0, 0, 0], [0, 1e-8j, 0])
+    return validate, big, small
+
+
+def world_tensor_case(monkeypatch):
+    # an anti-Hermitian term on index pair (1, 1) gives sum psi psibar K an
+    # imaginary part on samples with psi_1 != 0 only
+    kernel = sc.build_ivdw().up[:, None] + 1e-8j * np.array([[0, 0], [0, 1.0]])
+
+    def validate(psi):
+        core.world_tensor(core._unprimed_stack(psi, 1), kernel, 1)
+
+    return validate, np.array([1e3, 0j]), np.array([0, 1.0 + 0j])
+
+
+PER_SAMPLE_CASES = {
+    "PotentialAtP": potential_case,
+    "FaradayAtP": faraday_case,
+    "em_spinor": em_spinor_case,
+    "stress_form": stress_case,
+    "world_tensor": world_tensor_case,
+}
+
+
+@pytest.mark.parametrize("case", list(PER_SAMPLE_CASES))
+def test_each_sample_validated_on_its_own_scale(case, monkeypatch):
+    validate, big, small = PER_SAMPLE_CASES[case](monkeypatch)
+    # one momentum: the large sample's violation is within its own scale
+    validate(big)
+    with pytest.raises((ValueError, AssertionError)):
+        validate(small)
+    # in a batch, the large sample no longer widens the small one's tolerance
+    validate(np.stack([big, big]))
+    for batch in (np.stack([big, small]), np.stack([small, big])):
+        with pytest.raises((ValueError, AssertionError)):
+            validate(batch)

@@ -95,6 +95,61 @@ class TestMomentumMatrix:
             mom.momentum_matrix(p, "xx")
 
 
+def derived_table(positions):
+    """Each momentum_matrix table derived on the spot: the oracle for the cached ones."""
+    up = sc.build_ivdw().up
+    table = {
+        "uu": lambda: up,
+        "ll": lambda: sc.EPS_LO.T @ up @ sc.EPS_LO,
+        "ul": lambda: up @ sc.EPS_LO,
+        "lu": lambda: sc.EPS_LO.T @ up @ sc.EPS_LO @ sc.EPS_UP.T,
+    }[positions]()
+    return table.view(float).reshape(4, 8)
+
+
+KINEMATICS = [
+    (shape, mass, sign)
+    for shape in [(), (7,), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]
+]
+
+
+class TestCachedKinematics:
+    @pytest.mark.parametrize("shape, mass, sign", KINEMATICS)
+    def test_bit_for_bit_against_per_call_formulas(self, shape, mass, sign):
+        rng = np.random.default_rng(60 + len(shape))
+        spatial = rng.normal(scale=2.0, size=shape + (3,))
+        p = mom.on_shell(mass, sign, spatial)
+        sq = np.sum(spatial**2, axis=-1)
+        assert np.array_equal(p.spatial_sq, sq)
+        assert np.array_equal(p.p0, sign * np.sqrt(mass**2 + sq))
+        vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
+        assert np.array_equal(p.vec, vec) and p.vec is p.vec
+        assert np.array_equal(p.covec, vec @ sc.METRIC)
+        for positions in ["uu", "ll", "ul", "lu"]:
+            table = derived_table(positions)
+            assert np.array_equal(mom._POSITION_TABLES[positions], table)
+            ref = (vec @ table).view(complex).reshape(shape + (2, 2))
+            assert np.array_equal(mom.momentum_matrix(p, positions), ref)
+
+    def test_cached_arrays_read_only(self):
+        p = mom.on_shell(1.3, 1, np.random.default_rng(70).normal(size=(7, 3)))
+        for arr in (p.vec, p.spatial_sq, p.p0, p.spatial, *mom._POSITION_TABLES.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+        with pytest.raises(TypeError):
+            mom._POSITION_TABLES["uu"] = np.zeros((4, 8))
+        # the refused writes left momentum_matrix's tables as built
+        assert_allclose(mom.momentum_matrix(mom.on_shell(1.0, 1, [0, 0, 0])), np.eye(2) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("mass, width", [(0.0, 1.0), (1.3, 0.7)])
+    def test_sampler_weights_match_two_reduction_formula(self, mass, width):
+        s = mom.monte_carlo_sampler(mass, 1, 5000, width, seed=71)
+        pts = np.random.default_rng(71).normal(scale=width, size=(5000, 3))
+        log_rho = -np.sum(pts**2, axis=1) / (2 * width**2) - 1.5 * np.log(2 * np.pi * width**2)
+        w = np.exp(-log_rho) / (2 * np.sqrt(mass**2 + np.sum(pts**2, axis=1)))
+        assert np.array_equal(s.points, pts) and np.array_equal(s.weights, w)
+
+
 class TestSpinFrame:
     def test_massive_rejected(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bwfields import dirac_algebra as da
 from bwfields import massive_bw as mbw
 from bwfields import maxwell as mx
 from bwfields import momentum as mom
 from bwfields import slot_core as core
+from bwfields import spinor_core as sc
 from bwfields import verify_cli as vc
 
 
@@ -142,6 +144,33 @@ def swapped_em_generators(monkeypatch):
     monkeypatch.setattr(mx, "sigma_generators", lambda: swapped)
 
 
+def cached_table(monkeypatch, positions, table):
+    # momentum_matrix reads every table from the one cache
+    tables = dict(mom._POSITION_TABLES, **{positions: np.ascontiguousarray(table).view(float).reshape(4, 8)})
+    monkeypatch.setattr(mom, "_POSITION_TABLES", tables)
+
+
+def transposed_ul_table(monkeypatch):
+    ul = mom._POSITION_TABLES["ul"].view(complex).reshape(4, 2, 2)
+    cached_table(monkeypatch, "ul", np.swapaxes(ul, 1, 2))
+
+
+def raising_eps_in_ll_table(monkeypatch):
+    # EPS_UP contracted as in raising, eps^{A'B'} p_{AB'}, on the primed
+    # index; EPS_UP on both sides would give the same table (it equals EPS_LO)
+    cached_table(monkeypatch, "ll", sc.EPS_LO.T @ sc.build_ivdw().up @ sc.EPS_UP.T)
+
+
+def unsigned_adjoint(monkeypatch):
+    adjoint = da.dirac_adjoint
+
+    def mutant(psi):
+        adj = adjoint(psi)
+        return np.concatenate([-adj[..., :2], adj[..., 2:]], axis=-1)
+
+    monkeypatch.setattr(da, "dirac_adjoint", mutant)
+
+
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (drop_sqrt2, ["massive_field_equations"]),
     "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
@@ -155,6 +184,10 @@ MUTATIONS = {
     "momenta rolled by one sample in faraday_from_potential": (
         rolled_faraday_momenta, ["three_way_tensor_equality", "energy_density"]),
     "generator pair swapped in em_spinor": (swapped_em_generators, ["three_way_tensor_equality"]),
+    "cached ul table transposed": (transposed_ul_table, ["massive_field_equations", "norm_equivalences"]),
+    "cached ll table lowered with a raising eps": (raising_eps_in_ll_table, ["three_way_tensor_equality"]),
+    "xibar block of dirac_adjoint without its minus sign": (
+        unsigned_adjoint, ["bilinear_norm_equality", "current_tensor_correspondence"]),
 }
 
 
