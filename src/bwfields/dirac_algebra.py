@@ -66,10 +66,17 @@ def build_gammas() -> GammaSet:
 
 
 def pack_bispinor(f: BWFieldAtP) -> np.ndarray:
-    """Stack the two components of a spin-1/2 field into a 4-column."""
+    """The two components of a spin-1/2 field as a read-only 4-column.
+
+    The stack (2, 2) + batch is (psi_B, xi_{B'}) components first, so the
+    bispinor is a view of it, shape batch + (4,).
+    """
     if f.n != 1:
         raise ValueError("bispinor packing needs a spin-1/2 field")
-    return np.concatenate([f.components[(0,)], f.components[(1,)]], axis=-1)
+    nb = f.stack.ndim - 2
+    psi = f.stack.reshape((4,) + f.stack.shape[2:]).transpose(tuple(range(1, nb + 1)) + (0,))
+    psi.flags.writeable = False
+    return psi
 
 
 def unpack_bispinor(psi: np.ndarray, p: FourMomentum) -> BWFieldAtP:
@@ -87,17 +94,30 @@ def dirac_residual(psi: np.ndarray, p: FourMomentum, mass: float) -> float:
     return float(np.max(np.abs(lhs - mass * psi)))
 
 
+def _adjoint_gather() -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal epsilon block matrix M, with conj(psi) @ M the adjoint
+    row, as the one row each column reads and that entry's sign (+-1)."""
+    zero = np.zeros((2, 2))
+    block = np.block([[zero, EPS_UP.T], [-EPS_UP.T, zero]])
+    rows = np.argmax(np.abs(block), axis=0)
+    return rows, block[rows, np.arange(4)]
+
+
+_ADJOINT_ROWS, _ADJOINT_SIGNS = _adjoint_gather()
+
+
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
     """Adjoint row built from the epsilon-block object: (-xibar^B, psibar^{B'}).
 
     Conjugate both blocks, raise each with eps, then multiply by the
-    off-diagonal epsilon block matrix from the left.
+    off-diagonal epsilon block matrix from the left.  Every entry of that
+    product is one conjugate component times +-1, so it is one gather and a
+    sign.
     """
     psi = np.asarray(psi, dtype=complex)
-    # eps^{AB} v_B as a row product; exact, as eps has entries 0 and +-1
-    psibar_up = np.conj(psi[..., :2]) @ EPS_UP.T
-    xibar_up = np.conj(psi[..., 2:]) @ EPS_UP.T
-    return np.concatenate([-xibar_up, psibar_up], axis=-1)
+    adj = np.conj(psi[..., _ADJOINT_ROWS])
+    adj *= _ADJOINT_SIGNS
+    return adj
 
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:
@@ -119,11 +139,16 @@ def dirac_current_matrix_route(psi: np.ndarray) -> np.ndarray:
     """j_a = adjoint(psi) gamma_a psi; must match the spinor form."""
     gam = build_gammas().gamma
     psi = np.asarray(psi, dtype=complex)
-    adj = dirac_adjoint(psi)
-    # adj_a gamma_q^{ab}, one product over the batch, then the pairing with psi_b
-    row = (adj @ gam.transpose(1, 0, 2).reshape(4, 16)).reshape(adj.shape[:-1] + (4, 4))
-    j = (row @ psi[..., None])[..., 0]
-    return j.real
+    batch = psi.shape[:-1]
+    # components first: psi_b and adj_a as rows over the samples
+    psi_rows = np.moveaxis(psi, -1, 0).reshape(4, -1)
+    adj_rows = np.moveaxis(dirac_adjoint(psi), -1, 0).reshape(4, -1)
+    # adj_a gamma_q^{ab} for every (q, b) in one product, then the pairing with psi_b
+    adj_gamma = (gam.transpose(0, 2, 1).reshape(16, 4) @ adj_rows).reshape(4, 4, -1)
+    j = adj_gamma[:, 0] * psi_rows[0]
+    for b in range(1, 4):
+        j += adj_gamma[:, b] * psi_rows[b]
+    return np.moveaxis(j.real.reshape((4,) + batch), 0, -1)
 
 
 def norm_bilinear_integrand(psi: np.ndarray, p: FourMomentum, mass: float) -> np.ndarray:

@@ -38,6 +38,7 @@ from .slot_core import (
     probe_kernel,
     probe_norm,
     world_tensor,
+    worst_of,
 )
 from .spinor_core import SL2CElement, build_ivdw, sl2c_to_lorentz
 
@@ -126,17 +127,25 @@ def build_from_seed(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
     earlier slots at bit 0, so each label comes from the label with its
     first 1-bit cleared.
     """
-    return _build_from_symmetric(_symmetric_seed(seed, n), p, n)
+    seed = _symmetric_seed(seed, n)
+    return _build_from_symmetric(_batch_last(seed, n, seed.ndim - n), p, n)
 
 
-def _build_from_symmetric(seed: np.ndarray, p: FourMomentum, n: int) -> BWFieldAtP:
-    """build_from_seed on a seed that ``_symmetric_seed`` has already passed."""
+def _build_from_symmetric(seed: np.ndarray, p: FourMomentum, n: int, amp=1.0) -> BWFieldAtP:
+    """build_from_seed on a seed that ``_symmetric_seed`` has already passed,
+    given batch-last, shape (2,)*n + batch, as the all-zero label is stored.
+
+    That label is written as seed * amp, with a real amplitude ``amp`` that
+    broadcasts against the batch, straight into the stack.
+    """
     if p.mass <= 0:
         raise ValueError("massive construction needs m > 0")
     p_ul = momentum_matrix(p, "ul")
-    batch = np.broadcast_shapes(seed.shape[: seed.ndim - n], p_ul.shape[:-2])
+    sbatch = seed.shape[n:]
+    batch = np.broadcast_shapes(sbatch, np.shape(amp), p_ul.shape[:-2])
     stack = np.empty((2, 2) * n + batch, dtype=complex)
-    stack[_label_index((0,) * n)] = _batch_last(seed, n, len(batch))
+    seed = seed.reshape(seed.shape[:n] + (1,) * (len(batch) - len(sbatch)) + sbatch)
+    np.multiply(seed, amp, out=stack[_label_index((0,) * n)])
     # p^A_{A'} contracted on its first index: K[0][i, j] = p_ul[j, i]
     kernel = _kernel((np.swapaxes(p_ul, -1, -2),), len(batch))
     factor = -np.sqrt(2.0) / p.mass
@@ -163,7 +172,7 @@ def residual_field_equations(f: BWFieldAtP) -> float:
     for k in range(n):
         lhs = _contract_slot(f.stack, kernel, k)
         rhs = np.flip(f.stack, axis=2 * k) * np.array([-c, c]).reshape((2,) + (1,) * (ndim - 2 * k - 1))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = worst_of(worst, np.max(np.abs(lhs - rhs)))
     return worst
 
 
@@ -276,8 +285,8 @@ class GaussianPacket:
 
     def __call__(self, p: FourMomentum) -> BWFieldAtP:
         amp = np.exp(-p.spatial_sq / (2 * self.width**2))
-        seed = np.asarray(amp)[(...,) + (None,) * self.n] * self.seed_spinor
-        return _build_from_symmetric(seed, p, self.n)
+        seed = self.seed_spinor
+        return _build_from_symmetric(_batch_last(seed, self.n, seed.ndim - self.n), p, self.n, amp)
 
 
 def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mass: float, sign: int) -> tuple[float, float]:

@@ -17,6 +17,7 @@ field:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
     "contract_probes",
     "probe_norm",
     "fd_spacetime_residual",
+    "worst_of",
 ]
 
 Label = tuple[int, ...]
@@ -43,10 +45,26 @@ def _label_index(lab: Label) -> tuple:
     return sum(((bit, slice(None)) for bit in lab), ())
 
 
+def worst_of(*values) -> float:
+    """The largest of the values as a float, or NaN if any of them is NaN.
+
+    The builtin max keeps whichever argument it holds when it meets NaN, so
+    a NaN residual would drop out of a running maximum and read as a pass.
+    """
+    worst = -math.inf
+    for value in values:
+        value = float(value)
+        if math.isnan(value):
+            return value
+        if value > worst:
+            worst = value
+    return worst
+
+
 def _batch_last(a: np.ndarray, n: int, nb: int) -> np.ndarray:
     """Batch-first array batch + (2,)*n as (2,)*n + batch, padded to nb batch axes."""
-    a = np.moveaxis(a, range(a.ndim - n, a.ndim), range(n))
-    return a.reshape(a.shape[:n] + (1,) * (nb + n - a.ndim) + a.shape[n:])
+    a = a.reshape((1,) * (nb + n - a.ndim) + a.shape)
+    return a.transpose(tuple(range(nb, nb + n)) + tuple(range(nb)))
 
 
 def _unprimed_stack(a, n: int, nb: int | None = None) -> np.ndarray:
@@ -63,7 +81,11 @@ def _kernel(maps: tuple[np.ndarray, ...], nb: int) -> np.ndarray:
     C-ordered array (np.stack would keep the maps' batch-first memory order)
     gives kernel columns that run over the batch with unit stride.
     """
-    return np.array([_batch_last(m, 2, nb) for m in maps], dtype=complex)
+    views = [_batch_last(np.asarray(m), 2, nb) for m in maps]
+    out = np.empty((len(views),) + views[0].shape, dtype=complex)
+    for i, view in enumerate(views):
+        out[i] = view
+    return out
 
 
 def _contract_slot(stack: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
@@ -217,5 +239,5 @@ def fd_spacetime_residual(
     for k in range(n):
         lhs = 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1)
         sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (2 * (n - k) - 1))
-        worst = max(worst, float(np.max(np.abs(lhs - np.flip(value, axis=2 * k) * sign))))
+        worst = worst_of(worst, np.max(np.abs(lhs - np.flip(value, axis=2 * k) * sign)))
     return worst

@@ -4,9 +4,9 @@ Composes the registered identity checks into named suites, runs them with
 configured seeds and sizes, and emits machine-readable reports.  Given the
 same configuration and seed the results and the report bytes are
 identical run to run; wall-clock timings are kept on the in-memory results
-and never enter the report (``--timings PATH`` writes them to a separate
-JSON file).  Notes, such as the spins the massless checks leave out, go to
-standard error.
+and never enter the report (``--timings PATH`` writes them, with a manifest
+of the run's environment, to a separate JSON file).  Notes, such as the
+spins the massless checks leave out, go to standard error.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad usage or
 configuration.
@@ -15,10 +15,12 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import numbers
 import os
+import platform
 import sys
 import time
 import zlib
@@ -218,10 +220,27 @@ def _skipped_massless_spins(config: dict, suite: str) -> list[int]:
     return sorted(skipped)
 
 
-def _write_timings(path: str, results: list[CheckResult]) -> None:
-    """Sidecar JSON of the per-check runtimes in seconds and their total."""
+def _manifest(config: dict) -> dict:
+    """Where a run ran: the Python, numpy and scipy versions, the seed and the
+    sha256 of the effective configuration (after flags and BW_SEED), as
+    canonical JSON.  scipy is reported only if something imported it."""
+    scipy = sys.modules.get("scipy")
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": getattr(scipy, "__version__", None),
+        "seed": config.get("seed", DEFAULT_SEED),
+        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
+
+
+def _write_timings(path: str, results: list[CheckResult], config: dict) -> None:
+    """Sidecar JSON of the per-check runtimes in seconds, their total and the
+    run's manifest."""
     timings = {"checks": {r.name: r.runtime for r in results},
-               "total": sum(r.runtime for r in results)}
+               "total": sum(r.runtime for r in results),
+               "manifest": _manifest(config)}
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(timings, fh, indent=2)
@@ -277,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "text"], default="text")
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--timings", metavar="PATH",
-                        help="write per-check runtimes (seconds) and their total to a JSON file")
+                        help="write per-check runtimes (seconds), their total and a manifest "
+                             "of the environment to a JSON file")
     return parser
 
 
@@ -311,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         if skipped:
             print(f"note: massless checks skipped spin indices {skipped}", file=sys.stderr)
         if args.timings is not None:
-            _write_timings(args.timings, results)
+            _write_timings(args.timings, results, config)
         sys.stdout.buffer.write(render_report(results, args.format))
         sys.stdout.buffer.flush()
     except ConfigError as exc:

@@ -164,3 +164,61 @@ class TestCurrent:
 
         val, se = mom.integrate(integrand, sampler)
         assert abs(val.real - v_cov) <= 3 * max(np.hypot(se_cov, se), 1e-15)
+
+
+def eps_row_adjoint(psi):
+    """Reference for dirac_adjoint: each conjugate block raised with eps as a row product."""
+    psibar_up = np.conj(psi[..., :2]) @ sc.EPS_UP.T
+    xibar_up = np.conj(psi[..., 2:]) @ sc.EPS_UP.T
+    return np.concatenate([-xibar_up, psibar_up], axis=-1)
+
+
+def batched_matmul_route(psi):
+    """Reference for dirac_current_matrix_route: adj gamma_q as a batch-first
+    (B, 4, 16) product, then a batched (B, 4, 4) @ (B, 4, 1) matmul."""
+    gam = da.build_gammas().gamma
+    adj = eps_row_adjoint(psi)
+    row = (adj @ gam.transpose(1, 0, 2).reshape(4, 16)).reshape(adj.shape[:-1] + (4, 4))
+    return (row @ psi[..., None])[..., 0].real
+
+
+class TestComponentsFirstBridge:
+    """The components-first bispinor path against the batch-first formulas it replaced."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_pack_is_a_read_only_view_equal_to_the_concatenation(self, shape):
+        rng = np.random.default_rng(40 + len(shape))
+        seed = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        f = mbw.build_from_seed(seed, mom.on_shell(1.1, -1, rng.normal(size=shape + (3,))), 1)
+        psi = da.pack_bispinor(f)
+        assert np.array_equal(psi, np.concatenate([f.components[(0,)], f.components[(1,)]], axis=-1))
+        assert psi.shape == shape + (4,) and np.shares_memory(psi, f.stack)
+        with pytest.raises(ValueError, match="read-only"):
+            psi[..., 0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_adjoint_gather_equals_the_eps_row_product(self, shape):
+        rng = np.random.default_rng(50 + len(shape))
+        psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+        assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
+        # a packed (strided) bispinor too
+        f = random_field(rng, 1.0, 1, batch=9)
+        psi = da.pack_bispinor(f)
+        assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (4096,)])
+    def test_route_matches_the_batched_matmul_route(self, shape):
+        rng = np.random.default_rng(60 + len(shape))
+        psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+        ref = batched_matmul_route(psi)
+        j = da.dirac_current_matrix_route(psi)
+        assert j.shape == ref.shape
+        assert np.max(np.abs(j - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.max(np.abs(j - da.dirac_current(psi))) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_route_on_a_packed_field(self):
+        rng = np.random.default_rng(70)
+        f = random_field(rng, 1.0, -1, batch=4096)
+        psi = da.pack_bispinor(f)
+        ref = batched_matmul_route(np.array(psi))
+        assert np.max(np.abs(da.dirac_current_matrix_route(psi) - ref)) <= 1e-15 * np.max(np.abs(ref))

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from bwfields import massive_bw as mbw
 from bwfields import massless as ml
 from bwfields import momentum as mom
+from bwfields import slot_core as core
 from bwfields import spinor_core as sc
 from bwfields.checks import REGISTRY, default_parameters
 from bwfields.slot_core import fd_spacetime_residual
@@ -698,3 +699,78 @@ class TestSpacetimeResidual:
         f = plane_wave(kind, np.random.default_rng(18), 1)
         with pytest.raises(ValueError):
             fd_spacetime_residual(f, np.zeros(4), 0.0)
+
+    def test_nan_field_gives_nan(self, kind):
+        # a running builtin max would keep 0.0 and hide the NaN
+        f = plane_wave(kind, np.random.default_rng(19), 2)
+        stack = f.stack.copy()
+        stack[(0,) * (stack.ndim - 1) + (slice(None),)] = np.nan
+        broken = type(f)(n=f.n, p=f.p, stack=stack)
+        for h, exact in [(0.1, False), (0.1, True)]:
+            assert np.isnan(fd_spacetime_residual(broken, np.zeros(4), h, exact=exact))
+
+
+class TestNanSafeMaximum:
+    def test_worst_of(self):
+        assert core.worst_of(0.0, 3, np.float64(2.5)) == 3.0
+        assert np.isnan(core.worst_of(0.0, np.nan, 5.0))
+        assert np.isnan(core.worst_of(np.nan, 5.0))
+        assert core.worst_of(0.0, np.inf) == np.inf
+        assert max(0.0, np.nan) == 0.0  # the builtin drops NaN in second place
+
+    def test_field_equation_residual_of_a_nan_field(self):
+        f = random_field(np.random.default_rng(20), 2, 1.0, 1, batch=5)
+        stack = f.stack.copy()
+        stack[1, 0, 1, 1, 3] = np.nan
+        assert np.isnan(mbw.residual_field_equations(mbw.BWFieldAtP(n=2, p=f.p, stack=stack)))
+
+
+def moveaxis_batch_last(a, n, nb):
+    """Reference for slot_core._batch_last: the former moveaxis, then a reshape."""
+    a = np.moveaxis(a, range(a.ndim - n, a.ndim), range(n))
+    return a.reshape(a.shape[:n] + (1,) * (nb + n - a.ndim) + a.shape[n:])
+
+
+class TestComponentsFirstOracles:
+    """Each components-first rewrite against the batch-first formula it replaced."""
+
+    @pytest.mark.parametrize("shape, nb", [((2, 2), 0), ((7, 2, 2), 1), ((7, 2, 2), 3), ((3, 5, 2, 2), 2)])
+    def test_batch_last_and_kernel(self, shape, nb):
+        rng = np.random.default_rng(400 + len(shape) + nb)
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(core._batch_last(m, 2, nb), moveaxis_batch_last(m, 2, nb))
+        maps = (np.swapaxes(m, -1, -2), m.real)
+        ref = np.array([moveaxis_batch_last(x, 2, nb) for x in maps], dtype=complex)
+        kernel = core._kernel(maps, nb)
+        assert np.array_equal(kernel, ref) and kernel.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_packet_stack_equals_the_batch_first_seed(self, n, shape):
+        rng = np.random.default_rng(500 + 10 * n + len(shape))
+        seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+        packet = mbw.GaussianPacket(n, 1.2, -1, mbw.symmetrize(seed, n) if n > 1 else seed, 0.8)
+        p = mom.on_shell(1.2, -1, rng.normal(size=shape + (3,)))
+        amp = np.exp(-p.spatial_sq / (2 * 0.8**2))
+        batch_first = np.asarray(amp)[(...,) + (None,) * n] * packet.seed_spinor
+        stack = packet(p).stack
+        label = stack[core._label_index((0,) * n)]
+        assert np.array_equal(label, moveaxis_batch_last(batch_first, n, len(shape)))
+        assert np.array_equal(stack, mbw.build_from_seed(batch_first, p, n).stack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_grouped_probe_sets_equal_the_per_set_loop(self, n, sign):
+        # norm_equivalences: ten fields as a (1, 10) batch, ten probe sets as
+        # (10, 1, 4) per slot, against ten calls on the (10,) batch
+        rng = np.random.default_rng(600 + n)
+        seed = rng.normal(size=(10,) + (2,) * n) + 1j * rng.normal(size=(10,) + (2,) * n)
+        seed = mbw.symmetrize(seed, n) if n > 1 else seed
+        sp = rng.normal(size=(10, 3))
+        f = mbw.build_from_seed(seed, mom.on_shell(1.0, sign, sp), n)
+        grouped_f = mbw.build_from_seed(seed[None], mom.on_shell(1.0, sign, sp[None]), n)
+        probes = rng.normal(size=(10, n, 4))
+        grouped = mbw.norm_primed_integrand(grouped_f, [probes[:, k, None] for k in range(n)])
+        assert grouped.shape == (10, 10)
+        for i in range(10):
+            assert np.array_equal(grouped[i], mbw.norm_primed_integrand(f, list(probes[i])))

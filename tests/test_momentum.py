@@ -141,13 +141,20 @@ class TestCachedKinematics:
         # the refused writes left momentum_matrix's tables as built
         assert_allclose(mom.momentum_matrix(mom.on_shell(1.0, 1, [0, 0, 0])), np.eye(2) / np.sqrt(2.0))
 
-    @pytest.mark.parametrize("mass, width", [(0.0, 1.0), (1.3, 0.7)])
+    @pytest.mark.parametrize("mass, width", [(0.0, 1.0), (1.3, 0.7), (0.4, 2.5)])
     def test_sampler_weights_match_two_reduction_formula(self, mass, width):
         s = mom.monte_carlo_sampler(mass, 1, 5000, width, seed=71)
         pts = np.random.default_rng(71).normal(scale=width, size=(5000, 3))
         log_rho = -np.sum(pts**2, axis=1) / (2 * width**2) - 1.5 * np.log(2 * np.pi * width**2)
         w = np.exp(-log_rho) / (2 * np.sqrt(mass**2 + np.sum(pts**2, axis=1)))
         assert np.array_equal(s.points, pts) and np.array_equal(s.weights, w)
+
+    def test_vec_of_strided_spatial_columns(self):
+        # act hands FourMomentum the spatial columns of a (..., 4) product
+        rows = np.random.default_rng(72).normal(size=(3, 5, 4))
+        p = mom.on_shell(1.3, -1, rows[..., 1:])
+        vec = np.concatenate([np.asarray(p.p0)[..., None], rows[..., 1:]], -1)
+        assert np.array_equal(p.vec, vec) and p.vec.flags.c_contiguous
 
 
 class TestSpinFrame:

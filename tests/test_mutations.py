@@ -6,6 +6,7 @@ pass.  A check that cannot fail under its mutation guards nothing.
 """
 
 import dataclasses
+import json
 import sys
 from types import SimpleNamespace
 
@@ -171,6 +172,19 @@ def unsigned_adjoint(monkeypatch):
     monkeypatch.setattr(da, "dirac_adjoint", mutant)
 
 
+def transposed_gammas_in_matrix_route(monkeypatch):
+    # gamma_q^{ba} in place of gamma_q^{ab} where the route reads the table
+    route, gammas = da.dirac_current_matrix_route, da.build_gammas()
+    swapped = dataclasses.replace(gammas, gamma=np.swapaxes(gammas.gamma, 1, 2))
+
+    def mutant(psi):
+        with monkeypatch.context() as m:
+            m.setattr(da, "build_gammas", lambda: swapped)
+            return route(psi)
+
+    monkeypatch.setattr(da, "dirac_current_matrix_route", mutant)
+
+
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (drop_sqrt2, ["massive_field_equations"]),
     "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
@@ -185,9 +199,14 @@ MUTATIONS = {
         rolled_faraday_momenta, ["three_way_tensor_equality", "energy_density"]),
     "generator pair swapped in em_spinor": (swapped_em_generators, ["three_way_tensor_equality"]),
     "cached ul table transposed": (transposed_ul_table, ["massive_field_equations", "norm_equivalences"]),
-    "cached ll table lowered with a raising eps": (raising_eps_in_ll_table, ["three_way_tensor_equality"]),
+    "cached ll table lowered with a raising eps": (
+        raising_eps_in_ll_table,
+        ["three_way_tensor_equality", "helicity_eigenequation", "eta_normalization",
+         "amplitude_norm_identity", "fd_plane_wave_massless"]),
     "xibar block of dirac_adjoint without its minus sign": (
         unsigned_adjoint, ["bilinear_norm_equality", "current_tensor_correspondence"]),
+    "gamma table transposed inside dirac_current_matrix_route": (
+        transposed_gammas_in_matrix_route, ["bilinear_norm_equality", "current_tensor_correspondence"]),
 }
 
 
@@ -203,3 +222,14 @@ def test_mutation_fails_its_check(mutation, monkeypatch):
     for check in checks:
         result = run_check(check)
         assert result.status == "fail", f"{check} = {result.value} under: {mutation}"
+
+
+def test_nan_fields_fail_the_massless_suite(monkeypatch, capsys):
+    # under the ll-table mutation every spin frame is NaN: the massless suite
+    # must report failures (exit 1), not pass them or raise
+    raising_eps_in_ll_table(monkeypatch)
+    assert vc.main(["massless", "--samples", "2000", "--format", "json"]) == 1
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)}
+    for name in ("helicity_eigenequation", "eta_normalization", "amplitude_norm_identity"):
+        assert rows[name]["status"] == "fail" and rows[name]["value"] == "nan"
+    assert rows["fd_plane_wave_massless"]["value"] == "inf"

@@ -1,7 +1,11 @@
+import hashlib
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from bwfields import verify_cli as vc
 from bwfields.checks import MODULES, REGISTRY
@@ -260,6 +264,22 @@ class TestMain:
         assert list(timings["checks"]) == names
         assert all(t >= 0.0 for t in timings["checks"].values())
         assert timings["total"] == pytest.approx(sum(timings["checks"].values()))
+        # the manifest: versions, seed and the digest of the effective config
+        manifest = timings["manifest"]
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        assert manifest["seed"] == 4
+        config = vc.load_config(None)
+        config["seed"] = 4
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert manifest["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        other = tmp_path / "other.json"
+        assert vc.main(["identities", "--seed", "5", "--format", "json", "--timings", str(other)]) == 0
+        assert capsys.readouterr().out != plain
+        moved = json.loads(other.read_text())["manifest"]
+        assert moved["seed"] == 5
+        assert moved["config_sha256"] != manifest["config_sha256"]
 
     def test_unwritable_timings_path_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "timings.json"
