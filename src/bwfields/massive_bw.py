@@ -34,7 +34,6 @@ from .slot_core import (
     _contract_slot,
     _kernel,
     _label_index,
-    contract_probes,
     probe_kernel,
     probe_norm,
     world_tensor,
@@ -51,6 +50,7 @@ __all__ = [
     "residual_field_equations",
     "tensor_T",
     "scalar_N",
+    "seed_norm",
     "norm_standard_integrand",
     "norm_primed_integrand",
     "norm_covariant_integrand",
@@ -83,12 +83,22 @@ class BWFieldAtP(StackField):
 
     @classmethod
     def from_components(cls, n: int, p: FourMomentum, components: Mapping[Label, np.ndarray]) -> "BWFieldAtP":
-        """Stack per-label arrays of shape batch + (2,)*n; batches broadcast."""
+        """Stack per-label arrays of shape batch + (2,)*n; batches broadcast.
+
+        For n >= 2 the stack must be symmetric under the exchange of any two
+        slots (label bits and indices together), as every field built from a
+        symmetric seed is: ``scalar_N`` relies on it.
+        """
         arrs = {lab: np.asarray(components[lab], dtype=complex) for lab in all_labels(n)}
         batch = np.broadcast_shapes(*(a.shape[: a.ndim - n] for a in arrs.values()))
         stack = np.empty((2, 2) * n + batch, dtype=complex)
         for lab, a in arrs.items():
             stack[_label_index(lab)] = _batch_last(a, n, len(batch))
+        # adjacent exchanges generate every permutation of the slots
+        for k in range(n - 1):
+            swapped = np.swapaxes(np.swapaxes(stack, 2 * k, 2 * k + 2), 2 * k + 1, 2 * k + 3)
+            if not np.max(np.abs(stack - swapped)) <= 1e-12 * max(1.0, np.max(np.abs(stack))):
+                raise ValueError("components are not symmetric under slot exchange")
         return cls(n=n, p=p, stack=stack)
 
     @cached_property
@@ -191,11 +201,59 @@ def tensor_T(f: BWFieldAtP) -> np.ndarray:
 def scalar_N(f: BWFieldAtP) -> np.ndarray:
     """Full contraction p^{a_1}..p^{a_n} T_{a_1..a_n}, on the spinor pairs.
 
-    The probe contraction with every t_k = p: one kernel of p^{AA'} (the
-    unprimed index for bit 0, the primed one for bit 1) on every slot.
+    The probe contraction with every t_k = p: <psi, K^{(x)n} psi> for the
+    slot kernel K of p^{AA'} (the unprimed index for bit 0, the primed one
+    for bit 1), taken on h = ceil(n/2) slot contractions instead of n.
+    The stack must be symmetric under the exchange of any two slots, as
+    built, transformed and ``from_components`` fields are.  K is Hermitian
+    on a slot's (bit, index) pair, so
+
+        <psi, K^{(x)n} psi> = <(K^{(x)h} (x) 1) psi, (1 (x) K^{(x)(n-h)}) psi>,
+
+    and by the symmetry the right factor is the left one's intermediate
+    after n - h contractions with those slots moved last.
     """
-    kernel = probe_kernel(momentum_matrix(f.p, "uu"), 2, f.stack.ndim - 2 * f.n)
-    return contract_probes(f.stack, [kernel] * f.n)
+    n = f.n
+    h = (n + 1) // 2
+    kernel = probe_kernel(momentum_matrix(f.p, "uu"), 2, f.stack.ndim - 2 * n)
+    left = right = f.stack
+    for k in range(h):
+        left = _contract_slot(left, kernel, k)
+        if k + 1 == n - h:
+            right = left
+    # slots n-h..n-1 first, then the contracted slots 0..n-h-1
+    order = [*range(n - h, n), *range(n - h)]
+    axes = [a for s in order for a in (2 * s, 2 * s + 1)] + list(range(2 * n, f.stack.ndim))
+    right = right.transpose(axes)
+    return np.sum(left.real * right.real + left.imag * right.imag, axis=tuple(range(2 * n)))
+
+
+def seed_norm(seed: np.ndarray, p: FourMomentum, n: int) -> np.ndarray:
+    """``scalar_N(build_from_seed(seed, p, n))`` from the seed's 2^n entries.
+
+    On each slot of the built field the bit-1 half is B phi with
+    B = -(sqrt2/m) (p^A_{A'})^T, and the slot's two kernels add up to one:
+    P^T + B^dagger P B = 2 P^T for P = p^{AA'}, because p^{AA'} p_{AB'} =
+    (m^2/2) delta.  So the norm is 2^n phibar (p^{AA'})^{(x)n} phi, the seed's
+    unprimed index against p's first one on every slot, with no stack and
+    no slot-core contraction.  ``seed`` is batch + (2,)*n and totally
+    symmetric; the result has the broadcast batch of seed and p.
+    """
+    seed = _symmetric_seed(seed, n)
+    if p.mass <= 0:
+        raise ValueError("massive construction needs m > 0")
+    p_uu = momentum_matrix(p, "uu")
+    sbatch = seed.shape[: seed.ndim - n]
+    nb = len(np.broadcast_shapes(sbatch, p_uu.shape[:-2]))
+    # spinor axes first and the batch last, padded to nb axes; P[j, i] + batch
+    phi = np.moveaxis(seed, range(len(sbatch)), range(n, n + len(sbatch)))
+    phi = phi.reshape((2,) * n + (1,) * (nb - len(sbatch)) + sbatch)
+    pm = np.moveaxis(p_uu, (-2, -1), (0, 1))
+    q = phi
+    for k in range(n):
+        lo, hi = q[(slice(None),) * k + (0,)], q[(slice(None),) * k + (1,)]
+        q = np.stack([pm[0, i] * lo + pm[1, i] * hi for i in (0, 1)], axis=k)
+    return 2.0**n * np.sum(phi.real * q.real + phi.imag * q.imag, axis=tuple(range(n)))
 
 
 def norm_standard_integrand(f: BWFieldAtP) -> np.ndarray:
@@ -283,10 +341,12 @@ class GaussianPacket:
         # checked once here: a scalar amplitude times it stays symmetric
         object.__setattr__(self, "seed_spinor", _symmetric_seed(self.seed_spinor, self.n))
 
+    def amplitude(self, p: FourMomentum) -> np.ndarray:
+        return np.exp(-p.spatial_sq / (2 * self.width**2))
+
     def __call__(self, p: FourMomentum) -> BWFieldAtP:
-        amp = np.exp(-p.spatial_sq / (2 * self.width**2))
         seed = self.seed_spinor
-        return _build_from_symmetric(_batch_last(seed, self.n, seed.ndim - self.n), p, self.n, amp)
+        return _build_from_symmetric(_batch_last(seed, self.n, seed.ndim - self.n), p, self.n, self.amplitude(p))
 
 
 def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mass: float, sign: int) -> tuple[float, float]:

@@ -212,15 +212,14 @@ class TestTensor:
             assert_matches_per_label(gen(mom.on_shell(1.0, -1, rng.normal(size=(2, 3, 3)))), (2, 3))
 
     def test_matches_per_label_sum_on_independent_components(self):
-        # components that no seed generates: every one of them enters T
+        # components that no seed generates, not even slot-symmetric ones
+        # (which from_components rejects): every one of them enters T
         rng = np.random.default_rng(20)
         n = 3
         p = mom.on_shell(1.0, 1, rng.normal(size=(5, 3)))
-        comps = {
-            lab: rng.normal(size=(5,) + (2,) * n) + 1j * rng.normal(size=(5,) + (2,) * n)
-            for lab in mbw.all_labels(n)
-        }
-        assert_matches_per_label(mbw.BWFieldAtP.from_components(n, p, comps), (5,))
+        shape = (2, 2) * n + (5,)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert_matches_per_label(mbw.BWFieldAtP(n, p, stack), (5,))
 
     def test_matches_per_label_sum_on_broadcast_components(self):
         # an unbatched seed with batched momenta, broadcast over them in the stack
@@ -372,6 +371,73 @@ class TestScalar:
         err = float(np.max(np.abs(mbw.scalar_N(f) - exact))) / scale
         err_oracle = float(np.max(np.abs(per_label_N(f) - exact))) / scale
         assert err <= max(err_oracle, 16 * np.finfo(float).eps)
+
+
+def n_slot_N(f):
+    """Reference for scalar_N: the probe contraction with t_k = p on all n slots."""
+    kernel = core.probe_kernel(mom.momentum_matrix(f.p, "uu"), 2, f.stack.ndim - 2 * f.n)
+    return core.contract_probes(f.stack, [kernel] * f.n)
+
+
+class TestHalfSlotScalar:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_n_slot_contraction(self, n):
+        rng = np.random.default_rng(4000 + n)
+        built = random_field(rng, n, 1.1, -1, batch=6)
+        seed = mbw.symmetrize(rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n), n)
+        gen = mbw.transform(mbw.GaussianPacket(n, 1.1, 1, seed), sc.random_sl2c(rng))
+        transformed = gen(mom.on_shell(1.1, 1, rng.normal(size=(2, 3, 3))))
+        for f in (built, transformed):
+            ref = n_slot_N(f)
+            N = mbw.scalar_N(f)
+            assert N.shape == ref.shape == f.batch_shape()
+            assert np.max(np.abs(N - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestSeedNorm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equals_scalar_N_of_the_built_field(self, n, sign):
+        rng = np.random.default_rng(5000 + 10 * n + sign)
+        for mass in (0.6, 1.0, 2.3):
+            for batch in [(), (7,), (3, 5)]:
+                shape = batch + (2,) * n
+                seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                seed = mbw.symmetrize(seed, n) if n > 1 else seed
+                p = mom.on_shell(mass, sign, rng.normal(size=batch + (3,)))
+                got = mbw.seed_norm(seed, p, n)
+                ref = mbw.scalar_N(mbw.build_from_seed(seed, p, n))
+                assert got.shape == ref.shape == batch
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_unbatched_seed_under_batched_momenta(self):
+        rng = np.random.default_rng(5100)
+        seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
+        p = mom.on_shell(1.0, 1, rng.normal(size=(3, 5, 3)))
+        got = mbw.seed_norm(seed, p, 2)
+        ref = mbw.scalar_N(mbw.build_from_seed(seed, p, 2))
+        assert got.shape == (3, 5)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_packet_integral_equals_the_stack_route(self):
+        from bwfields.checks import _seed_form_norm
+
+        rng = np.random.default_rng(5200)
+        seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
+        packet = mbw.GaussianPacket(2, 1.3, 1, seed, 0.8)
+        sampler = mom.monte_carlo_sampler(1.3, 1, 5000, 0.8, seed=22)
+        got, got_se = _seed_form_norm(packet, sampler)
+        ref, ref_se = mbw.norm_covariant(packet, sampler, 2, 1.3, 1)
+        assert_allclose([got, got_se], [ref, ref_se], rtol=1e-13)
+
+    def test_invalid_input_rejected(self):
+        p = mom.on_shell(1.0, 1, [0.1, 0.2, 0.3])
+        bad = np.zeros((2, 2))
+        bad[0, 1] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            mbw.seed_norm(bad, p, 2)
+        with pytest.raises(ValueError, match="m > 0"):
+            mbw.seed_norm(np.ones(2), mom.on_shell(0.0, 1, [0.1, 0.2, 0.3]), 1)
 
 
 class TestMomentumMatrix:
@@ -548,6 +614,21 @@ class TestStack:
         assert np.array_equal(got.components[(1, 0)][1, 3, 0, 1], got.stack[1, 0, 0, 1, 1, 3])
         back = mbw.BWFieldAtP.from_components(2, p, got.components)
         assert np.array_equal(back.stack, got.stack)
+
+    def test_components_not_symmetric_under_slot_exchange_rejected(self):
+        rng = np.random.default_rng(84)
+        for n in (2, 3):
+            f = random_field(rng, n, batch=3)
+            comps = dict(f.components)
+            mixed = (0, 1) + (0,) * (n - 2)
+            swapped = (1, 0) + (0,) * (n - 2)
+            # the (0,1) array under the (1,0) label, its indices not exchanged
+            comps[swapped] = comps[mixed]
+            with pytest.raises(ValueError, match="slot exchange"):
+                mbw.BWFieldAtP.from_components(n, f.p, comps)
+        # one slot has no exchange: any n = 1 components are accepted
+        comps = {(0,): rng.normal(size=(4, 2)), (1,): rng.normal(size=(4, 2))}
+        assert mbw.BWFieldAtP.from_components(1, f.p, comps).batch_shape() == (4,)
 
     def test_stack_without_slot_axes_rejected(self):
         with pytest.raises(ValueError, match="slot"):

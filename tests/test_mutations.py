@@ -41,16 +41,23 @@ def patch_everywhere(monkeypatch, module, name, mutant):
 
 
 def drop_sqrt2(monkeypatch):
-    # a factor -1/m in place of -sqrt2/m scales each 1-bit by 1/sqrt2
-    build = mbw.build_from_seed
+    # a factor -1/m in place of -sqrt2/m scales each 1-bit by 1/sqrt2; the
+    # builder behind both build_from_seed and GaussianPacket is patched
+    build = mbw._build_from_symmetric
 
-    def mutant(seed, p, n, **kwargs):
-        stack = build(seed, p, n, **kwargs).stack
+    def mutant(seed, p, n, amp=1.0):
+        stack = build(seed, p, n, amp).stack
         for k in range(n):
             stack = stack * np.array([1.0, 2.0**-0.5]).reshape((2,) + (1,) * (stack.ndim - 2 * k - 1))
         return mbw.BWFieldAtP(n=n, p=p, stack=stack)
 
-    monkeypatch.setattr(mbw, "build_from_seed", mutant)
+    monkeypatch.setattr(mbw, "_build_from_symmetric", mutant)
+
+
+def halved_seed_norm(monkeypatch):
+    # 2^(n-1) in place of 2^n
+    seed_norm = mbw.seed_norm
+    monkeypatch.setattr(mbw, "seed_norm", lambda seed, p, n: seed_norm(seed, p, n) / 2)
 
 
 def s_on_primed_slots(monkeypatch):
@@ -186,7 +193,9 @@ def transposed_gammas_in_matrix_route(monkeypatch):
 
 
 MUTATIONS = {
-    "sqrt2 dropped in build_from_seed": (drop_sqrt2, ["massive_field_equations"]),
+    "sqrt2 dropped in build_from_seed": (
+        drop_sqrt2, ["massive_field_equations", "packet_norm_invariance", "bilinear_norm_equality"]),
+    "2^(n-1) for 2^n in seed_norm": (halved_seed_norm, ["packet_norm_invariance", "bilinear_norm_equality"]),
     "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
     "wrong row in the shared slot contraction": (
         wrong_row, ["massive_field_equations", "massless_field_equations"]),
