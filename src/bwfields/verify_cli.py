@@ -37,6 +37,9 @@ DEFAULT_SEED = 20240901
 # keys a check entry's "parameters" may set; "fields" is the batch size of
 # trace_reversal_projection
 CHECK_PARAMETERS = frozenset(default_parameters()) | {"fields"}
+# keys a config file and its "sampler" mapping may set
+CONFIG_KEYS = ("seed", "sampler", "spins", "mass", "tolerances", "checks")
+SAMPLER_KEYS = ("samples", "width", "seed", "scheme")
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,12 @@ def _validate_parameters(params: dict) -> None:
         raise ConfigError("fields must be at least 1")
 
 
+def _known_keys(mapping: dict, accepted: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(mapping) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; accepted: {', '.join(accepted)}")
+
+
 def load_config(path: str | None) -> dict:
     """Read a JSON configuration file; missing path gives the defaults."""
     config: dict = {"seed": DEFAULT_SEED, "parameters": default_parameters(),
@@ -108,11 +117,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(raw, CONFIG_KEYS, "config")
     if "seed" in raw:
         config["seed"] = _integer(raw["seed"], "seed")
     sampler = raw.get("sampler", {})
     if not isinstance(sampler, dict):
         raise ConfigError("sampler must be a mapping")
+    _known_keys(sampler, SAMPLER_KEYS, "sampler")
     if "samples" in sampler:
         config["parameters"]["samples"] = _integer(sampler["samples"], "sampler samples")
     if "width" in sampler:

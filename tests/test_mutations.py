@@ -192,6 +192,16 @@ def transposed_gammas_in_matrix_route(monkeypatch):
     monkeypatch.setattr(da, "dirac_current_matrix_route", mutant)
 
 
+def transposed_s_in_lorentz_map(monkeypatch):
+    # S^T kron conj(S)^T in place of S kron conj(S): the map reverses products
+    to_lorentz = sc.sl2c_to_lorentz
+
+    def mutant(s):
+        return to_lorentz(sc.SL2CElement(np.swapaxes(s.matrix, -1, -2)))
+
+    patch_everywhere(monkeypatch, sc, "sl2c_to_lorentz", mutant)
+
+
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (
         drop_sqrt2, ["massive_field_equations", "packet_norm_invariance", "bilinear_norm_equality"]),
@@ -216,6 +226,8 @@ MUTATIONS = {
         unsigned_adjoint, ["bilinear_norm_equality", "current_tensor_correspondence"]),
     "gamma table transposed inside dirac_current_matrix_route": (
         transposed_gammas_in_matrix_route, ["bilinear_norm_equality", "current_tensor_correspondence"]),
+    "S transposed in the Kronecker product of sl2c_to_lorentz": (
+        transposed_s_in_lorentz_map, ["lorentz_homomorphism", "scalar_lorentz_covariance"]),
 }
 
 

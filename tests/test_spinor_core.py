@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +299,76 @@ class TestExpRep:
             errs.append(np.max(np.abs(lam(t) - np.eye(4) - t * gen)) / t**2)
         # error/t^2 is a constant for a quadratic remainder
         assert errs[0] == pytest.approx(errs[1], rel=0.05)
+
+
+class TestClosedForm:
+    """The closed-form exponential and Kronecker-product map against their former routes."""
+
+    @staticmethod
+    def generators(omega):
+        return 0.5j * np.einsum("...ab,abxy->...xy", omega, sc.sigma_generators().sigma_low)
+
+    @staticmethod
+    def parameters(k, scale, seed):
+        w = np.random.default_rng(seed).uniform(-scale, scale, (k, 4, 4))
+        return w - np.swapaxes(w, -1, -2)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_agrees_with_expm(self, scale):
+        w = self.parameters(10**4, scale, 40)
+        closed, oracle = sc.exp_rep(w).matrix, expm(self.generators(w))
+        err = np.max(np.abs(closed - oracle), axis=(-1, -2)) / np.max(np.abs(oracle), axis=(-1, -2))
+        assert np.max(err) <= 1e-14
+
+    def test_null_rotation_is_one_plus_generator(self):
+        # omega^{01} = omega^{13} = t gives M = [[0, t], [0, 0]], so M^2 = 0 and s = 0
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 3] = 1.5
+        w = w - w.T
+        assert np.array_equal(sc.exp_rep(w).matrix, np.eye(2) + self.generators(w))
+
+    @pytest.mark.parametrize("angle", [2e-9, 1e-3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0])
+    def test_rotation_near_zero_and_at_the_switch(self, angle):
+        # |s| = angle / 2: near zero, and either side of the switch at |s| = 1/2
+        w = np.zeros((4, 4))
+        w[1, 2], w[2, 1] = angle, -angle
+        oracle = expm(self.generators(w))
+        assert_allclose(sc.exp_rep(w).matrix, oracle, rtol=0, atol=1e-15)
+
+    def test_full_turn_is_minus_one(self):
+        w = np.zeros((4, 4))
+        w[1, 2], w[2, 1] = 2 * np.pi, -2 * np.pi
+        assert_allclose(sc.exp_rep(w).matrix, -np.eye(2), rtol=0, atol=4e-15)
+
+    def test_boosts_are_exactly_diagonal(self):
+        rapidity = np.linspace(-14.0, 14.0, 2801)
+        w = np.zeros((rapidity.size, 4, 4))
+        w[:, 0, 3], w[:, 3, 0] = rapidity, -rapidity
+        s = sc.exp_rep(w).matrix
+        assert not s[:, 0, 1].any() and not s[:, 1, 0].any() and not s.imag.any()
+        assert np.max(np.abs(s[:, 0, 0] * s[:, 1, 1] - 1.0)) <= 1e-15
+        assert_allclose(s[:, 0, 0].real, np.exp(rapidity / 2), rtol=1e-14)
+        for k in (0, 1480, 2800):
+            assert np.array_equal(sc.boost_z(rapidity[k]).matrix, s[k])
+
+    def test_nan_parameters_raise_without_warning(self):
+        w = self.parameters(3, 1.0, 41)
+        w[1, 0, 2] = w[1, 2, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                sc.exp_rep(w)
+            with pytest.raises(ValueError):
+                sc.SL2CElement(np.full((2, 2), np.nan))
+
+    def test_lorentz_map_agrees_with_four_operand_einsum(self):
+        s = sc.random_sl2c(np.random.default_rng(42), scale=2.0, size=200).matrix
+        g = sc.build_ivdw()
+        lam_lu = np.einsum("aij,...ik,...jl,bkl->...ab", g.up, s, np.conj(s), g.lo_w)
+        oracle = sc.METRIC @ lam_lu.real @ sc.METRIC
+        lam = sc.sl2c_to_lorentz(sc.SL2CElement(s)).matrix
+        err = np.max(np.abs(lam - oracle), axis=(-1, -2)) / np.max(np.abs(oracle), axis=(-1, -2))
+        assert np.max(err) <= 1e-14
 
 
 class TestBatchedGroupAction:

@@ -208,6 +208,10 @@ class TestMain:
         {"tolerances": {"epsilon_roundtrip": -1e-12}},
         {"tolerances": {"epsilon_roundtrip": "1e-12"}},
         {"checks": [{"name": "epsilon_roundtrip", "parameters": [1]}]},
+        {"samples": 10},
+        {"spin": [7]},
+        {"parameters": {"spins": [7]}},
+        {"sampler": {"sampels": 10}},
     ])
     def test_malformed_config_value_is_usage_error(self, raw, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
