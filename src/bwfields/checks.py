@@ -170,9 +170,9 @@ def _check_gamma_ivdw(params, rng):
     d1 = np.max(np.abs(g.up - pauli / np.sqrt(2.0)))
     d2 = np.max(np.abs(g.lo - np.transpose(sig_tilde, (0, 2, 1)) / np.sqrt(2.0)))
     gs = da.build_gammas()
-    slow, sblow = da._sigma_blocks_reference()
-    d3 = np.max(np.abs(gs.sigma[:, :, :2, :2] - slow))
-    d4 = np.max(np.abs(gs.sigma[:, :, 2:, 2:] - sblow))
+    sg = sc.sigma_generators()
+    d3 = np.max(np.abs(gs.sigma[:, :, :2, :2] - sg.sigma_low))
+    d4 = np.max(np.abs(gs.sigma[:, :, 2:, 2:] - sg.sigma_bar_low))
     return worst_of(d1, d2, d3, d4)
 
 
@@ -200,7 +200,7 @@ def _check_projection(params, rng):
     worst = 0.0
     for n in params["spins"]:
         for sign in (1, -1):
-            f = _rand_massive(rng, n, params["mass"], sign, params.get("fields", 50))
+            f = _rand_massive(rng, n, params["mass"], sign, 50)
             T = mbw.tensor_T(f)
             scale = float(np.max(np.abs(T)))
             for k in range(n):
@@ -312,7 +312,7 @@ def _fd_order(f, x):
 
 
 def _check_fd_massive(params, rng):
-    f = mbw.random_field(rng, 2, params["mass"], 1)
+    f = _rand_massive(rng, 2, params["mass"], 1, ())
     return _fd_order(f, rng.normal(size=4) * 0.3)
 
 

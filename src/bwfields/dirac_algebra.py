@@ -16,7 +16,7 @@ import numpy as np
 
 from .massive_bw import BWFieldAtP
 from .momentum import FourMomentum
-from .spinor_core import EPS_LO, EPS_UP, build_ivdw, levi_civita4, sigma_generators
+from .spinor_core import EPS_LO, EPS_UP, build_ivdw, levi_civita4
 
 __all__ = [
     "GammaSet",
@@ -160,8 +160,3 @@ def norm_bilinear_integrand(psi: np.ndarray, p: FourMomentum, mass: float) -> np
     j = dirac_current_matrix_route(psi)
     return p.sign * np.sum(p.vec * j, axis=-1) / mass**2
 
-
-def _sigma_blocks_reference() -> tuple[np.ndarray, np.ndarray]:
-    """Lower-world-index generators for block comparison with the gamma set."""
-    sg = sigma_generators()
-    return sg.sigma_low, sg.sigma_bar_low

@@ -59,8 +59,6 @@ __all__ = [
     "transform",
     "GaussianPacket",
     "norm_covariant",
-    "norm_standard",
-    "random_field",
 ]
 
 DEFAULT_SPIN_CAP = 6  # 4^n world-tensor entries; raise deliberately if needed
@@ -355,15 +353,3 @@ def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mas
     val, se = integrate(lambda p: scalar_N(gen(p)), sampler)
     return pref * val.real, abs(pref) * se
 
-
-def norm_standard(gen: FieldGenerator, sampler: HyperboloidSampler) -> tuple[float, float]:
-    """Component-sum norm: integral dmu sum |psi|^2 / |p0|^n."""
-    val, se = integrate(lambda p: norm_standard_integrand(gen(p)), sampler)
-    return val.real, se
-
-
-def random_field(rng: np.random.Generator, n: int, mass: float, sign: int, momentum_scale: float = 1.0) -> BWFieldAtP:
-    """Random single-momentum field with a random symmetric seed."""
-    p = FourMomentum(mass=mass, sign=sign, spatial=rng.normal(scale=momentum_scale, size=3))
-    seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
-    return build_from_seed(symmetrize(seed, n) if n > 1 else seed, p, n)

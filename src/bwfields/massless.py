@@ -26,7 +26,6 @@ from .slot_core import (
     outer_power,
     probe_kernel,
     probe_norm,
-    world_tensor,
 )
 from .spinor_core import EPS_UP, build_ivdw, dual, sigma_generators
 
@@ -42,7 +41,6 @@ __all__ = [
     "helicity_residual",
     "helicity_eigenvalue",
     "massless_equation_residual",
-    "tensor_U",
     "norm_primed_integrand",
     "potential_route_integrand",
     "amplitude_norm_integrand",
@@ -204,11 +202,6 @@ def massless_equation_residual(field: MasslessFieldAtP) -> float:
 # ---------------------------------------------------------------------------
 # Norm integrands
 # ---------------------------------------------------------------------------
-
-
-def tensor_U(xi: HertzPotentialAtP) -> np.ndarray:
-    """Upper-index world tensor U^{b_1..b_n} = xi xibar, real entries."""
-    return world_tensor(np.conj(_unprimed_stack(xi.xi, xi.n)), build_ivdw().lo_w[:, None], xi.n)
 
 
 def norm_primed_integrand(field: MasslessFieldAtP, ts: list[np.ndarray]) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momentum import FourMomentum, HyperboloidSampler, integrate, minkowski_dot, momentum_matrix
+from .momentum import FourMomentum, minkowski_dot, momentum_matrix
 from .slot_core import _unprimed_stack, world_tensor
 from .spinor_core import EPS_LO, EPS_UP, METRIC, build_ivdw, sigma_generators
 
@@ -45,7 +45,6 @@ __all__ = [
     "stress_form",
     "potential_form",
     "em_norm_integrand",
-    "maxwell_norm",
     "random_transverse_polarization",
 ]
 
@@ -182,26 +181,6 @@ def em_norm_integrand(far: FaradayAtP, t1: np.ndarray, t2: np.ndarray) -> np.nda
     if not min(np.min(np.abs(t1p)), np.min(np.abs(t2p))) >= 1e-12:
         raise ValueError("division by vanishing t.p")
     return np.einsum("...ab,...a,...b->...", stress_form(far), t1, t2) / (t1p * t2p)
-
-
-def maxwell_norm(
-    potential_plus, potential_minus,
-    sampler_plus: HyperboloidSampler, sampler_minus: HyperboloidSampler,
-    t1: np.ndarray, t2: np.ndarray,
-) -> tuple[float, float]:
-    """Sum of the probe-vector norms of both frequency branches.
-
-    ``potential_plus``/``potential_minus`` map a batched momentum to
-    contravariant potential components in Lorenz gauge.
-    """
-    def branch_integrand(gen):
-        def f(p: FourMomentum) -> np.ndarray:
-            return em_norm_integrand(faraday_from_potential(PotentialAtP(phi=gen(p), p=p)), t1, t2)
-        return f
-
-    v1, se1 = integrate(branch_integrand(potential_plus), sampler_plus)
-    v2, se2 = integrate(branch_integrand(potential_minus), sampler_minus)
-    return (v1 + v2).real, float(np.hypot(se1, se2))
 
 
 def random_transverse_polarization(rng: np.random.Generator, p: FourMomentum) -> np.ndarray:

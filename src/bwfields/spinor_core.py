@@ -44,7 +44,6 @@ __all__ = [
     "boost_z",
     "world_from_spinor",
     "spinor_from_world",
-    "check_symmetric",
 ]
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -136,22 +135,6 @@ class SpinorTensor:
         """Complex conjugation swaps primed and unprimed index character."""
         slots = tuple((not p, u) for p, u in self.slots)
         return SpinorTensor(np.conj(self.array), slots)
-
-
-def check_symmetric(t: SpinorTensor, group: tuple[int, ...], tol: float = 1e-12) -> bool:
-    """True when the tensor is invariant under swaps inside one index group."""
-    base = t.array
-    off = base.ndim - t.rank
-    for i in group:
-        for j in group:
-            if i >= j:
-                continue
-            if t.slots[i] != t.slots[j]:
-                raise ValueError("cannot compare indices of different type")
-            swapped = np.swapaxes(base, off + i, off + j)
-            if not np.max(np.abs(base - swapped)) <= tol:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

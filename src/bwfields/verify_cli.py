@@ -34,9 +34,8 @@ from .massive_bw import DEFAULT_SPIN_CAP
 __all__ = ["CheckResult", "ConfigError", "load_config", "run_suite", "render_report", "main"]
 
 DEFAULT_SEED = 20240901
-# keys a check entry's "parameters" may set; "fields" is the batch size of
-# trace_reversal_projection
-CHECK_PARAMETERS = frozenset(default_parameters()) | {"fields"}
+# keys a check entry's "parameters" may set
+CHECK_PARAMETERS = frozenset(default_parameters())
 # keys a config file and its "sampler" mapping may set
 CONFIG_KEYS = ("seed", "sampler", "spins", "mass", "tolerances", "checks")
 SAMPLER_KEYS = ("samples", "width", "seed", "scheme")
@@ -94,8 +93,6 @@ def _validate_parameters(params: dict) -> None:
         raise ConfigError("need at least 2 quadrature samples")
     if _real(params.get("width", 0.0), "sampler width") <= 0.0:
         raise ConfigError("sampler width must be positive")
-    if "fields" in params and _integer(params["fields"], "fields") < 1:
-        raise ConfigError("fields must be at least 1")
 
 
 def _known_keys(mapping: dict, accepted: tuple[str, ...], what: str) -> None:

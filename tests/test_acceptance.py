@@ -7,6 +7,7 @@ lines; any assertion failure marks the criterion as failed.
 import time
 
 import numpy as np
+import pytest
 
 from bwfields import massless as ml
 from bwfields import momentum as mom
@@ -18,16 +19,33 @@ def _report(num, text):
     print(f"PASS criterion {num}: {text}", flush=True)
 
 
-def run_checks(seed, names, repeat=1):
+def run_checks(seed, names, repeat=1, bound=None):
     """Run registry checks by name, in turn on one generator, at the default
-    parameters; each run must pass the check's own tolerance."""
+    parameters; each run must pass the check's own tolerance, or ``bound``."""
     rng = np.random.default_rng(seed)
     params = default_parameters()
     for name in names:
         check = REGISTRY[name]
+        tol = check.tolerance if bound is None else bound
         for _ in range(repeat):
             value = check.run(params, rng)
-            assert value <= check.tolerance, f"{name} = {value} > {check.tolerance}"
+            assert value <= tol, f"{name} = {value} > {tol}"
+
+
+# Bounds tighter than a check's tolerance that the identity must keep: the
+# conversion tables and generators are exact up to a few roundings.
+STRICTER_BOUNDS = [
+    ("ivdw_symbol_relations", 1e-14),
+    ("useful_expressions", 1e-14),
+    ("generator_duality", 1e-14),
+    ("gamma5_block_form", 1e-14),
+]
+
+
+@pytest.mark.parametrize("name, bound", STRICTER_BOUNDS)
+def test_check_within_stricter_bound(name, bound):
+    assert bound < REGISTRY[name].tolerance
+    run_checks(101, [name], bound=bound)
 
 
 def test_criterion_1_identity_suite():

@@ -109,7 +109,7 @@ def derived_table(positions):
 
 KINEMATICS = [
     (shape, mass, sign)
-    for shape in [(), (7,), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]
+    for shape in [(), (7,), (2, 3), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]
 ]
 
 
@@ -129,7 +129,8 @@ class TestCachedKinematics:
             table = derived_table(positions)
             assert np.array_equal(mom._POSITION_TABLES[positions], table)
             ref = (vec @ table).view(complex).reshape(shape + (2, 2))
-            assert np.array_equal(mom.momentum_matrix(p, positions), ref)
+            mat = mom.momentum_matrix(p, positions)
+            assert mat.dtype == np.complex128 and np.array_equal(mat, ref)
 
     def test_cached_arrays_read_only(self):
         p = mom.on_shell(1.3, 1, np.random.default_rng(70).normal(size=(7, 3)))

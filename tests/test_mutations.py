@@ -6,6 +6,7 @@ pass.  A check that cannot fail under its mutation guards nothing.
 """
 
 import dataclasses
+import functools
 import json
 import sys
 from types import SimpleNamespace
@@ -202,6 +203,55 @@ def transposed_s_in_lorentz_map(monkeypatch):
     patch_everywhere(monkeypatch, sc, "sl2c_to_lorentz", mutant)
 
 
+def negated_eps_up(monkeypatch):
+    # raising with -eps^{AB}: lowering no longer undoes it
+    monkeypatch.setattr(sc, "EPS_UP", -sc.EPS_UP)
+
+
+def unnormalized_ivdw(monkeypatch):
+    # g_a^{AA'} = sigma_a in place of sigma_a / sqrt2, and so for every table
+    g = sc.build_ivdw()
+    scaled = sc.IvdWSymbol(*(np.sqrt(2.0) * t for t in (g.up, g.lo, g.up_w, g.lo_w)))
+    patch_everywhere(monkeypatch, sc, "build_ivdw", lambda: scaled)
+
+
+def swapped_generator_pair(monkeypatch):
+    # sigma^{ba} in place of sigma^{ab} in the g-sandwich generators
+    sg = sc.sigma_generators()
+    swapped = dataclasses.replace(sg, sigma=np.swapaxes(sg.sigma, 0, 1))
+    patch_everywhere(monkeypatch, sc, "sigma_generators", lambda: swapped)
+
+
+def negative_levi_civita(monkeypatch):
+    # e^{0123} = -1; the gamma set is rebuilt on every call so gamma5 sees it
+    e = sc.levi_civita4()
+    patch_everywhere(monkeypatch, sc, "levi_civita4", lambda: -e)
+    monkeypatch.setattr(da, "build_gammas", da.build_gammas.__wrapped__)
+
+
+def gammas_without_sqrt2(monkeypatch):
+    gs = da.build_gammas()
+    monkeypatch.setattr(da, "build_gammas", lambda: dataclasses.replace(gs, gamma=gs.gamma / np.sqrt(2.0)))
+
+
+def raised_world_index_in_tensor_T(monkeypatch):
+    # g^a^{AA'} in place of g_a^{AA'}: T comes out with upper world indices
+    g = sc.build_ivdw()
+    monkeypatch.setattr(mbw, "build_ivdw", lambda: dataclasses.replace(g, up=g.up_w))
+
+
+def flipped_frequency(monkeypatch):
+    # the mode exp(i(p.x + p0 t)) in place of exp(i(p.x - p0 t))
+    residual = functools.partial(core.fd_spacetime_residual, flip_frequency=True)
+    patch_everywhere(monkeypatch, core, "fd_spacetime_residual", residual)
+
+
+def upper_momentum_in_em_spinor(monkeypatch):
+    # p^{AA'} in place of p_{AA'} in phi_AB = -i p_{AA'} phi_B^{A'}
+    matrix = mom.momentum_matrix
+    monkeypatch.setattr(mx, "momentum_matrix", lambda p, positions="uu": matrix(p, "uu"))
+
+
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (
         drop_sqrt2, ["massive_field_equations", "packet_norm_invariance", "bilinear_norm_equality"]),
@@ -228,6 +278,21 @@ MUTATIONS = {
         transposed_gammas_in_matrix_route, ["bilinear_norm_equality", "current_tensor_correspondence"]),
     "S transposed in the Kronecker product of sl2c_to_lorentz": (
         transposed_s_in_lorentz_map, ["lorentz_homomorphism", "scalar_lorentz_covariance"]),
+    "EPS_UP negated": (negated_eps_up, ["epsilon_roundtrip"]),
+    "g tables without 1/sqrt2": (
+        unnormalized_ivdw,
+        ["ivdw_symbol_relations", "useful_expressions", "world_spinor_roundtrip", "gamma_ivdw_correspondence"]),
+    "generator index pair swapped in sigma_generators": (
+        swapped_generator_pair, ["useful_expressions", "generator_two_routes"]),
+    "e^{0123} = -1 in levi_civita4": (negative_levi_civita, ["generator_duality", "gamma5_block_form"]),
+    "sqrt2 dropped from the gamma table": (
+        gammas_without_sqrt2, ["clifford_relations", "dirac_bridge", "current_tensor_correspondence"]),
+    "world index raised in the conversion table of tensor_T": (
+        raised_world_index_in_tensor_T, ["trace_reversal_projection", "norm_equivalences"]),
+    "frequency sign flipped in the plane-wave mode": (
+        flipped_frequency, ["fd_plane_wave_massive", "fd_plane_wave_massless"]),
+    "p^{AA'} for p_{AA'} in em_spinor_from_potential": (
+        upper_momentum_in_em_spinor, ["em_spinor_symmetry", "three_way_tensor_equality"]),
 }
 
 

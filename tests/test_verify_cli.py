@@ -166,7 +166,7 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'sampels'" in captured.err
-        accepted = {"spins": [1], "mass": 1.0, "samples": 2000, "width": 1.0, "fields": 5}
+        accepted = {"spins": [1], "mass": 1.0, "samples": 2000, "width": 1.0}
         cfg.write_text(json.dumps({"checks": [{"name": "epsilon_roundtrip", "parameters": accepted}]}))
         assert vc.main(["all", "--config", str(cfg)]) == 0
         capsys.readouterr()
@@ -208,6 +208,7 @@ class TestMain:
         {"tolerances": {"epsilon_roundtrip": -1e-12}},
         {"tolerances": {"epsilon_roundtrip": "1e-12"}},
         {"checks": [{"name": "epsilon_roundtrip", "parameters": [1]}]},
+        {"checks": [{"name": "trace_reversal_projection", "parameters": {"fields": 5}}]},
         {"samples": 10},
         {"spin": [7]},
         {"parameters": {"spins": [7]}},
