@@ -125,12 +125,19 @@ class TestCachedKinematics:
         vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
         assert np.array_equal(p.vec, vec) and p.vec is p.vec
         assert np.array_equal(p.covec, vec @ sc.METRIC)
-        for positions in ["uu", "ll", "ul", "lu"]:
-            table = derived_table(positions)
-            assert np.array_equal(mom._POSITION_TABLES[positions], table)
-            ref = (vec @ table).view(complex).reshape(shape + (2, 2))
-            mat = mom.momentum_matrix(p, positions)
-            assert mat.dtype == np.complex128 and np.array_equal(mat, ref)
+
+    @pytest.mark.parametrize("positions", ["uu", "ll", "ul", "lu"])
+    @pytest.mark.parametrize("shape, mass, sign", KINEMATICS)
+    def test_momentum_matrix_bit_for_bit_against_derived_table(self, shape, mass, sign, positions):
+        rng = np.random.default_rng(60 + len(shape))
+        spatial = rng.normal(scale=2.0, size=shape + (3,))
+        p = mom.on_shell(mass, sign, spatial)
+        vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
+        table = derived_table(positions)
+        assert np.array_equal(mom._POSITION_TABLES[positions], table)
+        ref = (vec @ table).view(complex).reshape(shape + (2, 2))
+        mat = mom.momentum_matrix(p, positions)
+        assert mat.dtype == np.complex128 and np.array_equal(mat, ref)
 
     def test_cached_arrays_read_only(self):
         p = mom.on_shell(1.3, 1, np.random.default_rng(70).normal(size=(7, 3)))

@@ -301,13 +301,12 @@ def test_check_passes_unmutated(check):
     assert run_check(check).status == "pass"
 
 
-@pytest.mark.parametrize("mutation", list(MUTATIONS))
-def test_mutation_fails_its_check(mutation, monkeypatch):
-    install, checks = MUTATIONS[mutation]
-    install(monkeypatch)
-    for check in checks:
-        result = run_check(check)
-        assert result.status == "fail", f"{check} = {result.value} under: {mutation}"
+@pytest.mark.parametrize(
+    "mutation, check", [(mutation, check) for mutation, (_, checks) in MUTATIONS.items() for check in checks])
+def test_mutation_fails_its_check(mutation, check, monkeypatch):
+    MUTATIONS[mutation][0](monkeypatch)
+    result = run_check(check)
+    assert result.status == "fail", f"{check} = {result.value} under: {mutation}"
 
 
 def test_nan_fields_fail_the_massless_suite(monkeypatch, capsys):
