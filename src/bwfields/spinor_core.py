@@ -272,9 +272,8 @@ def _sigma_from_epsilon_form() -> tuple[np.ndarray, np.ndarray]:
 def sigma_generators() -> SigmaGenerators:
     """Build the generators from antisymmetrized g contractions.
 
-    The epsilon-spinor route is computed alongside and must agree
-    entrywise; a mismatch means the index conventions have drifted.
-    Cached, read-only.
+    The registry check ``generator_two_routes`` compares them with the
+    epsilon-spinor route of ``_sigma_from_epsilon_form``.  Cached, read-only.
     """
     g = build_ivdw()
     # sigma^{ab}_X{}^Y = (1/2i)(g^a_{XA'} g^{bYA'} - g^b_{XA'} g^{aYA'})
@@ -283,10 +282,6 @@ def sigma_generators() -> SigmaGenerators:
     # primed: contraction over the unprimed index instead
     t2 = np.einsum("axm,bxn->abmn", g.lo_w, g.up_w)
     sigma_bar = (t2 - np.transpose(t2, (1, 0, 2, 3))) / 2j
-
-    s_eps, sb_eps = _sigma_from_epsilon_form()
-    if not (np.max(np.abs(sigma - s_eps)) <= 1e-14 and np.max(np.abs(sigma_bar - sb_eps)) <= 1e-14):
-        raise AssertionError("generator construction routes disagree")
 
     sigma_low = np.einsum("ac,bd,cdxy->abxy", METRIC, METRIC, sigma)
     sigma_bar_low = np.einsum("ac,bd,cdxy->abxy", METRIC, METRIC, sigma_bar)
