@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, permutations
 from types import MappingProxyType
-from typing import Callable, ClassVar, Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .momentum import FourMomentum, HyperboloidSampler, act, integrate, momentum_matrix
+from .momentum import FourMomentum, HyperboloidSampler, integrate, momentum_matrix
 from .slot_core import (
+    FieldGenerator,
     Label,
     StackField,
     _batch_last,
@@ -36,10 +37,11 @@ from .slot_core import (
     _label_index,
     probe_kernel,
     probe_norm,
+    residual_field_equations,
+    transform,
     world_tensor,
-    worst_of,
 )
-from .spinor_core import SL2CElement, build_ivdw, sl2c_to_lorentz
+from .spinor_core import build_ivdw
 
 __all__ = [
     "Label",
@@ -164,26 +166,6 @@ def _build_from_symmetric(seed: np.ndarray, p: FourMomentum, n: int, amp=1.0) ->
     return BWFieldAtP(n=n, p=p, stack=stack)
 
 
-def residual_field_equations(f: BWFieldAtP) -> float:
-    """Largest violation of the two first-order equations over all slots.
-
-    On slot k, p^A_{A'} maps the bit-0 half to -(m/sqrt2) times the bit-1
-    half, and p_A^{A'} the bit-1 half to +(m/sqrt2) times the bit-0 half.
-    """
-    n = f.n
-    ndim = f.stack.ndim
-    p_ul = momentum_matrix(f.p, "ul")
-    p_lu = momentum_matrix(f.p, "lu")
-    kernel = _kernel((np.swapaxes(p_ul, -1, -2), p_lu), ndim - 2 * n)
-    c = f.p.mass / np.sqrt(2.0)
-    worst = 0.0
-    for k in range(n):
-        lhs = _contract_slot(f.stack, kernel, k)
-        rhs = np.flip(f.stack, axis=2 * k) * np.array([-c, c]).reshape((2,) + (1,) * (ndim - 2 * k - 1))
-        worst = worst_of(worst, np.max(np.abs(lhs - rhs)))
-    return worst
-
-
 def tensor_T(f: BWFieldAtP) -> np.ndarray:
     """Rank-n world tensor sum over labels of psi psibar, shape (..., 4)*n.
 
@@ -289,40 +271,6 @@ def trace_reverse_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.nda
     op = 2.0 * np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2 - np.eye(4)
     return _apply_world_slot(T, op, k, n)
 
-
-# ---------------------------------------------------------------------------
-# Poincare action and wave-packet ensembles
-# ---------------------------------------------------------------------------
-
-FieldGenerator = Callable[[FourMomentum], BWFieldAtP]
-
-
-def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
-    """Spinor transformation of a field family: psi'(p) = D(s) psi(L^{-1} p).
-
-    Unprimed slots receive the stored matrix, primed slots its conjugate,
-    one slot contraction each.  A batch of group elements, ``s.matrix`` of
-    shape (B..., 2, 2), maps a batch of fields at once: ``act`` gives
-    L^{-1} p the batch (B..., N) for N momenta, and the field's batch, which
-    must start with B..., goes through its own element's map.
-    """
-    lam_inv = sl2c_to_lorentz(s).inverse()
-    sbatch = s.matrix.shape[:-2]
-    kernel = _kernel((s.matrix, np.conj(s.matrix)), len(sbatch))
-
-    def new_gen(p: FourMomentum) -> BWFieldAtP:
-        f = gen(act(lam_inv, p))
-        batch = f.batch_shape()
-        if batch[: len(sbatch)] != sbatch:
-            raise ValueError(f"field batch {batch} does not start with the group batch {sbatch}")
-        # the element batch lines up with the field's leading batch axes
-        padded = kernel.reshape(kernel.shape + (1,) * (len(batch) - len(sbatch)))
-        stack = f.stack
-        for k in range(f.n):
-            stack = _contract_slot(stack, padded, k)
-        return BWFieldAtP(n=f.n, p=p, stack=stack)
-
-    return new_gen
 
 
 @dataclass(frozen=True)

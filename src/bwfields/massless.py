@@ -40,7 +40,6 @@ __all__ = [
     "apply_spin_vector",
     "helicity_residual",
     "helicity_eigenvalue",
-    "massless_equation_residual",
     "norm_primed_integrand",
     "potential_route_integrand",
     "amplitude_norm_integrand",
@@ -190,13 +189,6 @@ def helicity_eigenvalue(field: MasslessFieldAtP) -> float:
     num = np.sum(np.conj(rhs) * lhs)
     den = np.sum(np.abs(rhs) ** 2)
     return float((num / den).real)
-
-
-def massless_equation_residual(field: MasslessFieldAtP) -> float:
-    """Max over slots of |p^{AA'} psi_{..A..}| (the momentum-space equation)."""
-    p_uu = momentum_matrix(field.p, "uu")
-    kernel = _kernel((np.swapaxes(p_uu, -1, -2),), field.stack.ndim - 2 * field.n)
-    return max(float(np.max(np.abs(_contract_slot(field.stack, kernel, k)))) for k in range(field.n))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A rank-n field at one momentum, or at a batch of momenta, is one complex
 array, its stack, of shape (bits, 2)*n + batch: a (bit, index) pair of axes
 per slot, then the batch axes.  A massive field has two bit values (bit 0
 marks a lower unprimed slot, bit 1 a lower primed one); a massless field
-has only unprimed slots, one bit value.  Three operations then serve every
+has only unprimed slots, one bit value.  These operations then serve every
 field:
 
 - the slot contraction: slot k of a stack through a per-bit 2x2 kernel,
@@ -12,19 +12,21 @@ field:
 - the world tensor: the sesquilinear map psi psibar -> T_{a_1..a_n}, one
   conversion-table contraction per slot;
 - the probe contraction: t_1..t_n . T taken on the spinor pairs, slot by
-  slot, without building T.
+  slot, without building T;
+- the first-order field equations and the spinor action of SL(2,C), slot
+  contractions with a kernel (bit-0 map, bit-1 map)[:bits].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .momentum import FourMomentum, minkowski_dot
-from .spinor_core import EPS_UP, build_ivdw
+from .momentum import FourMomentum, act, minkowski_dot, momentum_matrix
+from .spinor_core import EPS_UP, SL2CElement, build_ivdw, sl2c_to_lorentz
 
 __all__ = [
     "StackField",
@@ -33,7 +35,9 @@ __all__ = [
     "probe_kernel",
     "contract_probes",
     "probe_norm",
+    "residual_field_equations",
     "fd_spacetime_residual",
+    "transform",
     "worst_of",
 ]
 
@@ -193,8 +197,30 @@ def probe_norm(f: StackField, ts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spacetime finite-difference residual for a single plane-wave mode
+# First-order field equations and the spinor action
 # ---------------------------------------------------------------------------
+
+
+def _equation_residual(f: StackField, value: np.ndarray, slot_image: Callable[[int], np.ndarray]) -> float:
+    """Largest violation over all slots: on slot k, ``slot_image(k)``, the
+    kernel (D^A_{A'}^T, D_A^{A'})[:bits] with D = p or i nabla, must map the
+    bit-0 half of ``value`` to -(m/sqrt2) times the bit-1 half and the bit-1
+    half to +(m/sqrt2) times the bit-0 half; an unprimed field has the bit-0
+    half only, and m = 0."""
+    c = f.p.mass / np.sqrt(2.0)
+    worst = 0.0
+    for k in range(f.n):
+        sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (value.ndim - 2 * k - 1))
+        worst = worst_of(worst, np.max(np.abs(slot_image(k) - np.flip(value, axis=2 * k) * sign)))
+    return worst
+
+
+def residual_field_equations(f: StackField) -> float:
+    """Largest violation of the momentum-space equations over all slots:
+    p^A_{A'} on bit-0 halves and p_A^{A'} on bit-1 halves."""
+    maps = (np.swapaxes(momentum_matrix(f.p, "ul"), -1, -2), momentum_matrix(f.p, "lu"))
+    kernel = _kernel(maps[: f.bits], f.stack.ndim - 2 * f.n)
+    return _equation_residual(f, f.stack, lambda k: _contract_slot(f.stack, kernel, k))
 
 
 def _mode_value(f: StackField, x: np.ndarray, flip_frequency: bool) -> np.ndarray:
@@ -202,42 +228,58 @@ def _mode_value(f: StackField, x: np.ndarray, flip_frequency: bool) -> np.ndarra
     return np.exp(1j * (f.p.spatial @ x[1:] - p0 * x[0])) * f.stack
 
 
-def fd_spacetime_residual(
-    f: StackField, x: np.ndarray, h: float, exact: bool = False, flip_frequency: bool = False
-) -> float:
+def fd_spacetime_residual(f: StackField, x: np.ndarray, h: float, flip_frequency: bool = False) -> float:
     """Residual of the position-space equations on one plane-wave mode.
 
-    On slot k, i nabla^A_{A'} maps the bit-0 half to -(m/sqrt2) times the
-    bit-1 half and i nabla_A^{A'} the bit-1 half to +(m/sqrt2) times the
-    bit-0 half; an unprimed field has the bit-0 half only, and m = 0.
-    Derivatives are second-order central differences of step ``h`` (or the
-    analytic derivative of the exponential with ``exact=True``, in which
-    case the residual reduces to the momentum-space one).
+    The equations of ``residual_field_equations`` with i nabla in place of
+    p, its derivatives second-order central differences of step ``h``.
     """
     if h <= 0:
         raise ValueError("step must be positive")
     if f.batch_shape() != ():
         raise ValueError("spacetime residual expects a single-momentum field")
     x = np.asarray(x, dtype=float)
-    n = f.n
     value = _mode_value(f, x, flip_frequency)
     # the gradient's world index a is the last axis
-    if exact:
-        p0 = f.p.p0 if not flip_frequency else -f.p.p0
-        pa = np.concatenate([[p0], -f.p.spatial])  # covariant components
-        grad = -1j * pa * value[..., None]
-    else:
-        grad = np.stack([
-            (_mode_value(f, x + e, flip_frequency) - _mode_value(f, x - e, flip_frequency)) / (2 * h)
-            for e in h * np.eye(4)
-        ], axis=-1)
+    grad = np.stack([
+        (_mode_value(f, x + e, flip_frequency) - _mode_value(f, x - e, flip_frequency)) / (2 * h)
+        for e in h * np.eye(4)
+    ], axis=-1)
     # nabla^A_{A'} = eps^{AB} g^a_{BA'} d_a and nabla_A^{A'} = eps^{A'B'} g^a_{AB'} d_a
     g = build_ivdw().lo_w
     kernel = _kernel((np.swapaxes(EPS_UP @ g, -1, -2), g @ EPS_UP.T)[: f.bits], 1)
-    c = f.p.mass / np.sqrt(2.0)
-    worst = 0.0
-    for k in range(n):
-        lhs = 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1)
-        sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (2 * (n - k) - 1))
-        worst = worst_of(worst, np.max(np.abs(lhs - np.flip(value, axis=2 * k) * sign)))
-    return worst
+    return _equation_residual(f, value, lambda k: 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1))
+
+
+FieldGenerator = Callable[[FourMomentum], StackField]
+
+
+def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
+    """Spinor transformation of a field family: psi'(p) = D(s) psi(L^{-1} p).
+
+    Bit-0 slots receive the stored matrix and bit-1 slots its conjugate, one
+    slot contraction each, so massive and massless fields share the map; the
+    result has the type of the generator's field.  A batch of group
+    elements, ``s.matrix`` of shape (B..., 2, 2), maps a batch of fields at
+    once: ``act`` gives L^{-1} p the batch (B..., N) for N momenta, and the
+    field's batch, which must start with B..., goes through its own
+    element's map.
+    """
+    lam_inv = sl2c_to_lorentz(s).inverse()
+    sbatch = s.matrix.shape[:-2]
+    kernel = _kernel((s.matrix, np.conj(s.matrix)), len(sbatch))
+
+    def new_gen(p: FourMomentum) -> StackField:
+        f = gen(act(lam_inv, p))
+        batch = f.batch_shape()
+        if batch[: len(sbatch)] != sbatch:
+            raise ValueError(f"field batch {batch} does not start with the group batch {sbatch}")
+        # the element batch lines up with the field's leading batch axes
+        padded = kernel[: f.bits]
+        padded = padded.reshape(padded.shape + (1,) * (len(batch) - len(sbatch)))
+        stack = f.stack
+        for k in range(f.n):
+            stack = _contract_slot(stack, padded, k)
+        return type(f)(n=f.n, p=p, stack=stack)
+
+    return new_gen

@@ -307,7 +307,8 @@ class SL2CElement:
     """Unit-determinant 2x2 complex matrix acting on lower unprimed indices.
 
     ``matrix`` may carry leading batch axes, shape (..., 2, 2): a batch of
-    group elements, each validated on its own.  Products broadcast.
+    group elements, each validated on its own: |det - 1| <= 1e-12 max(1,
+    max|S|)^2, as rounding in det grows like |S|^2.  Products broadcast.
     """
 
     matrix: np.ndarray
@@ -318,7 +319,8 @@ class SL2CElement:
         if m.shape[-2:] != (2, 2):
             raise ValueError("SL(2,C) element must be 2x2")
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        if not np.all(np.abs(det - 1.0) <= 1e-12):
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1))) ** 2
+        if not np.all(np.abs(det - 1.0) <= 1e-12 * scale):
             raise ValueError(f"determinant {det} is not 1")
 
     def __matmul__(self, other: "SL2CElement") -> "SL2CElement":

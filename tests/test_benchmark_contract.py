@@ -1,0 +1,30 @@
+"""The names the benchmark harness relies on, checked without running it.
+
+``bwbench/tracing.py`` wraps each function it lists in ``TRACED`` and stops
+when one is gone; ``bwbench/run.py`` times the import of ``scipy.linalg``
+that ``bwfields.verify_cli`` brings in.  Either gap ends a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_names_resolve_and_verify_cli_imports_scipy_linalg():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bwbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.TRACED.items():
+        mod = importlib.import_module(f"bwfields.{module}")
+        missing = [name for name in names if not callable(getattr(mod, name, None))]
+        assert not missing, f"bwfields.{module} lacks {missing}"
+    # a fresh interpreter: this one has imported scipy for other tests
+    code = "import sys, bwfields.verify_cli; sys.exit('scipy.linalg' not in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

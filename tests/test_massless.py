@@ -225,15 +225,12 @@ class TestNormIntegrands:
             s = sc.random_sl2c(rng)
             lam_inv = sc.sl2c_to_lorentz(s).inverse()
             p = rand_null(rng, 30)
-            q = mom.act(lam_inv, p)
-            fv = np.exp(-np.sum(q.spatial**2, -1)) * (1 + 0.5j)
-            f_q = ml.field_from_amplitude(fv, q, n)
-            stack = f_q.stack
-            kernel = core._kernel((s.matrix,), 1)
-            for k in range(n):
-                stack = core._contract_slot(stack, kernel, k)
-            f_tr = ml.MasslessFieldAtP(n=n, p=p, stack=stack)
-            assert ml.massless_equation_residual(f_tr) < 1e-9
+            def gen(q, n=n):
+                return ml.field_from_amplitude(np.exp(-np.sum(q.spatial**2, -1)) * (1 + 0.5j), q, n)
+            f_q = gen(mom.act(lam_inv, p))
+            f_tr = core.transform(gen, s)(p)
+            assert type(f_tr) is ml.MasslessFieldAtP
+            assert core.residual_field_equations(f_tr) < 1e-9
             ts = [rng.normal(size=4) for _ in range(n)]
             pr_t = ml.norm_primed_integrand(f_tr, ts)
             pr_o = ml.norm_primed_integrand(f_q, ts)

@@ -62,7 +62,7 @@ def halved_seed_norm(monkeypatch):
 
 
 def s_on_primed_slots(monkeypatch):
-    transform, kernel = mbw.transform, core._kernel
+    transform, kernel = core.transform, core._kernel
 
     def mutant(gen, s):
         # transform builds its kernel when called: S on both halves of a slot
@@ -70,7 +70,14 @@ def s_on_primed_slots(monkeypatch):
             patch_everywhere(m, core, "_kernel", lambda maps, nb: kernel(maps[:1] * 2, nb))
             return transform(gen, s)
 
-    monkeypatch.setattr(mbw, "transform", mutant)
+    patch_everywhere(monkeypatch, core, "transform", mutant)
+
+
+def negated_exponent(monkeypatch):
+    # exp(-M) in place of exp(M): random parameters are as likely as their
+    # negatives, so only fixed elements can see it
+    exp_rep = sc.exp_rep
+    patch_everywhere(monkeypatch, sc, "exp_rep", lambda omega: exp_rep(-np.asarray(omega)))
 
 
 def wrong_row(monkeypatch):
@@ -276,6 +283,7 @@ MUTATIONS = {
         unsigned_adjoint, ["bilinear_norm_equality", "current_tensor_correspondence"]),
     "gamma table transposed inside dirac_current_matrix_route": (
         transposed_gammas_in_matrix_route, ["bilinear_norm_equality", "current_tensor_correspondence"]),
+    "exp(-M) for exp(M) in exp_rep": (negated_exponent, ["lorentz_homomorphism"]),
     "S transposed in the Kronecker product of sl2c_to_lorentz": (
         transposed_s_in_lorentz_map, ["lorentz_homomorphism", "scalar_lorentz_covariance"]),
     "EPS_UP negated": (negated_eps_up, ["epsilon_roundtrip"]),

@@ -151,6 +151,11 @@ class TestSL2C:
     def test_det_validation(self):
         with pytest.raises(ValueError):
             sc.SL2CElement(2.0 * np.eye(2))
+        # the bound scales like the rounding in det, eps |S|^2: large
+        # elements pass, while a unit-scale matrix is held to 1e-12
+        sc.random_sl2c(np.random.default_rng(0), scale=8, size=2000)
+        with pytest.raises(ValueError, match="determinant"):
+            sc.SL2CElement(np.diag([1.0 + 1e-9, 1.0]))
 
     def test_identity_maps_to_identity(self):
         lam = sc.sl2c_to_lorentz(sc.SL2CElement(np.eye(2)))
