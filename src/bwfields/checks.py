@@ -281,26 +281,28 @@ def _check_scalar_covariance(params, rng):
 
 
 def _seed_form_norm(packet, sampler):
-    """The packet's invariant norm as ``norm_covariant`` takes it, with N(p)
-    from the seed form, amp(p)^2 seed_norm(seed, p, n): no stack is built,
-    so the integral shares no route with the field's slot contractions."""
+    """The packet's invariant norm as ``norm_covariant`` takes it, N(p) from one
+    seed form: no stack, so no route shared with the field's slot contractions."""
     n, mass = packet.n, packet.mass
     pref = float(packet.sign) ** n * 2.0 ** (n / 2.0) / mass ** (2 * n)
-    val, se = mom.integrate(
-        lambda p: packet.amplitude(p) ** 2 * mbw.seed_norm(packet.seed_spinor, p, n), sampler)
+    norm = mbw.seed_form(packet.seed_spinor, n)
+    val, se = mom.integrate(lambda p: packet.amplitude(p) ** 2 * norm(p), sampler)
     return pref * val.real, abs(pref) * se
+
+
+def _seed_packet(params, rng, n):
+    """A spin-n/2 packet on a random seed, its sampler, and its seed-form norm."""
+    packet = mbw.GaussianPacket(n, params["mass"], 1, _rand_sym_seed(rng, n), params["width"])
+    sampler = _monte_carlo_sampler_from(params, params["mass"], 1, int(rng.integers(2**31)))
+    return packet, sampler, _seed_form_norm(packet, sampler)
 
 
 def _check_packet_norm_invariance(params, rng):
     """The seed-form norm of the packet against the stack-route norm of its
     boost."""
-    n = 2
-    seed_sp = _rand_sym_seed(rng, n)
-    packet = mbw.GaussianPacket(n, params["mass"], 1, seed_sp, params["width"])
-    sampler = _monte_carlo_sampler_from(params, params["mass"], 1, int(rng.integers(2**31)))
-    v1, se1 = _seed_form_norm(packet, sampler)
+    packet, sampler, (v1, se1) = _seed_packet(params, rng, 2)
     boosted = core.transform(packet, sc.boost_z(0.8))
-    v2, se2 = mbw.norm_covariant(boosted, sampler, n, params["mass"], 1)
+    v2, se2 = mbw.norm_covariant(boosted, sampler, 2, params["mass"], 1)
     return abs(v2 - v1) / float(np.hypot(se1, se2))
 
 
@@ -533,11 +535,7 @@ def _check_current_tensor(params, rng):
 def _check_bilinear_norm(params, rng):
     """The seed-form norm of a spin-1/2 packet against the Dirac-current
     integral of its stack."""
-    n = 1
-    seed_sp = _rand_sym_seed(rng, n)
-    packet = mbw.GaussianPacket(n, params["mass"], 1, seed_sp, params["width"])
-    sampler = _monte_carlo_sampler_from(params, params["mass"], 1, int(rng.integers(2**31)))
-    v_cov, se_cov = _seed_form_norm(packet, sampler)
+    packet, sampler, (v_cov, se_cov) = _seed_packet(params, rng, 1)
 
     def integrand(p):
         psi = da.pack_bispinor(packet(p))

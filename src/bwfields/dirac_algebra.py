@@ -154,9 +154,9 @@ def dirac_current_matrix_route(psi: np.ndarray) -> np.ndarray:
 def norm_bilinear_integrand(psi: np.ndarray, p: FourMomentum, mass: float) -> np.ndarray:
     """sign * m^{-2} p^a (adjoint gamma_a psi) contraction, per sample.
 
-    The current carries a lower world index, so the contraction with p^a
-    is a plain component sum.
+    The current carries a lower world index, so the contraction with p^a is a
+    plain component sum, over rows: it adds as a trailing-axis sum does.
     """
     j = dirac_current_matrix_route(psi)
-    return p.sign * np.sum(p.vec * j, axis=-1) / mass**2
+    return p.sign * (np.moveaxis(p.vec, -1, 0) * np.moveaxis(j, -1, 0)).sum(axis=0) / mass**2
 

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, permutations
 from types import MappingProxyType
-from typing import ClassVar, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from .momentum import FourMomentum, HyperboloidSampler, integrate, momentum_matrix
+from .momentum import _POSITION_TABLES, FourMomentum, HyperboloidSampler, integrate, momentum_matrix
 from .slot_core import (
     FieldGenerator,
     Label,
@@ -52,6 +52,7 @@ __all__ = [
     "residual_field_equations",
     "tensor_T",
     "scalar_N",
+    "seed_form",
     "seed_norm",
     "norm_standard_integrand",
     "norm_primed_integrand",
@@ -124,9 +125,8 @@ def _symmetric_seed(seed: np.ndarray, n: int) -> np.ndarray:
     seed = np.asarray(seed, dtype=complex)
     if seed.shape[seed.ndim - n:] != (2,) * n:
         raise ValueError("seed must have n trailing spinor axes")
-    if n > 1:
-        if not np.max(np.abs(seed - symmetrize(seed, n))) <= 1e-12 * max(1.0, np.max(np.abs(seed))):
-            raise ValueError("seed is not totally symmetric")
+    if n > 1 and not np.max(np.abs(seed - symmetrize(seed, n))) <= 1e-12 * max(1.0, np.max(np.abs(seed))):
+        raise ValueError("seed is not totally symmetric")
     return seed
 
 
@@ -208,32 +208,47 @@ def scalar_N(f: BWFieldAtP) -> np.ndarray:
     return np.sum(left.real * right.real + left.imag * right.imag, axis=tuple(range(2 * n)))
 
 
-def seed_norm(seed: np.ndarray, p: FourMomentum, n: int) -> np.ndarray:
-    """``scalar_N(build_from_seed(seed, p, n))`` from the seed's 2^n entries.
+# E_k^T on a slot's (i, j) pair, row k, for E = (E00, E11, E01 + E10, i(E01 - E10))
+_SLOT_MOMENTS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0]])
 
-    On each slot of the built field the bit-1 half is B phi with
-    B = -(sqrt2/m) (p^A_{A'})^T, and the slot's two kernels add up to one:
-    P^T + B^dagger P B = 2 P^T for P = p^{AA'}, because p^{AA'} p_{AB'} =
-    (m^2/2) delta.  So the norm is 2^n phibar (p^{AA'})^{(x)n} phi, the seed's
-    unprimed index against p's first one on every slot, with no stack and
-    no slot-core contraction.  ``seed`` is batch + (2,)*n and totally
-    symmetric; the result has the broadcast batch of seed and p.
+
+def seed_form(seed: np.ndarray, n: int) -> Callable[[FourMomentum], np.ndarray]:
+    """``p -> scalar_N(build_from_seed(seed, p, n))`` from coefficients built once.
+
+    A built slot holds phi and B phi, B = -(sqrt2/m) (p^A_{A'})^T, and P^T +
+    B^dagger P B = 2 P^T for P = p^{AA'}, so the norm is 2^n phibar (P^T)^{(x)n}
+    phi.  With P = sum_k w_k E_k it is the real polynomial sum M[k_1..k_n]
+    w_{k_1}..w_{k_n} in w = (P00, P11, Re P01, Im P01), four columns of the
+    cached "uu" table, contracted slot by slot, batch last (for an unbatched
+    seed the first slot is one product).  ``seed`` is batch + (2,)*n, symmetric.
     """
-    seed = _symmetric_seed(seed, n)
-    if p.mass <= 0:
-        raise ValueError("massive construction needs m > 0")
-    p_uu = momentum_matrix(p, "uu")
-    sbatch = seed.shape[: seed.ndim - n]
-    nb = len(np.broadcast_shapes(sbatch, p_uu.shape[:-2]))
-    # spinor axes first and the batch last, padded to nb axes; P[j, i] + batch
-    phi = np.moveaxis(seed, range(len(sbatch)), range(n, n + len(sbatch)))
-    phi = phi.reshape((2,) * n + (1,) * (nb - len(sbatch)) + sbatch)
-    pm = np.moveaxis(p_uu, (-2, -1), (0, 1))
-    q = phi
+    phi = _batch_last(_symmetric_seed(seed, n), n, np.ndim(seed) - n)
+    sbatch = phi.shape[n:]
+    coef = (np.conj(phi)[(slice(None), None) * n] * phi[(None, slice(None)) * n]).reshape((4,) * n + sbatch)
     for k in range(n):
-        lo, hi = q[(slice(None),) * k + (0,)], q[(slice(None),) * k + (1,)]
-        q = np.stack([pm[0, i] * lo + pm[1, i] * hi for i in (0, 1)], axis=k)
-    return 2.0**n * np.sum(phi.real * q.real + phi.imag * q.imag, axis=tuple(range(n)))
+        coef = np.moveaxis(np.tensordot(_SLOT_MOMENTS, coef, axes=(1, k)), 0, k)
+    coef = np.ascontiguousarray(2.0**n * coef.real)
+    rows = _POSITION_TABLES["uu"][:, [0, 6, 2, 3]].T
+
+    def norm(p: FourMomentum) -> np.ndarray:
+        if p.mass <= 0:
+            raise ValueError("massive construction needs m > 0")
+        nb = len(np.broadcast_shapes(sbatch, p.vec.shape[:-1]))
+        w = (rows @ p.vec.reshape(-1, 4).T).reshape((4,) + (1,) * (nb + 1 - p.vec.ndim) + p.vec.shape[:-1])
+        if sbatch:
+            r = np.sum(coef.reshape(coef.shape[:n] + (1,) * (nb - len(sbatch)) + sbatch) * w, axis=n - 1)
+        else:
+            r = (coef.reshape(-1, 4) @ w.reshape(4, -1)).reshape((4,) * (n - 1) + w.shape[1:])
+        for k in reversed(range(n - 1)):
+            r = np.sum(r * w, axis=k)
+        return r
+
+    return norm
+
+
+def seed_norm(seed: np.ndarray, p: FourMomentum, n: int) -> np.ndarray:
+    """``scalar_N(build_from_seed(seed, p, n))`` as ``seed_form(seed, n)(p)``."""
+    return seed_form(seed, n)(p)
 
 
 def norm_standard_integrand(f: BWFieldAtP) -> np.ndarray:
@@ -270,7 +285,6 @@ def trace_reverse_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.nda
     """Apply 2 m^{-2} (p_a p^b - (m^2/2) delta_a^b) to world slot k."""
     op = 2.0 * np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2 - np.eye(4)
     return _apply_world_slot(T, op, k, n)
-
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .slot_core import (
     probe_kernel,
     probe_norm,
 )
-from .spinor_core import EPS_UP, build_ivdw, dual, sigma_generators
+from .spinor_core import EPS_UP, build_ivdw
 
 __all__ = [
     "MasslessFieldAtP",
@@ -148,16 +148,6 @@ def pl_matrices(p: FourMomentum) -> PLMatrices:
     t3 = np.einsum("...im,ain->...amn", p_ll, g.up_w)
     t4 = np.einsum("aim,...in->...amn", g.lo_w, p_uu)
     primed = 0.5 * (t3 - t4)
-    return PLMatrices(unprimed=unprimed, primed=primed)
-
-
-def pl_from_dual_route(p: FourMomentum) -> PLMatrices:
-    """Same matrices via contraction of the momentum with the dual generators."""
-    sg = sigma_generators()
-    star = dual(sg.sigma)
-    star_bar = dual(sg.sigma_bar)
-    unprimed = np.einsum("...b,baxy->...axy", p.covec, star)
-    primed = np.einsum("...b,baxy->...axy", p.covec, star_bar)
     return PLMatrices(unprimed=unprimed, primed=primed)
 
 

@@ -251,12 +251,14 @@ def monte_carlo_sampler(
     Weights are 1 / (2|p^0| rho(p)), so a weighted mean estimates
     integral d^3p f(p) / (2|p^0|).  They are formed in place from -log rho =
     |p|^2 / 2w^2 + 1.5 log 2 pi w^2, which rounds exactly as the negated log
-    density does.
+    density does; scaling standard normals in place rounds as rng.normal does.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    pts = rng.normal(scale=width, size=(n, 3))
+    pts = rng.standard_normal((n, 3))
+    if width != 1:
+        pts *= width
     sq = _spatial_sq(pts)
     w = sq / (2 * width**2)
     w += 1.5 * np.log(2 * np.pi * width**2)

@@ -223,12 +223,11 @@ def residual_field_equations(f: StackField) -> float:
     return _equation_residual(f, f.stack, lambda k: _contract_slot(f.stack, kernel, k))
 
 
-def _mode_value(f: StackField, x: np.ndarray, flip_frequency: bool) -> np.ndarray:
-    p0 = f.p.p0 if not flip_frequency else -f.p.p0
-    return np.exp(1j * (f.p.spatial @ x[1:] - p0 * x[0])) * f.stack
+def _mode_value(f: StackField, x: np.ndarray) -> np.ndarray:
+    return np.exp(1j * (f.p.spatial @ x[1:] - f.p.p0 * x[0])) * f.stack
 
 
-def fd_spacetime_residual(f: StackField, x: np.ndarray, h: float, flip_frequency: bool = False) -> float:
+def fd_spacetime_residual(f: StackField, x: np.ndarray, h: float) -> float:
     """Residual of the position-space equations on one plane-wave mode.
 
     The equations of ``residual_field_equations`` with i nabla in place of
@@ -239,12 +238,9 @@ def fd_spacetime_residual(f: StackField, x: np.ndarray, h: float, flip_frequency
     if f.batch_shape() != ():
         raise ValueError("spacetime residual expects a single-momentum field")
     x = np.asarray(x, dtype=float)
-    value = _mode_value(f, x, flip_frequency)
+    value = _mode_value(f, x)
     # the gradient's world index a is the last axis
-    grad = np.stack([
-        (_mode_value(f, x + e, flip_frequency) - _mode_value(f, x - e, flip_frequency)) / (2 * h)
-        for e in h * np.eye(4)
-    ], axis=-1)
+    grad = np.stack([(_mode_value(f, x + e) - _mode_value(f, x - e)) / (2 * h) for e in h * np.eye(4)], axis=-1)
     # nabla^A_{A'} = eps^{AB} g^a_{BA'} d_a and nabla_A^{A'} = eps^{A'B'} g^a_{AB'} d_a
     g = build_ivdw().lo_w
     kernel = _kernel((np.swapaxes(EPS_UP @ g, -1, -2), g @ EPS_UP.T)[: f.bits], 1)

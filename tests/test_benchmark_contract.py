@@ -1,8 +1,9 @@
-"""The names the benchmark harness relies on, checked without running it.
+"""The names and files the benchmark harness relies on, checked without running it.
 
 ``bwbench/tracing.py`` wraps each function it lists in ``TRACED`` and stops
 when one is gone; ``bwbench/run.py`` times the import of ``scipy.linalg``
-that ``bwfields.verify_cli`` brings in.  Either gap ends a benchmark run.
+that ``bwfields.verify_cli`` brings in, and runs its workloads from the
+configs in ``bwbench/configs``.  Any gap ends a benchmark run.
 """
 
 import importlib
@@ -11,6 +12,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from bwfields import verify_cli as vc
+from bwfields.checks import REGISTRY
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +34,10 @@ def test_traced_names_resolve_and_verify_cli_imports_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "bwbench" / "configs").glob("*.json")))
+def test_benchmark_config_loads_and_names_registered_checks(config):
+    loaded = vc.load_config(str(ROOT / "bwbench" / "configs" / config))
+    names = [entry["name"] for entry in loaded["checks"]]
+    assert names and sorted(set(names) - set(REGISTRY)) == []

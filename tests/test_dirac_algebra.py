@@ -103,6 +103,17 @@ class TestCurrent:
         rhs = sign * np.sqrt(2.0) * mbw.norm_covariant_integrand(f)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("batch", [(5000,), (40, 30)])
+    def test_bilinear_integrand_is_the_trailing_axis_sum_bit_for_bit(self, sign, batch):
+        rng = np.random.default_rng(9)
+        seed = rng.normal(size=batch + (2,)) + 1j * rng.normal(size=batch + (2,))
+        p = mom.on_shell(0.9, sign, rng.normal(size=batch + (3,)))
+        psi = da.pack_bispinor(mbw.build_from_seed(seed, p, 1))
+        ref = sign * np.sum(p.vec * da.dirac_current_matrix_route(psi), axis=-1) / 0.9**2
+        got = da.norm_bilinear_integrand(psi, p, 0.9)
+        assert got.shape == batch and got.tobytes() == ref.tobytes()
+
     def test_bilinear_norm_matches_invariant_norm_quadrature(self):
         rng = np.random.default_rng(8)
         packet = mbw.GaussianPacket(1, 1.0, 1, rng.normal(size=2) + 0j)

@@ -12,6 +12,7 @@ from bwfields import slot_core as core
 from bwfields import spinor_core as sc
 from bwfields.checks import REGISTRY, default_parameters
 from bwfields.slot_core import fd_spacetime_residual
+from test_mutations import flipped_frequency
 
 
 def random_field(rng, n, mass=1.0, sign=1, batch=None):
@@ -322,6 +323,32 @@ class TestScalar:
         assert err <= max(err_oracle, 16 * np.finfo(float).eps)
 
 
+def seed_norm_loop(seed, p, n):
+    """Reference for seed_form: 2^n phibar (p^{AA'T})^{(x)n} phi, applying p^{AA'T} to
+    the 2^n seed entries slot by slot, batch last."""
+    p_uu = mom.momentum_matrix(p, "uu")
+    sbatch = seed.shape[: seed.ndim - n]
+    nb = len(np.broadcast_shapes(sbatch, p_uu.shape[:-2]))
+    phi = np.moveaxis(seed, range(len(sbatch)), range(n, n + len(sbatch)))
+    phi = phi.reshape((2,) * n + (1,) * (nb - len(sbatch)) + sbatch)
+    pm = np.moveaxis(p_uu, (-2, -1), (0, 1))
+    q = phi
+    for k in range(n):
+        lo, hi = q[(slice(None),) * k + (0,)], q[(slice(None),) * k + (1,)]
+        q = np.stack([pm[0, i] * lo + pm[1, i] * hi for i in (0, 1)], axis=k)
+    return 2.0**n * np.sum(phi.real * q.real + phi.imag * q.imag, axis=tuple(range(n)))
+
+
+def seed_norm_clongdouble(seed, p, n):
+    """2^n phibar (p^{AA'T})^{(x)n} phi in clongdouble on the float64 inputs; batch-first seed."""
+    g = sc.build_ivdw().up.astype(np.clongdouble)
+    p_uu = np.einsum("...a,aij->...ij", p.vec.astype(np.longdouble), g)
+    phi = np.asarray(seed).astype(np.clongdouble)
+    iw, jw = "abcdef"[:n], "ghijkl"[:n]
+    subs = [f"...{iw}", f"...{jw}"] + [f"...{jw[k]}{iw[k]}" for k in range(n)]
+    return 2**n * np.einsum(",".join(subs) + "->...", np.conj(phi), phi, *[p_uu] * n).real
+
+
 class TestSeedNorm:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -337,6 +364,53 @@ class TestSeedNorm:
                 ref = mbw.scalar_N(mbw.build_from_seed(seed, p, n))
                 assert got.shape == ref.shape == batch
                 assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_the_seed_entry_loop(self, n):
+        rng = np.random.default_rng(5050 + n)
+        for sign in (1, -1):
+            for seed_batch, p_batch in [((), ()), ((), (9,)), ((7,), (7,)), ((3, 5), (3, 5)), ((4,), (2, 4))]:
+                shape = seed_batch + (2,) * n
+                seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                seed = mbw.symmetrize(seed, n) if n > 1 else seed
+                p = mom.on_shell(1.1, sign, rng.normal(size=p_batch + (3,)))
+                got = mbw.seed_form(seed, n)(p)
+                ref = seed_norm_loop(seed, p, n)
+                assert got.dtype == np.float64 and got.shape == ref.shape
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_large_momenta_against_clongdouble(self, n):
+        # |p| = 50: the polynomial's terms reach 50^n |phi|^2 while N can be far smaller
+        rng = np.random.default_rng(5300 + n)
+        for sign in (1, -1):
+            for mass in (0.6, 1.0, 2.3):
+                seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+                seed = mbw.symmetrize(seed, n) if n > 1 else seed
+                spatial = rng.normal(size=(200, 3))
+                p = mom.on_shell(mass, sign, 50.0 * spatial / np.linalg.norm(spatial, axis=-1, keepdims=True))
+                exact = seed_norm_clongdouble(seed, p, n)
+                assert np.all(np.abs(mbw.seed_form(seed, n)(p) - exact) <= 1e-12 * np.abs(exact))
+
+    @pytest.mark.parametrize("check", ["packet_norm_invariance", "bilinear_norm_equality"])
+    def test_form_built_once_per_check(self, check, monkeypatch):
+        # 20000 samples are five integrand blocks: one form, evaluated once per block
+        seed_form, forms, blocks = mbw.seed_form, [], []
+
+        def counting(seed, n):
+            forms.append(n)
+            norm = seed_form(seed, n)
+
+            def counted(p):
+                blocks.append(len(p.p0))
+                return norm(p)
+
+            return counted
+
+        monkeypatch.setattr(mbw, "seed_form", counting)
+        REGISTRY[check].run(dict(default_parameters(), samples=20000), np.random.default_rng(1))
+        assert len(forms) == 1
+        assert blocks == [mom.INTEGRATE_BLOCK] * 4 + [20000 - 4 * mom.INTEGRATE_BLOCK]
 
     def test_unbatched_seed_under_batched_momenta(self):
         rng = np.random.default_rng(5100)
@@ -576,9 +650,10 @@ class TestSpacetimeResidual:
         r2 = fd_spacetime_residual(f, x, 0.05)
         assert 3.5 < r1 / r2 < 4.5
 
-    def test_wrong_frequency_sign(self, kind):
+    def test_wrong_frequency_sign(self, kind, monkeypatch):
         f = plane_wave(kind, np.random.default_rng(17), 1)
-        r = fd_spacetime_residual(f, np.array([0.1, 0.2, -0.3, 0.4]), 0.05, flip_frequency=True)
+        flipped_frequency(monkeypatch)
+        r = fd_spacetime_residual(f, np.array([0.1, 0.2, -0.3, 0.4]), 0.05)
         assert r > 0.1
 
     def test_invalid_step(self, kind):

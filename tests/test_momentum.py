@@ -157,6 +157,12 @@ class TestCachedKinematics:
         w = np.exp(-log_rho) / (2 * np.sqrt(mass**2 + np.sum(pts**2, axis=1)))
         assert np.array_equal(s.points, pts) and np.array_equal(s.weights, w)
 
+    @pytest.mark.parametrize("width", [0.7, 1.0, 1.3])
+    def test_sampler_draw_is_the_scaled_normal_bit_for_bit(self, width):
+        s = mom.monte_carlo_sampler(1.0, 1, 30000, width, seed=73)
+        pts = np.random.default_rng(73).normal(scale=width, size=(30000, 3))
+        assert s.points.tobytes() == pts.tobytes()
+
     def test_vec_of_strided_spatial_columns(self):
         # act hands FourMomentum the spatial columns of a (..., 4) product
         rows = np.random.default_rng(72).normal(size=(3, 5, 4))

@@ -6,7 +6,6 @@ pass.  A check that cannot fail under its mutation guards nothing.
 """
 
 import dataclasses
-import functools
 import json
 import sys
 from types import SimpleNamespace
@@ -21,6 +20,7 @@ from bwfields import momentum as mom
 from bwfields import slot_core as core
 from bwfields import spinor_core as sc
 from bwfields import verify_cli as vc
+from bwfields.checks import REGISTRY
 
 
 def run_check(name):
@@ -55,10 +55,20 @@ def drop_sqrt2(monkeypatch):
     monkeypatch.setattr(mbw, "_build_from_symmetric", mutant)
 
 
-def halved_seed_norm(monkeypatch):
-    # 2^(n-1) in place of 2^n
-    seed_norm = mbw.seed_norm
-    monkeypatch.setattr(mbw, "seed_norm", lambda seed, p, n: seed_norm(seed, p, n) / 2)
+def halved_seed_form(monkeypatch):
+    # 2^(n-1) in place of 2^n, in the form the checks build once per packet
+    seed_form = mbw.seed_form
+
+    def mutant(seed, n):
+        norm = seed_form(seed, n)
+        return lambda p: norm(p) / 2
+
+    monkeypatch.setattr(mbw, "seed_form", mutant)
+
+
+def untransposed_slot_moments(monkeypatch):
+    # E_k in place of E_k^T: the seed form of p^{AA'} rather than its transpose
+    monkeypatch.setattr(mbw, "_SLOT_MOMENTS", np.conj(mbw._SLOT_MOMENTS))
 
 
 def s_on_primed_slots(monkeypatch):
@@ -249,8 +259,10 @@ def raised_world_index_in_tensor_T(monkeypatch):
 
 def flipped_frequency(monkeypatch):
     # the mode exp(i(p.x + p0 t)) in place of exp(i(p.x - p0 t))
-    residual = functools.partial(core.fd_spacetime_residual, flip_frequency=True)
-    patch_everywhere(monkeypatch, core, "fd_spacetime_residual", residual)
+    def mutant(f, x):
+        return np.exp(1j * (f.p.spatial @ x[1:] + f.p.p0 * x[0])) * f.stack
+
+    monkeypatch.setattr(core, "_mode_value", mutant)
 
 
 def upper_momentum_in_em_spinor(monkeypatch):
@@ -262,7 +274,7 @@ def upper_momentum_in_em_spinor(monkeypatch):
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (
         drop_sqrt2, ["massive_field_equations", "packet_norm_invariance", "bilinear_norm_equality"]),
-    "2^(n-1) for 2^n in seed_norm": (halved_seed_norm, ["packet_norm_invariance", "bilinear_norm_equality"]),
+    "2^(n-1) for 2^n in the seed form": (halved_seed_form, ["packet_norm_invariance", "bilinear_norm_equality"]),
     "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
     "wrong row in the shared slot contraction": (
         wrong_row, ["massive_field_equations", "massless_field_equations"]),
@@ -315,6 +327,29 @@ def test_mutation_fails_its_check(mutation, check, monkeypatch):
     MUTATIONS[mutation][0](monkeypatch)
     result = run_check(check)
     assert result.status == "fail", f"{check} = {result.value} under: {mutation}"
+
+
+def test_every_registered_check_has_a_mutation():
+    covered = {check for _, checks in MUTATIONS.values() for check in checks}
+    assert sorted(set(REGISTRY) - covered) == []
+
+
+def test_untransposed_seed_form_is_a_reflection_seen_only_pointwise(monkeypatch):
+    # E_k for E_k^T: p^{AA'} is Hermitian, so its transpose is its conjugate,
+    # which is p^{AA'} at p^2 -> -p^2.  The Gaussian packets and the sampler are
+    # invariant under that reflection, so the integrals of both seed-form checks
+    # keep their values and only the sampling noise moves; the comparison with
+    # scalar_N at each momentum (TestSeedNorm) is what sees it.
+    rng = np.random.default_rng(31)
+    seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
+    spatial = rng.normal(size=(50, 3))
+    p, reflected = (mom.on_shell(1.0, 1, spatial * s) for s in ([1, 1, 1], [1, -1, 1]))
+    built = mbw.scalar_N(mbw.build_from_seed(seed, p, 2))
+    form = mbw.seed_form(seed, 2)
+    untransposed_slot_moments(monkeypatch)
+    mutant = mbw.seed_form(seed, 2)
+    assert np.array_equal(mutant(p), form(reflected))
+    assert np.max(np.abs(mutant(p) - built) / np.abs(built)) > 0.1
 
 
 def test_nan_fields_fail_the_massless_suite(monkeypatch, capsys):
