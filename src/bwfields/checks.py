@@ -1,16 +1,17 @@
 """Static registry of named verification checks.
 
-Each check draws its randomness from a dedicated generator, measures one
-family of identities and returns the worst violation (a residual, or a
-z-score for quadrature statements).  The anchor string states the identity
-being verified, so a report doubles as a coverage map of the identity
-inventory.
+Each check body draws its randomness from a dedicated generator, measures
+one family of identities and yields its residuals: scalars or arrays
+already divided by their scale, or z-scores for quadrature statements.
+``Check.run`` alone reduces them to the worst violation, NaN if any is NaN.
+The anchor string states the identity being verified, so a report doubles
+as a coverage map of the identity inventory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,7 +38,14 @@ class Check:
     anchor: str
     kind: str  # "residual" | "zscore"
     tolerance: float
-    run: Callable[[dict, np.random.Generator], float]
+    residuals: Callable[[dict, np.random.Generator], Iterator[float | np.ndarray]]
+
+    def run(self, params: dict, rng: np.random.Generator) -> float:
+        """The largest residual the body yields, NaN if any of them is NaN."""
+        maxima = [np.max(r) for r in self.residuals(params, rng)]
+        if not maxima:
+            raise ValueError(f"check {self.name} yielded no residuals")
+        return worst_of(*maxima)
 
 
 def default_parameters() -> dict:
@@ -70,21 +78,19 @@ def _rand_massive(rng, n, mass, sign, batch):
 
 
 def _check_epsilon_roundtrip(params, rng):
-    worst = 0.0
     for rank in range(1, 5):
         arr = rng.normal(size=(2,) * rank) + 1j * rng.normal(size=(2,) * rank)
         slots = tuple((bool(rng.integers(2)), False) for _ in range(rank))
         t = sc.SpinorTensor(arr, slots)
         k = int(rng.integers(rank))
         rt = t.raise_index(k).lower_index(k)
-        worst = worst_of(worst, float(np.max(np.abs(rt.array - arr))))
+        yield np.abs(rt.array - arr)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi_up = sc.SpinorTensor(psi, ((False, False),)).raise_index(0).array
     phi_lo = sc.SpinorTensor(phi, ((False, True),)).lower_index(0).array
     # contraction sign flip: psi^A phi_A = -psi_A phi^A
-    worst = worst_of(worst, abs(np.dot(psi_up, phi_lo) + np.dot(psi, phi)))
-    return worst
+    yield abs(np.dot(psi_up, phi_lo) + np.dot(psi, phi))
 
 
 def _check_ivdw_relations(params, rng):
@@ -92,9 +98,10 @@ def _check_ivdw_relations(params, rng):
     target = np.einsum("ab,xy->abxy", sc.METRIC, np.eye(2))
     iw1 = np.einsum("axm,bym->abxy", g.lo_w, g.up_w) + np.einsum("bxm,aym->abxy", g.lo_w, g.up_w)
     iw2 = np.einsum("axm,bxn->abmn", g.lo_w, g.up_w) + np.einsum("bxm,axn->abmn", g.lo_w, g.up_w)
-    herm = worst_of(*(np.max(np.abs(g.up[a] - g.up[a].conj().T)) for a in range(4)))
-    comp = np.max(np.abs(np.einsum("aij,bij->ab", g.up, g.lo_w) - np.eye(4)))
-    return worst_of(np.max(np.abs(iw1 - target)), np.max(np.abs(iw2 - target)), herm, comp)
+    yield np.abs(iw1 - target)
+    yield np.abs(iw2 - target)
+    yield np.abs(g.up - np.swapaxes(g.up, 1, 2).conj())
+    yield np.abs(np.einsum("aij,bij->ab", g.up, g.lo_w) - np.eye(4))
 
 
 def _check_useful_expressions(params, rng):
@@ -103,33 +110,32 @@ def _check_useful_expressions(params, rng):
     target = np.einsum("ab,xy->abxy", sc.METRIC, np.eye(2))
     ue1 = np.einsum("axm,bym->abxy", g.lo_w, g.up_w) - 0.5 * target - 1j * sg.sigma
     ue2 = np.einsum("axm,bxn->abmn", g.lo_w, g.up_w) - 0.5 * target - 1j * sg.sigma_bar
-    return worst_of(np.max(np.abs(ue1)), np.max(np.abs(ue2)))
+    yield np.abs(ue1)
+    yield np.abs(ue2)
 
 
 def _check_generator_duality(params, rng):
     sg = sc.sigma_generators()
-    d1 = np.max(np.abs(sc.dual(sg.sigma) + 1j * sg.sigma))
-    d2 = np.max(np.abs(sc.dual(sg.sigma_bar) - 1j * sg.sigma_bar))
-    return worst_of(d1, d2)
+    yield np.abs(sc.dual(sg.sigma) + 1j * sg.sigma)
+    yield np.abs(sc.dual(sg.sigma_bar) - 1j * sg.sigma_bar)
 
 
 def _check_generator_routes(params, rng):
     sg = sc.sigma_generators()
     s_eps, sb_eps = sc._sigma_from_epsilon_form()
-    return worst_of(np.max(np.abs(sg.sigma - s_eps)), np.max(np.abs(sg.sigma_bar - sb_eps)))
+    yield np.abs(sg.sigma - s_eps)
+    yield np.abs(sg.sigma_bar - sb_eps)
 
 
 def _check_world_spinor_roundtrip(params, rng):
-    worst = 0.0
     for rank in (1, 2, 3):
         w = rng.normal(size=(4,) * rank)
         for upper in (False, True):
             s = sc.spinor_from_world(w, rank, upper=upper)
-            worst = worst_of(worst, float(np.max(np.abs(sc.world_from_spinor(s, rank, upper=upper) - w))))
+            yield np.abs(sc.world_from_spinor(s, rank, upper=upper) - w)
     v = rng.normal(size=4)
     vs = sc.spinor_from_world(v, 1, upper=True)
-    worst = worst_of(worst, abs(v @ sc.METRIC @ v - 2 * np.linalg.det(vs)))
-    return worst
+    yield abs(v @ sc.METRIC @ v - 2 * np.linalg.det(vs))
 
 
 def _check_lorentz_homomorphism(params, rng):
@@ -141,9 +147,9 @@ def _check_lorentz_homomorphism(params, rng):
     # fixed elements pin the sign of exp_rep, which random ones cannot see
     rot = np.zeros((4, 4))
     rot[1, 2], rot[2, 1] = 0.7, -0.7
-    boost = np.max(np.abs(sc.boost_z(0.8).matrix - np.diag(np.exp([0.4, -0.4]))))
-    turn = np.max(np.abs(sc.exp_rep(rot).matrix - np.diag(np.exp([0.35j, -0.35j]))))
-    return worst_of(np.max(np.abs(lhs - rhs)), boost, turn)
+    yield np.abs(lhs - rhs)
+    yield np.abs(sc.boost_z(0.8).matrix - np.diag(np.exp([0.4, -0.4])))
+    yield np.abs(sc.exp_rep(rot).matrix - np.diag(np.exp([0.35j, -0.35j])))
 
 
 def _check_clifford(params, rng):
@@ -155,30 +161,27 @@ def _check_clifford(params, rng):
     comm = np.einsum("qab,rbc->qrac", gs.gamma, gs.gamma) - np.einsum(
         "rab,qbc->qrac", gs.gamma, gs.gamma
     )
-    return worst_of(np.max(np.abs(anti - target)), np.max(np.abs(comm - 4j * gs.sigma)))
+    yield np.abs(anti - target)
+    yield np.abs(comm - 4j * gs.sigma)
 
 
 def _check_gamma5(params, rng):
     gs = da.build_gammas()
-    block = np.diag([-1.0, -1.0, 1.0, 1.0])
-    sq = np.max(np.abs(gs.gamma5 @ gs.gamma5 - np.eye(4)))
-    anti = worst_of(
-        *(np.max(np.abs(gs.gamma5 @ gs.gamma[q] + gs.gamma[q] @ gs.gamma5)) for q in range(4))
-    )
-    return worst_of(np.max(np.abs(gs.gamma5 - block)), sq, anti)
+    yield np.abs(gs.gamma5 - np.diag([-1.0, -1.0, 1.0, 1.0]))
+    yield np.abs(gs.gamma5 @ gs.gamma5 - np.eye(4))
+    yield np.abs(gs.gamma5 @ gs.gamma + gs.gamma @ gs.gamma5)
 
 
 def _check_gamma_ivdw(params, rng):
     g = sc.build_ivdw()
     pauli = sc._PAULI
     sig_tilde = np.array([np.eye(2), -pauli[1], -pauli[2], -pauli[3]])
-    d1 = np.max(np.abs(g.up - pauli / np.sqrt(2.0)))
-    d2 = np.max(np.abs(g.lo - np.transpose(sig_tilde, (0, 2, 1)) / np.sqrt(2.0)))
+    yield np.abs(g.up - pauli / np.sqrt(2.0))
+    yield np.abs(g.lo - np.transpose(sig_tilde, (0, 2, 1)) / np.sqrt(2.0))
     gs = da.build_gammas()
     sg = sc.sigma_generators()
-    d3 = np.max(np.abs(gs.sigma[:, :, :2, :2] - sg.sigma_low))
-    d4 = np.max(np.abs(gs.sigma[:, :, 2:, 2:] - sg.sigma_bar_low))
-    return worst_of(d1, d2, d3, d4)
+    yield np.abs(gs.sigma[:, :, :2, :2] - sg.sigma_low)
+    yield np.abs(gs.sigma[:, :, 2:, 2:] - sg.sigma_bar_low)
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +196,27 @@ def _field_scale(f) -> float:
 def _check_massive_field_equations(params, rng):
     # residual relative to the largest component: random momentum tails can
     # push component magnitudes to ~1e3 where float64 costs the headroom
-    worst = 0.0
     for n in params["spins"]:
         for sign in (1, -1):
             f = _rand_massive(rng, n, params["mass"], sign, 20)
-            worst = worst_of(worst, core.residual_field_equations(f) / _field_scale(f))
-    return worst
+            yield core.residual_field_equations(f) / _field_scale(f)
 
 
 def _check_projection(params, rng):
-    worst = 0.0
     for n in params["spins"]:
         for sign in (1, -1):
             f = _rand_massive(rng, n, params["mass"], sign, 50)
             T = mbw.tensor_T(f)
             scale = float(np.max(np.abs(T)))
             for k in range(n):
-                worst = worst_of(
-                    worst,
-                    float(np.max(np.abs(T - mbw.project_slot(T, f.p, k, n)))) / scale,
-                    float(np.max(np.abs(T - mbw.trace_reverse_slot(T, f.p, k, n)))) / scale,
-                )
+                yield np.abs(T - mbw.project_slot(T, f.p, k, n)) / scale
+                yield np.abs(T - mbw.trace_reverse_slot(T, f.p, k, n)) / scale
             full = mbw.scalar_N(f) / f.p.mass ** (2 * n)
             nfold = full[(...,) + (None,) * n] * core.outer_power(f.p.covec, n)
-            worst = worst_of(worst, float(np.max(np.abs(T - nfold))) / scale)
-    return worst
+            yield np.abs(T - nfold) / scale
 
 
 def _check_norm_equivalences(params, rng):
-    worst = 0.0
     for n in params["spins"]:
         for sign in (1, -1):
             # ten fields as a (1, 10) batch and ten probe sets as (10, 1, 4)
@@ -233,36 +228,27 @@ def _check_norm_equivalences(params, rng):
             scale = float(np.max(np.abs(cov)))
             probes = rng.normal(size=(10, n, 4))
             pr = mbw.norm_primed_integrand(f, [probes[:, k, None] for k in range(n)])
-            worst = worst_of(worst, np.max(np.abs(pr - cov)) / scale)
+            yield np.abs(pr - cov) / scale
             # the first set through the world tensor, a route that shares no
             # code with the spinor-pair contraction
             world = mbw.tensor_T(f)
             for t in reversed(probes[0]):
                 world = world @ t
             world = world / np.prod([mom.minkowski_dot(t, f.p.vec) for t in probes[0]], axis=0)
-            worst = worst_of(
-                worst,
-                np.max(np.abs(world - pr[0])) / scale,
-                np.max(np.abs(pr[1:] - pr[0])) / scale,
-            )
+            yield np.abs(world - pr[0]) / scale
+            yield np.abs(pr[1:] - pr[0]) / scale
             tpm = [np.array([float(sign), 0.0, 0.0, 0.0])] * n
             pr_t = mbw.norm_primed_integrand(f, tpm)
-            worst = worst_of(
-                worst,
-                float(np.max(np.abs(pr_t - sign**n * 2.0 ** (-n / 2.0) * std)))
-                / float(np.max(np.abs(std))),
-                float(np.max(np.abs(std - sign**n * 2.0 ** (n / 2.0) * cov)))
-                / float(np.max(np.abs(std))),
-            )
-            if np.any(sign**n * mbw.scalar_N(f) < 0):
-                worst = worst_of(worst, 1.0)
-    return worst
+            std_scale = float(np.max(np.abs(std)))
+            yield np.abs(pr_t - sign**n * 2.0 ** (-n / 2.0) * std) / std_scale
+            yield np.abs(std - sign**n * 2.0 ** (n / 2.0) * cov) / std_scale
+            # a negative norm fails outright
+            yield float(np.any(sign**n * mbw.scalar_N(f) < 0))
 
 
 def _check_scalar_covariance(params, rng):
     """Pointwise invariance of the full momentum contraction under the
     spinor action, at full parameter scale for spins 1 and 2."""
-    worst = 0.0
     for n in (1, 2):
         seed_sp = _rand_sym_seed(rng, n)
 
@@ -276,8 +262,7 @@ def _check_scalar_covariance(params, rng):
         lam_inv = sc.sl2c_to_lorentz(s).inverse()
         n_tr = mbw.scalar_N(core.transform(gen, s)(q))
         n_ref = mbw.scalar_N(gen(mom.act(lam_inv, q)))
-        worst = worst_of(worst, float(np.max(np.abs(n_tr - n_ref) / np.abs(n_ref))))
-    return worst
+        yield np.abs(n_tr - n_ref) / np.abs(n_ref)
 
 
 def _seed_form_norm(packet, sampler):
@@ -297,13 +282,23 @@ def _seed_packet(params, rng, n):
     return packet, sampler, _seed_form_norm(packet, sampler)
 
 
+def _zscore(a, se_a, b, se_b):
+    """|a - b| in units of the combined standard error.  With no error it is
+    0.0 if the values agree within 1e-12 and inf otherwise; an infinite error,
+    from an estimate that overflowed, gives NaN."""
+    denom = float(np.hypot(se_a, se_b))
+    if denom == 0.0:
+        return 0.0 if abs(a - b) < 1e-12 else float("inf")
+    return abs(a - b) / denom if denom < float("inf") else float("nan")
+
+
 def _check_packet_norm_invariance(params, rng):
     """The seed-form norm of the packet against the stack-route norm of its
     boost."""
     packet, sampler, (v1, se1) = _seed_packet(params, rng, 2)
     boosted = core.transform(packet, sc.boost_z(0.8))
     v2, se2 = mbw.norm_covariant(boosted, sampler, 2, params["mass"], 1)
-    return abs(v2 - v1) / float(np.hypot(se1, se2))
+    yield _zscore(v1, se1, v2, se2)
 
 
 def _fd_order(f, x):
@@ -319,7 +314,7 @@ def _fd_order(f, x):
 
 def _check_fd_massive(params, rng):
     f = _rand_massive(rng, 2, params["mass"], 1, ())
-    return _fd_order(f, rng.normal(size=4) * 0.3)
+    yield _fd_order(f, rng.normal(size=4) * 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +342,6 @@ def _massless_spins(params):
 
 
 def _check_massless_field_equations(params, rng):
-    worst = 0.0
     for n in _massless_spins(params):
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
@@ -355,36 +349,31 @@ def _check_massless_field_equations(params, rng):
             fv = rng.normal(size=50) + 1j * rng.normal(size=50)
             for fld in (ml.field_from_potential(xi, p), ml.field_from_amplitude(fv, p, n)):
                 scale = max(1.0, float(np.max(np.abs(fld.psi))) * float(np.max(np.abs(p.vec))))
-                worst = worst_of(worst, core.residual_field_equations(fld) / scale)
-    return worst
+                yield core.residual_field_equations(fld) / scale
 
 
 def _check_helicity(params, rng):
-    worst = 0.0
     for n in _massless_spins(params):
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
             fv = rng.normal(size=50) + 1j * rng.normal(size=50)
             fld = ml.field_from_amplitude(fv, p, n)
-            worst = worst_of(worst, ml.helicity_residual(fld))
-            worst = worst_of(worst, abs(ml.helicity_eigenvalue(fld) - ml.HELICITY_SIGN * n / 2.0))
-    return worst
+            residual, eigenvalue = ml.helicity(fld)
+            yield residual
+            yield abs(eigenvalue - ml.HELICITY_SIGN * n / 2.0)
 
 
 def _check_eta_normalization(params, rng):
-    worst = 0.0
     for n in _massless_spins(params):
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
             for shift in (0.0, 0.4 - 0.7j):
                 eta = ml.eta_canonical(p, n, gauge_shift=shift)
                 val = ml.potential_route_integrand(ml.HertzPotentialAtP(n=n, xi=eta), p)
-                worst = worst_of(worst, float(np.max(np.abs(val - sign**n))))
-    return worst
+                yield np.abs(val - sign**n)
 
 
 def _check_amplitude_identity(params, rng):
-    worst = 0.0
     for n in _massless_spins(params):
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
@@ -394,14 +383,12 @@ def _check_amplitude_identity(params, rng):
             scale = float(np.max(target))
             ts = [rng.normal(size=4) for _ in range(n)]
             pr = ml.norm_primed_integrand(fld, ts)
-            worst = worst_of(worst, float(np.max(np.abs(sign**n * pr - target))) / scale)
+            yield np.abs(sign**n * pr - target) / scale
             eta = ml.eta_canonical(p, n)
             xi = ml.HertzPotentialAtP(n=n, xi=fv[(...,) + (None,) * n] * eta)
             fld_pot = ml.field_from_potential(xi, p)
-            worst = worst_of(worst, float(np.max(np.abs(fld_pot.psi - fld.psi))))
-            u_route = ml.potential_route_integrand(xi, p)
-            worst = worst_of(worst, float(np.max(np.abs(pr - u_route))) / scale)
-    return worst
+            yield np.abs(fld_pot.psi - fld.psi)
+            yield np.abs(pr - ml.potential_route_integrand(xi, p)) / scale
 
 
 def _check_amplitude_gaussian_norm(params, rng):
@@ -413,14 +400,13 @@ def _check_amplitude_gaussian_norm(params, rng):
         return ml.amplitude_norm_integrand(fv)
 
     val, se = mom.integrate(integrand, sampler)
-    analytic = np.pi * width**2
-    return abs(val.real - analytic) / se
+    yield _zscore(val.real, se, np.pi * width**2, 0.0)
 
 
 def _check_fd_massless(params, rng):
     p = mom.on_shell(0.0, 1, rng.normal(size=3))
     fld = ml.field_from_amplitude(np.asarray(1.0 + 0.5j), p, 2)
-    return _fd_order(fld, rng.normal(size=4) * 0.3)
+    yield _fd_order(fld, rng.normal(size=4) * 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +426,6 @@ def _real_modes(rng, sign, shape):
 
 
 def _check_em_spinor_symmetry(params, rng):
-    worst = 0.0
     for sign in (1, -1):
         p = mom.on_shell(0.0, sign, rng.normal(size=(10, 3)))
         v = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
@@ -449,17 +434,12 @@ def _check_em_spinor_symmetry(params, rng):
         phi1 = mx.em_spinor_from_potential(pot, "first")
         phi2 = mx.em_spinor_from_potential(pot, "second")
         gauge = mx.PotentialAtP(phi=(0.7 + 0.1j) * p.vec, p=p)
-        worst = worst_of(
-            worst,
-            float(np.max(np.abs(phi1 - phi2))),
-            float(np.max(np.abs(phi1 - np.swapaxes(phi1, -1, -2)))),
-            float(np.max(np.abs(mx.em_spinor_from_potential(gauge)))),
-        )
-    return worst
+        yield np.abs(phi1 - phi2)
+        yield np.abs(phi1 - np.swapaxes(phi1, -1, -2))
+        yield np.abs(mx.em_spinor_from_potential(gauge))
 
 
 def _check_three_way_tensor(params, rng):
-    worst = 0.0
     for sign in (1, -1):
         pot = _real_modes(rng, sign, (25,))
         far = mx.faraday_from_potential(pot)
@@ -467,28 +447,21 @@ def _check_three_way_tensor(params, rng):
         t_spinor = mx.tensor_T_em(phi_ab)
         scale = np.maximum(_sample_max(t_spinor), 1e-30)
         phi_scale = np.maximum(_sample_max(phi_ab), 1e-30)
-        worst = worst_of(
-            worst,
-            float(np.max(_sample_max(t_spinor - mx.stress_form(far)) / scale)),
-            float(np.max(_sample_max(t_spinor - mx.potential_form(pot)) / scale)),
-            float(np.max(_sample_max(mx.em_spinor(far) - phi_ab) / phi_scale)),
-        )
-    return worst
+        yield _sample_max(t_spinor - mx.stress_form(far)) / scale
+        yield _sample_max(t_spinor - mx.potential_form(pot)) / scale
+        yield _sample_max(mx.em_spinor(far) - phi_ab) / phi_scale
 
 
 def _check_energy_density(params, rng):
-    worst = 0.0
     for sign in (1, -1):
         pot = _real_modes(rng, sign, (50,))
         e_vec, b_vec = mx.eb_from_faraday(mx.faraday_from_potential(pot).f)
         t00 = mx.tensor_T_em(mx.em_spinor_from_potential(pot))[..., 0, 0]
         target = 0.25 * (np.sum(e_vec.real**2, -1) + np.sum(b_vec.real**2, -1))
-        worst = worst_of(worst, float(np.max(np.abs(t00 - target) / np.maximum(target, 1e-30))))
-    return worst
+        yield np.abs(t00 - target) / np.maximum(target, 1e-30)
 
 
 def _check_maxwell_vs_massless_norm(params, rng):
-    worst = 0.0
     for sign in (1, -1):
         # 10 groups of 10 momenta, one probe pair per group; real F: the
         # field-tensor and spinor forms agree only on real fields
@@ -497,8 +470,7 @@ def _check_maxwell_vs_massless_norm(params, rng):
         v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
         fld = ml.MasslessFieldAtP.from_psi(2, pot.p, mx.em_spinor_from_potential(pot))
         v_ml = ml.norm_primed_integrand(fld, [t1, t2])
-        worst = worst_of(worst, float(np.max(_sample_max(v_em - v_ml, -1) / _sample_max(v_ml, -1))))
-    return worst
+        yield _sample_max(v_em - v_ml, -1) / _sample_max(v_ml, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +479,24 @@ def _check_maxwell_vs_massless_norm(params, rng):
 
 
 def _check_dirac_bridge(params, rng):
-    worst = 0.0
     for sign in (1, -1):
         f = _rand_massive(rng, 1, params["mass"], sign, 50)
         psi = da.pack_bispinor(f)
-        worst = worst_of(worst, da.dirac_residual(psi, f.p, params["mass"]))
-        back = da.unpack_bispinor(psi, f.p)
-        worst = worst_of(worst, core.residual_field_equations(back))
-    return worst
+        yield da.dirac_residual(psi, f.p, params["mass"])
+        yield core.residual_field_equations(da.unpack_bispinor(psi, f.p))
 
 
 def _check_current_tensor(params, rng):
-    worst = 0.0
     for sign in (1, -1):
         f = _rand_massive(rng, 1, params["mass"], sign, 50)
         psi = da.pack_bispinor(f)
         T = mbw.tensor_T(f)
         j_mat = da.dirac_current_matrix_route(psi)
         j_spin = da.dirac_current(psi)
-        worst = worst_of(worst, float(np.max(np.abs(T - j_mat / np.sqrt(2.0)))))
-        worst = worst_of(worst, float(np.max(np.abs(j_spin - j_mat))))
-        if np.any(j_spin[..., 0] < 0):
-            worst = worst_of(worst, 1.0)
-    return worst
+        yield np.abs(T - j_mat / np.sqrt(2.0))
+        yield np.abs(j_spin - j_mat)
+        # a negative charge density fails outright
+        yield float(np.any(j_spin[..., 0] < 0))
 
 
 def _check_bilinear_norm(params, rng):
@@ -542,10 +509,7 @@ def _check_bilinear_norm(params, rng):
         return da.norm_bilinear_integrand(psi, p, params["mass"])
 
     val, se = mom.integrate(integrand, sampler)
-    denom = float(np.hypot(se_cov, se))
-    if denom == 0.0:
-        return 0.0 if abs(val.real - v_cov) < 1e-12 else float("inf")
-    return abs(val.real - v_cov) / denom
+    yield _zscore(v_cov, se_cov, val.real, se)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +521,8 @@ MODULES = ("identities", "massive", "massless", "maxwell", "dirac")
 REGISTRY: dict[str, Check] = {}
 
 
-def _register(name, module, anchor, kind, tolerance, run):
-    REGISTRY[name] = Check(name, module, anchor, kind, tolerance, run)
+def _register(name, module, anchor, kind, tolerance, residuals):
+    REGISTRY[name] = Check(name, module, anchor, kind, tolerance, residuals)
 
 
 _register(

@@ -38,8 +38,7 @@ __all__ = [
     "field_from_amplitude",
     "pl_matrices",
     "apply_spin_vector",
-    "helicity_residual",
-    "helicity_eigenvalue",
+    "helicity",
     "norm_primed_integrand",
     "potential_route_integrand",
     "amplitude_norm_integrand",
@@ -151,34 +150,23 @@ def pl_matrices(p: FourMomentum) -> PLMatrices:
     return PLMatrices(unprimed=unprimed, primed=primed)
 
 
-def apply_spin_vector(field: MasslessFieldAtP, pl: PLMatrices | None = None) -> np.ndarray:
+def apply_spin_vector(field: MasslessFieldAtP) -> np.ndarray:
     """Slot-summed action sum_k S^a(slot k) psi, as a stack with the world
     index a as its last batch axis: shape (1, 2)*n + batch + (4,)."""
-    if pl is None:
-        pl = pl_matrices(field.p)
     stack = field.stack[..., None]
-    kernel = _kernel((pl.unprimed,), stack.ndim - 2 * field.n)
+    kernel = _kernel((pl_matrices(field.p).unprimed,), stack.ndim - 2 * field.n)
     return sum(_contract_slot(stack, kernel, k) for k in range(field.n))
 
 
-def _momentum_times_field(field: MasslessFieldAtP) -> np.ndarray:
-    return field.stack[..., None] * field.p.vec
-
-
-def helicity_residual(field: MasslessFieldAtP) -> float:
-    """Max violation of (slot sum S^a) psi = -(n/2) p^a psi."""
+def helicity(field: MasslessFieldAtP) -> tuple[float, float]:
+    """One action of the spin vector, two readings: the max violation of
+    (slot sum S^a) psi = -(n/2) p^a psi, and the least-squares eigenvalue h
+    in (slot sum S^a) psi = h p^a psi."""
     lhs = apply_spin_vector(field)
-    rhs = HELICITY_SIGN * (field.n / 2.0) * _momentum_times_field(field)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def helicity_eigenvalue(field: MasslessFieldAtP) -> float:
-    """Least-squares eigenvalue h in (slot sum S^a) psi = h p^a psi."""
-    lhs = apply_spin_vector(field)
-    rhs = _momentum_times_field(field)
-    num = np.sum(np.conj(rhs) * lhs)
-    den = np.sum(np.abs(rhs) ** 2)
-    return float((num / den).real)
+    rhs = field.stack[..., None] * field.p.vec
+    residual = float(np.max(np.abs(lhs - HELICITY_SIGN * (field.n / 2.0) * rhs)))
+    eigenvalue = np.sum(np.conj(rhs) * lhs) / np.sum(np.abs(rhs) ** 2)
+    return residual, float(eigenvalue.real)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ CHECK_PARAMETERS = frozenset(default_parameters())
 # keys a config file and its "sampler" mapping may set
 CONFIG_KEYS = ("seed", "sampler", "spins", "mass", "tolerances", "checks")
 SAMPLER_KEYS = ("samples", "width", "seed", "scheme")
+# accepted mass and sampler width, ends included: every check runs to a
+# result at both ends, while a mass of 1e40 or 1e-40, or a width of 1e155,
+# breaks float64 (an overflow, a complex world tensor) before any check can
+SCALE_RANGE = (1e-20, 1e20)
+# at most this many quadrature samples, about 0.6 GiB at peak
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,11 @@ def _integer(value, what: str) -> int:
 
 def _real(value, what: str) -> float:
     """A finite real config value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -87,12 +97,14 @@ def _validate_parameters(params: dict) -> None:
         integral = isinstance(n, numbers.Integral) and not isinstance(n, bool)
         if not integral or not 1 <= n <= DEFAULT_SPIN_CAP:
             raise ConfigError(f"spin index {n!r} outside 1..{DEFAULT_SPIN_CAP}")
-    if _real(params.get("mass", 0.0), "mass") <= 0.0:
-        raise ConfigError("massive checks need mass > 0")
-    if _integer(params.get("samples", 0), "samples") < 2:
-        raise ConfigError("need at least 2 quadrature samples")
-    if _real(params.get("width", 0.0), "sampler width") <= 0.0:
-        raise ConfigError("sampler width must be positive")
+    lo, hi = SCALE_RANGE
+    for key, what in (("mass", "mass"), ("width", "sampler width")):
+        value = _real(params.get(key, 0.0), what)
+        if not lo <= value <= hi:
+            raise ConfigError(f"{what} must lie in [{lo:g}, {hi:g}], got {value!r}")
+    samples = _integer(params.get("samples", 0), "samples")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples must lie in 2..{MAX_SAMPLES}, got {samples}")
 
 
 def _known_keys(mapping: dict, accepted: tuple[str, ...], what: str) -> None:
@@ -137,7 +149,7 @@ def load_config(path: str | None) -> dict:
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be a mapping")
     config["tolerances"] = {
-        str(k): _tolerance(v, f"tolerance of {k}") for k, v in tolerances.items()
+        str(k): _tolerance(v, f"tolerance of {k!r}") for k, v in tolerances.items()
     }
     checks = raw.get("checks")
     if checks is not None:

@@ -6,9 +6,10 @@ import platform
 import numpy as np
 import pytest
 import scipy
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bwfields import verify_cli as vc
-from bwfields.checks import MODULES, REGISTRY
+from bwfields.checks import MODULES, REGISTRY, Check, _zscore
 
 
 def fast_config(**overrides):
@@ -29,6 +30,39 @@ class TestRegistry:
     def test_every_module_has_checks(self):
         for module in MODULES:
             assert any(c.module == module for c in REGISTRY.values())
+
+
+class TestCheckRun:
+    """Check.run is the one reduction of the residuals a body yields."""
+
+    @staticmethod
+    def run(*values):
+        def body(params, rng):
+            yield from values
+
+        return Check("synthetic", "identities", "", "residual", 1.0, body).run({}, None)
+
+    def test_largest_value(self):
+        assert self.run(0.5, 3, np.float64(2.5)) == 3.0
+
+    def test_array_reduces_by_its_max(self):
+        assert self.run(0.1, np.array([[0.2, 4.0], [1.0, 0.0]]), 2.0) == 4.0
+
+    def test_nan_after_a_larger_value_gives_nan(self):
+        assert math.isnan(self.run(5.0, np.nan))
+        assert math.isnan(self.run(np.array([5.0, 1.0]), np.array([0.0, np.nan])))
+
+    def test_body_that_yields_nothing_is_an_error(self):
+        with pytest.raises(ValueError):
+            self.run()
+
+    def test_zscore_rule(self):
+        assert _zscore(1.0, 3.0, 2.0, 4.0) == 0.2
+        assert _zscore(2.0, 0.5, 1.0, 0.0) == 2.0
+        # no standard error: agreement within 1e-12 passes, anything else fails
+        assert _zscore(1.0, 0.0, 1.0 + 1e-13, 0.0) == 0.0
+        assert _zscore(1.0, 0.0, 2.0, 0.0) == math.inf
+        assert math.isnan(_zscore(1.0, math.inf, 2.0, 1.0))
 
 
 class TestRunSuite:
@@ -207,12 +241,20 @@ class TestMain:
         {"tolerances": {"epsilon_roundtrip": float("inf")}},
         {"tolerances": {"epsilon_roundtrip": -1e-12}},
         {"tolerances": {"epsilon_roundtrip": "1e-12"}},
+        {"tolerances": {"\r": None}},
         {"checks": [{"name": "epsilon_roundtrip", "parameters": [1]}]},
         {"checks": [{"name": "trace_reversal_projection", "parameters": {"fields": 5}}]},
         {"samples": 10},
         {"spin": [7]},
         {"parameters": {"spins": [7]}},
         {"sampler": {"sampels": 10}},
+        {"mass": 1e40},
+        {"mass": 1e-40},
+        {"mass": 10**400},
+        {"sampler": {"width": 1e155}},
+        {"sampler": {"width": 1e-100, "samples": 2000}},
+        {"sampler": {"samples": 1e12}},
+        {"sampler": {"samples": vc.MAX_SAMPLES + 1}},
     ])
     def test_malformed_config_value_is_usage_error(self, raw, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -228,6 +270,9 @@ class TestMain:
         ["identities", "--tol", "-1"],
         ["massive", "--mass", "inf"],
         ["identities", "--seed", "-5"],
+        ["all", "--mass", "1e40"],
+        ["all", "--mass", "1e-40"],
+        ["all", "--samples", "1000000000000"],
     ])
     def test_malformed_flag_value_is_usage_error(self, argv, capsys):
         assert vc.main(argv) == 2
@@ -293,3 +338,72 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write timings")
         assert len(captured.err.splitlines()) == 1
+
+
+class TestConfigFuzz:
+    """Any JSON object given as a config ends in exit 0, 1 or 2, never in a
+    traceback, and exit 2 writes one line."""
+
+    # none of these reads "samples", so no fuzzed sample count is allocated
+    CHECKS = ["epsilon_roundtrip", "massive_field_equations", "scalar_lorentz_covariance",
+              "fd_plane_wave_massive", "helicity_eigenequation", "dirac_bridge"]
+    LO, HI = vc.SCALE_RANGE
+    EDGES = [LO, HI, LO * 0.999, HI * 1.001, 0.0, -1.0, 1, 2, vc.MAX_SAMPLES,
+             vc.MAX_SAMPLES + 1, 1e12, 1e155, 10**400, math.nan, math.inf]
+
+    leaf = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(EDGES))
+    value = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+    number = st.sampled_from(EDGES) | st.floats() | st.integers() | value
+    spins = st.lists(st.integers(0, 7), max_size=3) | value
+    parameters = st.fixed_dictionaries(
+        {}, optional={"spins": spins, "mass": number, "samples": number, "width": number})
+    entry = (st.sampled_from(CHECKS)
+             | st.fixed_dictionaries({"name": st.sampled_from(CHECKS)},
+                                     optional={"parameters": parameters | value})
+             | value)
+    config = st.fixed_dictionaries(
+        # "checks" is always given and never null, which would run every check
+        {"checks": st.lists(entry, max_size=3) | value.filter(lambda v: v is not None)},
+        optional={
+            "seed": st.integers(-3, 2**70) | value,
+            "sampler": st.fixed_dictionaries(
+                {}, optional={"samples": number, "width": number, "seed": number,
+                              "scheme": st.sampled_from(["monte-carlo", "grid"]) | value}) | value,
+            "spins": spins,
+            "mass": number,
+            "tolerances": st.dictionaries(st.sampled_from(CHECKS) | st.text(max_size=6), number,
+                                          max_size=2) | value,
+            "parameters": value,
+        },
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=config)
+    @example(raw={"checks": CHECKS, "mass": LO, "spins": [1, 6]})
+    @example(raw={"checks": CHECKS, "mass": HI, "spins": [1, 6],
+                  "sampler": {"width": HI, "samples": vc.MAX_SAMPLES}})
+    @example(raw={"checks": CHECKS, "sampler": {"width": LO, "samples": 2}})
+    @example(raw={"checks": CHECKS, "mass": LO * 0.999})
+    @example(raw={"checks": CHECKS, "mass": HI * 1.001})
+    @example(raw={"checks": CHECKS, "sampler": {"width": HI * 1.001}})
+    @example(raw={"checks": CHECKS, "sampler": {"samples": vc.MAX_SAMPLES + 1}})
+    def test_any_json_object_gives_an_exit_code(self, raw, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        rc = vc.main(["all", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mass", vc.SCALE_RANGE)
+    @pytest.mark.parametrize("width", vc.SCALE_RANGE)
+    def test_every_check_runs_at_the_range_ends(self, mass, width):
+        config = fast_config()
+        config["parameters"].update(mass=mass, width=width)
+        assert len(vc.run_suite(config, "all")) == len(REGISTRY)
