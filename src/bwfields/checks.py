@@ -262,7 +262,10 @@ def _check_scalar_covariance(params, rng):
         lam_inv = sc.sl2c_to_lorentz(s).inverse()
         n_tr = mbw.scalar_N(core.transform(gen, s)(q))
         n_ref = mbw.scalar_N(gen(mom.act(lam_inv, q)))
-        yield np.abs(n_tr - n_ref) / np.abs(n_ref)
+        # a norm that underflows to 0, at the low end of the mass range,
+        # gives inf (or NaN): a failure, without a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yield np.abs(n_tr - n_ref) / np.abs(n_ref)
 
 
 def _seed_form_norm(packet, sampler):

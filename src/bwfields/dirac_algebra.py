@@ -135,19 +135,23 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     return j.real
 
 
+@lru_cache(maxsize=1)
+def _gamma_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (a, b) at which some gamma_q^{ab} is nonzero: the 8
+    entries of the off-diagonal blocks."""
+    return np.nonzero(np.any(build_gammas().gamma != 0, axis=0))
+
+
 def dirac_current_matrix_route(psi: np.ndarray) -> np.ndarray:
     """j_a = adjoint(psi) gamma_a psi; must match the spinor form."""
-    gam = build_gammas().gamma
+    a, b = _gamma_pairs()
     psi = np.asarray(psi, dtype=complex)
     batch = psi.shape[:-1]
     # components first: psi_b and adj_a as rows over the samples
     psi_rows = np.moveaxis(psi, -1, 0).reshape(4, -1)
     adj_rows = np.moveaxis(dirac_adjoint(psi), -1, 0).reshape(4, -1)
-    # adj_a gamma_q^{ab} for every (q, b) in one product, then the pairing with psi_b
-    adj_gamma = (gam.transpose(0, 2, 1).reshape(16, 4) @ adj_rows).reshape(4, 4, -1)
-    j = adj_gamma[:, 0] * psi_rows[0]
-    for b in range(1, 4):
-        j += adj_gamma[:, b] * psi_rows[b]
+    # adj_a psi_b on the nonzero pairs, weighted by gamma_q^{ab}: one product
+    j = build_gammas().gamma[:, a, b] @ (adj_rows[a] * psi_rows[b])
     return np.moveaxis(j.real.reshape((4,) + batch), 0, -1)
 
 

@@ -18,6 +18,7 @@ contractions of the stack with a per-slot kernel K[bit, i, j].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, permutations
@@ -204,8 +205,13 @@ def scalar_N(f: BWFieldAtP) -> np.ndarray:
     # slots n-h..n-1 first, then the contracted slots 0..n-h-1
     order = [*range(n - h, n), *range(n - h)]
     axes = [a for s in order for a in (2 * s, 2 * s + 1)] + list(range(2 * n, f.stack.ndim))
-    right = right.transpose(axes)
-    return np.sum(left.real * right.real + left.imag * right.imag, axis=tuple(range(2 * n)))
+    # Re(conj(left) right) summed over the spinor axes: both as contiguous
+    # (components, batch) rows of floats, real and imaginary parts interleaved
+    rows, batch = math.prod(left.shape[:2 * n]), left.shape[2 * n:]
+    left = np.ascontiguousarray(left).reshape(rows, -1).view(float)
+    right = np.ascontiguousarray(right.transpose(axes)).reshape(rows, -1).view(float)
+    parts = np.einsum("ij,ij->j", left, right).reshape(-1, 2)
+    return (parts[:, 0] + parts[:, 1]).reshape(batch)
 
 
 # E_k^T on a slot's (i, j) pair, row k, for E = (E00, E11, E01 + E10, i(E01 - E10))

@@ -6,9 +6,12 @@ so a :class:`FourMomentum` can hold one momentum or a whole sample set.
 
 Each momentum's kinematics is computed once, when it is built, and kept
 read-only: |p|^2 (by column sums, which round exactly as a sum over the
-length-3 axis does), p^0 and the rows p^a.  The four index-position tables
-of :func:`momentum_matrix` are built once, at import, so a call is one
-product of p^a with a cached (4, 8) table.
+length-3 axis does), p^0 and the rows p^a.  A sampler builds the rows of
+all its points once, with the p^0 its weights use, and :func:`integrate`
+hands the integrand momenta that are views of them: only |p|^2 is computed
+again, block by block.  The four index-position tables of
+:func:`momentum_matrix` are built once, at import, so a call is one product
+of p^a with a cached (4, 8) table.
 """
 
 from __future__ import annotations
@@ -60,6 +63,22 @@ def _spatial_sq(sp: np.ndarray) -> np.ndarray:
     return x * x + y * y + z * z
 
 
+def _check_branch(mass: float, sign: int) -> None:
+    if not mass >= 0:
+        raise ValueError("mass must be non-negative")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+
+
+def _check_components(mass: float, components: np.ndarray, p0: np.ndarray) -> None:
+    """Finite components, and a nonzero |p| when massless, which on the shell
+    is a nonzero p^0."""
+    if not np.all(np.isfinite(components)):
+        raise ValueError("momentum components must be finite")
+    if mass == 0.0 and np.any(p0 == 0.0):
+        raise ValueError("massless momentum must have nonzero spatial part")
+
+
 @dataclass(frozen=True)
 class FourMomentum:
     """On-shell momentum with an explicit energy-sign branch.
@@ -73,31 +92,38 @@ class FourMomentum:
     spatial: np.ndarray  # (..., 3)
 
     def __post_init__(self):
-        if not self.mass >= 0:
-            raise ValueError("mass must be non-negative")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_branch(self.mass, self.sign)
         sp = np.asarray(self.spatial, dtype=float)
         if sp.shape[-1:] != (3,):
             raise ValueError("spatial part must have a trailing axis of length 3")
-        if not np.all(np.isfinite(sp)):
-            raise ValueError("spatial components must be finite")
         sq = _spatial_sq(sp)
-        if self.mass == 0.0 and np.any(sq == 0.0):
-            raise ValueError("massless momentum must have nonzero spatial part")
         p0 = self.sign * np.sqrt(self.mass**2 + sq)
-        # spatial becomes a read-only view of the input, as vec holds a copy
-        spatial = sp.view()
+        _check_components(self.mass, sp, p0)
         vec = np.empty(sp.shape[:-1] + (4,))
         vec[..., 0] = p0
         # column by column: one strided copy of all three runs an inner loop of 3
         for k in range(3):
             vec[..., k + 1] = sp[..., k]
+        # spatial becomes a read-only view of the input, as vec holds a copy
+        self._hold(sp.view(), sq, p0, vec)
+
+    def _hold(self, spatial, sq, p0, vec) -> None:
         _read_only(spatial, sq, p0, vec)
         object.__setattr__(self, "spatial", spatial)
         object.__setattr__(self, "_spatial_sq", sq)
         object.__setattr__(self, "_p0", p0)
         object.__setattr__(self, "_vec", vec)
+
+    @classmethod
+    def _of_rows(cls, mass: float, sign: int, vec: np.ndarray) -> "FourMomentum":
+        """Momenta on read-only rows p^a that a sampler has checked and put
+        on the shell: views of them, and |p|^2 computed as at construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "mass", mass)
+        object.__setattr__(p, "sign", sign)
+        spatial = vec[..., 1:]
+        p._hold(spatial, _spatial_sq(spatial), vec[..., 0], vec)
+        return p
 
     @property
     def spatial_sq(self) -> np.ndarray:
@@ -229,18 +255,52 @@ def act(lam: LorentzMatrix, p: FourMomentum) -> FourMomentum:
 # ---------------------------------------------------------------------------
 
 
+# Samples per integrand call, and per draw of the sampler.  An n = 2 field
+# stack on 4096 samples is 1 MiB (16 components of 16 B per sample), so it
+# and its temporaries do not stay in a 2 MiB L2 cache; 4096 still wins,
+# because half as many blocks pay the integrand's per-call cost.  On the
+# three Monte-Carlo checks (one BLAS thread, a shared 2-core x86-64 host,
+# median ratio over 48 interleaved rounds in one process), 2048 takes about
+# 8 % longer than 4096 and 8192 about 1 % longer, and 8192 raises the peak
+# RSS of 2x10^5-sample passes by 3-4 MiB.
+INTEGRATE_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class HyperboloidSampler:
-    """Weighted samples approximating the invariant mass-shell measure."""
+    """Weighted samples approximating the invariant mass-shell measure.
 
-    points: np.ndarray  # (N, 3)
+    ``rows`` holds each sample's p^a, on the shell of ``mass`` on the branch
+    ``sign``: p^0 = sign * sqrt(m^2 + |p|^2).  The checks a FourMomentum
+    makes are made once, here: the branch, finite components (p^0 too) and,
+    when massless, a nonzero |p|.  The arrays are held read-only, and
+    ``points`` is a view of the spatial rows.
+    """
+
+    rows: np.ndarray  # (N, 4)
     weights: np.ndarray  # (N,)
     mass: float
     sign: int
     seed: int
 
+    def __post_init__(self):
+        _check_branch(self.mass, self.sign)
+        rows = np.asarray(self.rows, dtype=float).view()
+        weights = np.asarray(self.weights, dtype=float).view()
+        if rows.ndim != 2 or rows.shape[1] != 4 or weights.shape != rows.shape[:1]:
+            raise ValueError("need rows of shape (N, 4) and weights of shape (N,)")
+        _check_components(self.mass, rows, rows[:, 0])
+        _read_only(rows, weights)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Spatial components, shape (N, 3)."""
+        return self.rows[:, 1:]
+
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self.rows.shape[0]
 
 
 def monte_carlo_sampler(
@@ -252,28 +312,31 @@ def monte_carlo_sampler(
     integral d^3p f(p) / (2|p^0|).  They are formed in place from -log rho =
     |p|^2 / 2w^2 + 1.5 log 2 pi w^2, which rounds exactly as the negated log
     density does; scaling standard normals in place rounds as rng.normal does.
+    The normals are drawn INTEGRATE_BLOCK points at a time, the same stream
+    as one draw of all of them, and each block's |p^0| serves its weights and
+    its rows.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n, 3))
-    if width != 1:
-        pts *= width
-    sq = _spatial_sq(pts)
-    w = sq / (2 * width**2)
-    w += 1.5 * np.log(2 * np.pi * width**2)
-    np.exp(w, out=w)
-    w /= 2 * np.sqrt(mass**2 + sq)
-    return HyperboloidSampler(points=pts, weights=w, mass=mass, sign=sign, seed=seed)
-
-
-# Samples per integrand call.  An n = 2 field stack on 4096 samples is 1 MiB
-# (16 components of 16 B per sample), so it and its temporaries do not stay
-# in a 2 MiB L2 cache, and a slot contraction costs more per sample than at
-# 2048; 4096 still wins, because half as many blocks pay the integrand's
-# per-call cost (2048 is about 15 % slower on the Monte-Carlo checks, 3072
-# no faster).
-INTEGRATE_BLOCK = 4096
+    rows = np.empty((n, 4))
+    weights = np.empty(n)
+    for start in range(0, n, INTEGRATE_BLOCK):
+        stop = min(start + INTEGRATE_BLOCK, n)
+        pts = rng.standard_normal((stop - start, 3))
+        if width != 1:
+            pts *= width
+        sq = _spatial_sq(pts)
+        energy = np.sqrt(mass**2 + sq)
+        w = weights[start:stop]
+        np.divide(sq, 2 * width**2, out=w)
+        w += 1.5 * np.log(2 * np.pi * width**2)
+        np.exp(w, out=w)
+        w /= 2 * energy
+        np.multiply(sign, energy, out=rows[start:stop, 0])
+        for k in range(3):  # as FourMomentum fills its rows
+            rows[start:stop, k + 1] = pts[:, k]
+    return HyperboloidSampler(rows=rows, weights=weights, mass=mass, sign=sign, seed=seed)
 
 
 def integrate(
@@ -283,20 +346,27 @@ def integrate(
 
     Returns (value, standard_error).  ``f`` is evaluated on consecutive
     blocks of INTEGRATE_BLOCK samples, so it must work sample by sample and
-    return one value per sample of each block.  The values are reduced together in a fixed
-    order, so results are deterministic per seed.
+    return one value per sample of each block.  Each block's momentum is a
+    view of the sampler's rows, checked when the sampler was built.  The
+    values are reduced together in a fixed order, so results are
+    deterministic per seed.
     """
     n = len(sampler)
     if n == 0:
         raise ValueError("sampler is empty")
     blocks = []
     for start in range(0, n, INTEGRATE_BLOCK):
-        pts = sampler.points[start:start + INTEGRATE_BLOCK]
-        vals = np.asarray(f(FourMomentum(mass=sampler.mass, sign=sampler.sign, spatial=pts)))
-        if vals.shape != pts.shape[:1]:
+        rows = sampler.rows[start:start + INTEGRATE_BLOCK]
+        vals = np.asarray(f(FourMomentum._of_rows(sampler.mass, sampler.sign, rows)))
+        if vals.shape != rows.shape[:1]:
             raise ValueError("integrand must return one value per sample")
         blocks.append(vals)
     contrib = sampler.weights * np.concatenate(blocks)
+    # the blocks go before the variance's N-sized temporaries are made
+    blocks.clear()
     mean = np.sum(contrib) / n
-    var = np.sum(np.abs(contrib - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    # an overflow here, at the ends of the accepted mass and width ranges,
+    # gives an infinite error, which the z-score checks read as a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.sum(np.abs(contrib - mean) ** 2) / (n - 1) if n > 1 else 0.0
     return complex(mean), float(np.sqrt(var / n))

@@ -254,8 +254,9 @@ def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
     """Spinor transformation of a field family: psi'(p) = D(s) psi(L^{-1} p).
 
     Bit-0 slots receive the stored matrix and bit-1 slots its conjugate, one
-    slot contraction each, so massive and massless fields share the map; the
-    result has the type of the generator's field.  A batch of group
+    slot at a time, so massive and massless fields share the map; the result
+    has the type of the generator's field.  One element, ``s.matrix`` of
+    shape (2, 2), maps a slot by one matrix product.  A batch of group
     elements, ``s.matrix`` of shape (B..., 2, 2), maps a batch of fields at
     once: ``act`` gives L^{-1} p the batch (B..., N) for N momenta, and the
     field's batch, which must start with B..., goes through its own
@@ -270,12 +271,20 @@ def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
         batch = f.batch_shape()
         if batch[: len(sbatch)] != sbatch:
             raise ValueError(f"field batch {batch} does not start with the group batch {sbatch}")
-        # the element batch lines up with the field's leading batch axes
-        padded = kernel[: f.bits]
-        padded = padded.reshape(padded.shape + (1,) * (len(batch) - len(sbatch)))
+        maps = kernel[: f.bits]
+        if sbatch:
+            # the element batch lines up with the field's leading batch axes
+            maps = maps.reshape(maps.shape + (1,) * (len(batch) - len(sbatch)))
         stack = f.stack
+        shape = stack.shape
         for k in range(f.n):
-            stack = _contract_slot(stack, padded, k)
+            if sbatch:
+                stack = _contract_slot(stack, maps, k)
+            else:
+                # one element: the (bit, 2, 2) maps times the stack viewed as
+                # (earlier slots, bit, index, later axes), one product
+                view = (math.prod(shape[: 2 * k]),) + shape[2 * k:2 * k + 2] + (math.prod(shape[2 * k + 2:]),)
+                stack = np.matmul(maps, stack.reshape(view)).reshape(shape)
         return type(f)(n=f.n, p=p, stack=stack)
 
     return new_gen

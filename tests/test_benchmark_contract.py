@@ -3,7 +3,9 @@
 ``bwbench/tracing.py`` wraps each function it lists in ``TRACED`` and stops
 when one is gone; ``bwbench/run.py`` times the import of ``scipy.linalg``
 that ``bwfields.verify_cli`` brings in, and runs its workloads from the
-configs in ``bwbench/configs``.  Any gap ends a benchmark run.
+configs in ``bwbench/configs``; ``bwbench/worker.py`` recomputes a
+quadrature check from the sampler's points and weights.  Any gap ends a
+benchmark run.
 """
 
 import importlib
@@ -13,8 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bwfields import momentum as mom
 from bwfields import verify_cli as vc
 from bwfields.checks import REGISTRY
 
@@ -41,3 +45,20 @@ def test_benchmark_config_loads_and_names_registered_checks(config):
     loaded = vc.load_config(str(ROOT / "bwbench" / "configs" / config))
     names = [entry["name"] for entry in loaded["checks"]]
     assert names and sorted(set(names) - set(REGISTRY)) == []
+
+
+def test_sampler_and_integrate_as_the_worker_and_tracer_call_them():
+    # worker.check_quadrature: monte_carlo_sampler(mass, sign, n, width,
+    # seed=), .points and .weights into its own Gaussian mean, and
+    # integrate(f, sampler) on an integrand that reads p.spatial;
+    # tracing counts len(sampler) from integrate's second positional argument
+    n, width = 5000, 1.3
+    sampler = mom.monte_carlo_sampler(0.0, 1, n, width, seed=7)
+    assert len(sampler) == n
+    points, weights = sampler.points, sampler.weights
+    assert points.shape == (n, 3) and points.dtype == np.float64 and weights.shape == (n,)
+    assert np.array_equal(points, np.random.default_rng(7).normal(scale=width, size=(n, 3)))
+    contrib = weights * np.exp(-np.sum(points * points, axis=1) / width**2)
+    value, se = mom.integrate(lambda p: np.exp(-np.sum(p.spatial**2, axis=-1) / width**2), sampler)
+    assert isinstance(value, complex) and isinstance(se, float)
+    assert abs(value.real - np.sum(contrib) / n) <= 1e-12 * abs(value.real)

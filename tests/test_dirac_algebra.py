@@ -136,7 +136,8 @@ def eps_row_adjoint(psi):
 
 def einsum_current(psi):
     """Reference for dirac_current_matrix_route: adj_a gamma_q^{ab} psi_b in one
-    einsum, with the adjoint from eps_row_adjoint."""
+    einsum over all 16 pairs (a, b), which the route takes on the 8 nonzero
+    ones, with the adjoint from eps_row_adjoint."""
     return np.einsum("...a,qab,...b->...q", eps_row_adjoint(psi), da.build_gammas().gamma, psi).real
 
 
@@ -163,6 +164,14 @@ class TestComponentsFirstBridge:
         f = random_field(rng, 1.0, 1, batch=9)
         psi = da.pack_bispinor(f)
         assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
+
+    def test_route_pairs_hold_every_nonzero_gamma_entry(self):
+        gamma = da.build_gammas().gamma
+        a, b = da._gamma_pairs()
+        assert len(a) == 8 and np.all((a < 2) != (b < 2))
+        rest = np.ones((4, 4), dtype=bool)
+        rest[a, b] = False
+        assert np.all(gamma[:, rest] == 0) and np.all(np.any(gamma[:, a, b] != 0, axis=0))
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 9), (4096,)])
     def test_route_matches_the_einsum_route(self, shape):

@@ -496,13 +496,17 @@ class TestBatchedTransform:
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
     def test_single_element_is_n_slot_maps(self, n, shape):
         # one element maps each label slot by slot, S on 0-bits and conj(S)
-        # on 1-bits, with the arithmetic of a label-by-label loop: a packet
-        # on the positive branch, an unbatched seed under batched momenta on
-        # the negative one
+        # on 1-bits, as a label-by-label loop does: a packet on the positive
+        # branch, an unbatched seed under batched momenta on the negative
+        # one.  The transform takes each slot as one matrix product, so the
+        # two differ by rounding: each is within n eps |S|^n max|psi| of the
+        # exact map, |S| the largest absolute row sum of S.  A wrong map (S
+        # for conj S, or S transposed) misses by O(max|psi|).
         rng = np.random.default_rng(70 + n)
         seed = mbw.symmetrize(rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n), n)
         s = sc.random_sl2c(rng)
         maps = (s.matrix, np.conj(s.matrix))
+        growth = np.max(np.sum(np.abs(s.matrix), axis=1))
         for sign, gen in ((1, mbw.GaussianPacket(n, 1.0, 1, seed)),
                           (-1, lambda p: mbw.build_from_seed(seed, p, n))):
             p = mom.on_shell(1.0, sign, rng.normal(size=shape + (3,)))
@@ -510,9 +514,10 @@ class TestBatchedTransform:
             assert got.p is p
             f = gen(mom.act(sc.sl2c_to_lorentz(s).inverse(), p))
             for lab, arr in f.components.items():
+                bound = 2 * n * np.finfo(float).eps * growth**n * np.max(np.abs(arr))
                 for k, bit in enumerate(lab):
                     arr = two_term(arr, maps[bit], k, n, sum_first=False)
-                assert np.array_equal(got.components[lab], arr)
+                assert np.max(np.abs(got.components[lab] - arr)) <= bound
 
     def test_component_outside_the_group_batch_rejected(self):
         rng = np.random.default_rng(80)

@@ -252,11 +252,39 @@ class TestQuadrature:
         assert val == 0 and se == 0
 
     def test_empty_sampler_rejected(self):
-        s = mom.monte_carlo_sampler(1.0, 1, 5, seed=0)
-        object.__setattr__(s, "points", np.zeros((0, 3)))
-        object.__setattr__(s, "weights", np.zeros(0))
+        s = mom.HyperboloidSampler(rows=np.zeros((0, 4)), weights=np.zeros(0), mass=1.0, sign=1, seed=0)
         with pytest.raises(ValueError):
             mom.integrate(lambda p: np.zeros(0), s)
+
+    @pytest.mark.parametrize("mass, sign, row, match", [
+        (-1.0, 1, [1.0, 0.0, 0.0, 0.0], "non-negative"),
+        (1.0, 2, [2.0, 0.0, 0.0, 0.0], "sign"),
+        (1.0, 1, [np.inf, np.inf, 0.0, 0.0], "finite"),
+        (1.0, 1, [np.nan, 0.0, np.nan, 0.0], "finite"),
+        (0.0, -1, [0.0, 0.0, 0.0, 0.0], "nonzero spatial"),
+        (1.0, 1, [1.0, 0.0, 0.0], "shape"),
+    ])
+    def test_sampler_makes_the_momentum_checks_once(self, mass, sign, row, match):
+        # each check FourMomentum makes on construction, made on the rows
+        # integrate hands out without checking them again
+        rows = np.array([[1.0, 0.0, 0.0, 1.0][: len(row)], row])
+        with pytest.raises(ValueError, match=match):
+            mom.HyperboloidSampler(rows=rows, weights=np.ones(2), mass=mass, sign=sign, seed=0)
+
+    @pytest.mark.parametrize("mass, sign, width", [(1.3, -1, 0.8), (0.0, 1, 1.0)])
+    def test_block_momenta_are_on_shell_of_the_points_bit_for_bit(self, mass, sign, width):
+        block = mom.INTEGRATE_BLOCK
+        sampler = mom.monte_carlo_sampler(mass, sign, 2 * block + 5, width, seed=19)
+        assert np.shares_memory(sampler.points, sampler.rows) and not sampler.points.flags.writeable
+        seen = []
+        mom.integrate(lambda p: seen.append(p) or np.zeros(len(p.p0)), sampler)
+        assert [len(p.p0) for p in seen] == [block, block, 5]
+        for start, p in zip(range(0, len(sampler), block), seen):
+            ref = mom.on_shell(mass, sign, sampler.points[start:start + block])
+            assert (p.mass, p.sign) == (ref.mass, ref.sign)
+            for name in ("vec", "p0", "spatial_sq", "spatial"):
+                got = getattr(p, name)
+                assert np.array_equal(got, getattr(ref, name)) and not got.flags.writeable, name
 
     def test_gaussian_against_larger_reference(self):
         # self-consistency oracle: value within 3 sigma of a 100x-N run

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +404,27 @@ class TestConfigFuzz:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("config", [
+        None,
+        # with the mass end, the largest width overflows the Monte-Carlo variance
+        {"mass": LO, "sampler": {"width": HI, "samples": 2000}},
+    ])
+    def test_range_ends_write_no_warning(self, config, tmp_path):
+        # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+        args = ["all", "--mass", str(self.LO), "--samples", "2000"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = ["all", "--config", str(tmp_path / "cfg.json")]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "bwfields.verify_cli", *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 1 and "Warning" not in proc.stderr, proc.stderr
+        rows = dict(line.split()[1:3] for line in proc.stdout.splitlines())
+        if config is None:
+            assert rows["scalar_lorentz_covariance"] == "residual=inf"
+        else:
+            assert rows["packet_norm_invariance"] == rows["bilinear_norm_equality"] == "residual=nan"
 
     @pytest.mark.parametrize("mass", vc.SCALE_RANGE)
     @pytest.mark.parametrize("width", vc.SCALE_RANGE)
