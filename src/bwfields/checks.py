@@ -253,8 +253,7 @@ def _check_scalar_covariance(params, rng):
         seed_sp = _rand_sym_seed(rng, n)
 
         def gen(p, seed_sp=seed_sp, n=n):
-            shape = np.asarray(p.p0).shape
-            return mbw.build_from_seed(np.broadcast_to(seed_sp, shape + (2,) * n), p, n)
+            return mbw.build_from_seed(seed_sp, p, n)
 
         q = mom.on_shell(params["mass"], 1, rng.normal(size=(20, 3)))
         # one batch of 100 elements: N and N' have shape (100, 20)

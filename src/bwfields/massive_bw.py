@@ -36,6 +36,7 @@ from .slot_core import (
     _contract_slot,
     _kernel,
     _label_index,
+    _unprimed_stack,
     probe_kernel,
     probe_norm,
     residual_field_equations,
@@ -54,7 +55,6 @@ __all__ = [
     "tensor_T",
     "scalar_N",
     "seed_form",
-    "seed_norm",
     "norm_standard_integrand",
     "norm_primed_integrand",
     "norm_covariant_integrand",
@@ -96,11 +96,7 @@ class BWFieldAtP(StackField):
         stack = np.empty((2, 2) * n + batch, dtype=complex)
         for lab, a in arrs.items():
             stack[_label_index(lab)] = _batch_last(a, n, len(batch))
-        # adjacent exchanges generate every permutation of the slots
-        for k in range(n - 1):
-            swapped = np.swapaxes(np.swapaxes(stack, 2 * k, 2 * k + 2), 2 * k + 1, 2 * k + 3)
-            if not np.max(np.abs(stack - swapped)) <= 1e-12 * max(1.0, np.max(np.abs(stack))):
-                raise ValueError("components are not symmetric under slot exchange")
+        _require_slot_symmetric(stack, n, "components are")
         return cls(n=n, p=p, stack=stack)
 
     @cached_property
@@ -118,6 +114,15 @@ def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
     return out / len(perms)
 
 
+def _require_slot_symmetric(stack: np.ndarray, n: int, what: str) -> None:
+    """Raise unless no exchange of two slots moves an entry by more than 1e-12
+    of the largest (at least 1); adjacent exchanges generate them all."""
+    for k in range(n - 1):
+        swapped = np.swapaxes(np.swapaxes(stack, 2 * k, 2 * k + 2), 2 * k + 1, 2 * k + 3)
+        if not np.max(np.abs(stack - swapped)) <= 1e-12 * max(1.0, np.max(np.abs(stack))):
+            raise ValueError(f"{what} not symmetric under slot exchange")
+
+
 def _symmetric_seed(seed: np.ndarray, n: int) -> np.ndarray:
     """The seed as a complex array with n trailing spinor axes, checked to be
     totally symmetric in them."""
@@ -126,8 +131,7 @@ def _symmetric_seed(seed: np.ndarray, n: int) -> np.ndarray:
     seed = np.asarray(seed, dtype=complex)
     if seed.shape[seed.ndim - n:] != (2,) * n:
         raise ValueError("seed must have n trailing spinor axes")
-    if n > 1 and not np.max(np.abs(seed - symmetrize(seed, n))) <= 1e-12 * max(1.0, np.max(np.abs(seed))):
-        raise ValueError("seed is not totally symmetric")
+    _require_slot_symmetric(_unprimed_stack(seed, n), n, "seed is")
     return seed
 
 
@@ -225,12 +229,13 @@ def seed_form(seed: np.ndarray, n: int) -> Callable[[FourMomentum], np.ndarray]:
     B^dagger P B = 2 P^T for P = p^{AA'}, so the norm is 2^n phibar (P^T)^{(x)n}
     phi.  With P = sum_k w_k E_k it is the real polynomial sum M[k_1..k_n]
     w_{k_1}..w_{k_n} in w = (P00, P11, Re P01, Im P01), four columns of the
-    cached "uu" table, contracted slot by slot, batch last (for an unbatched
-    seed the first slot is one product).  ``seed`` is batch + (2,)*n, symmetric.
+    cached "uu" table, contracted slot by slot, the first slot in one
+    product.  ``seed`` is one symmetric seed, shape (2,)*n.
     """
-    phi = _batch_last(_symmetric_seed(seed, n), n, np.ndim(seed) - n)
-    sbatch = phi.shape[n:]
-    coef = (np.conj(phi)[(slice(None), None) * n] * phi[(None, slice(None)) * n]).reshape((4,) * n + sbatch)
+    phi = _symmetric_seed(seed, n)
+    if phi.ndim != n:
+        raise ValueError("seed_form takes one seed of shape (2,)*n")
+    coef = (np.conj(phi)[(slice(None), None) * n] * phi[(None, slice(None)) * n]).reshape((4,) * n)
     for k in range(n):
         coef = np.moveaxis(np.tensordot(_SLOT_MOMENTS, coef, axes=(1, k)), 0, k)
     coef = np.ascontiguousarray(2.0**n * coef.real)
@@ -239,22 +244,13 @@ def seed_form(seed: np.ndarray, n: int) -> Callable[[FourMomentum], np.ndarray]:
     def norm(p: FourMomentum) -> np.ndarray:
         if p.mass <= 0:
             raise ValueError("massive construction needs m > 0")
-        nb = len(np.broadcast_shapes(sbatch, p.vec.shape[:-1]))
-        w = (rows @ p.vec.reshape(-1, 4).T).reshape((4,) + (1,) * (nb + 1 - p.vec.ndim) + p.vec.shape[:-1])
-        if sbatch:
-            r = np.sum(coef.reshape(coef.shape[:n] + (1,) * (nb - len(sbatch)) + sbatch) * w, axis=n - 1)
-        else:
-            r = (coef.reshape(-1, 4) @ w.reshape(4, -1)).reshape((4,) * (n - 1) + w.shape[1:])
+        w = (rows @ p.vec.reshape(-1, 4).T).reshape((4,) + p.vec.shape[:-1])
+        r = (coef.reshape(-1, 4) @ w.reshape(4, -1)).reshape((4,) * (n - 1) + w.shape[1:])
         for k in reversed(range(n - 1)):
             r = np.sum(r * w, axis=k)
         return r
 
     return norm
-
-
-def seed_norm(seed: np.ndarray, p: FourMomentum, n: int) -> np.ndarray:
-    """``scalar_N(build_from_seed(seed, p, n))`` as ``seed_form(seed, n)(p)``."""
-    return seed_form(seed, n)(p)
 
 
 def norm_standard_integrand(f: BWFieldAtP) -> np.ndarray:

@@ -32,7 +32,6 @@ from .spinor_core import EPS_UP, build_ivdw
 __all__ = [
     "MasslessFieldAtP",
     "HertzPotentialAtP",
-    "PLMatrices",
     "field_from_potential",
     "eta_canonical",
     "field_from_amplitude",
@@ -123,38 +122,21 @@ def field_from_amplitude(f_values: np.ndarray, p: FourMomentum, n: int) -> Massl
     return MasslessFieldAtP.from_psi(n, p, factor * np.asarray(f_values)[(...,) + (None,) * n] * outer)
 
 
-@dataclass(frozen=True)
-class PLMatrices:
-    """Intrinsic spin vector at fixed momentum for both index characters.
-
-    ``unprimed[..., a, X, Y]`` stores S^a_X{}^Y and ``primed`` the primed
-    counterpart; built from the antisymmetrized g sandwiches.
-    """
-
-    unprimed: np.ndarray  # (..., 4, 2, 2)
-    primed: np.ndarray  # (..., 4, 2, 2)
-
-
-def pl_matrices(p: FourMomentum) -> PLMatrices:
+def pl_matrices(p: FourMomentum) -> np.ndarray:
+    """Intrinsic spin vector on an unprimed index at fixed momentum,
+    S^a_X{}^Y as [..., a, X, Y], from the antisymmetrized g sandwiches."""
     g = build_ivdw()
-    p_ll = momentum_matrix(p, "ll")
-    p_uu = momentum_matrix(p, "uu")
     # S^a_X^Y = -1/2 (p_{XA'} g^{aYA'} - g^a_{XA'} p^{YA'})
-    t1 = np.einsum("...xm,aym->...axy", p_ll, g.up_w)
-    t2 = np.einsum("axm,...ym->...axy", g.lo_w, p_uu)
-    unprimed = -0.5 * (t1 - t2)
-    # S^a_{X'}^{Y'} = +1/2 (p_{AX'} g^{aAY'} - g^a_{AX'} p^{AY'})
-    t3 = np.einsum("...im,ain->...amn", p_ll, g.up_w)
-    t4 = np.einsum("aim,...in->...amn", g.lo_w, p_uu)
-    primed = 0.5 * (t3 - t4)
-    return PLMatrices(unprimed=unprimed, primed=primed)
+    t1 = np.einsum("...xm,aym->...axy", momentum_matrix(p, "ll"), g.up_w)
+    t2 = np.einsum("axm,...ym->...axy", g.lo_w, momentum_matrix(p, "uu"))
+    return -0.5 * (t1 - t2)
 
 
 def apply_spin_vector(field: MasslessFieldAtP) -> np.ndarray:
     """Slot-summed action sum_k S^a(slot k) psi, as a stack with the world
     index a as its last batch axis: shape (1, 2)*n + batch + (4,)."""
     stack = field.stack[..., None]
-    kernel = _kernel((pl_matrices(field.p).unprimed,), stack.ndim - 2 * field.n)
+    kernel = _kernel((pl_matrices(field.p),), stack.ndim - 2 * field.n)
     return sum(_contract_slot(stack, kernel, k) for k in range(field.n))
 
 

@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .momentum import FourMomentum, act, minkowski_dot, momentum_matrix
-from .spinor_core import EPS_UP, SL2CElement, build_ivdw, sl2c_to_lorentz
+from .spinor_core import EPS_UP, SL2CElement, _convert_slots, build_ivdw, sl2c_to_lorentz
 
 __all__ = [
     "StackField",
@@ -147,11 +147,8 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     bits = kernel.shape[1]
     batch = stack.shape[2 * n:]
     total = stack.reshape((bits, 2, 1) * n + batch) * np.conj(stack).reshape((bits, 1, 2) * n + batch)
-    # each step contracts the leading (bit, i, j) slot and appends its world index
-    columns = kernel.reshape(4, -1).T
-    for _ in range(n):
-        total = total.reshape(len(columns), -1).T @ columns
-    total = total.reshape(batch + (4,) * n)
+    # one (bit, i, j) slot through the conversion table per world index
+    total = _convert_slots(total.reshape((4 * bits,) * n + batch), kernel.reshape(4, -1).T, n)
     entries = tuple(range(len(batch), total.ndim))
     scale = np.maximum(1.0, np.max(np.abs(total), axis=entries))
     if not np.all(np.max(np.abs(total.imag), axis=entries) <= 1e-12 * scale):

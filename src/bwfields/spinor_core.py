@@ -173,36 +173,37 @@ def build_ivdw() -> IvdWSymbol:
     return IvdWSymbol(*_read_only(up, lo, up_w, lo_w))
 
 
-_LETTERS = "abcdefghijklmnopqrst"
+def _convert_slots(arr: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """sum table[a_1, b_1] .. table[a_n, b_n] arr[a_1..a_n, ...], shape batch +
+    (m,)*n, for arr of shape (k,)*n + batch and a (k, m) table: each step
+    contracts the leading slot and appends its new index."""
+    batch = arr.shape[n:]
+    for _ in range(n):
+        arr = arr.reshape(len(table), -1).T @ table
+    return arr.reshape(batch + (table.shape[1],) * n)
 
 
 def world_from_spinor(arr: np.ndarray, n_pairs: int, upper: bool = False) -> np.ndarray:
-    """Convert ``n_pairs`` spinor index pairs to world indices.
-
-    The trailing axes must be arranged (A_1..A_n, A'_1..A'_n).  For lower
-    spinor indices (default) this applies v_a = g_a^{AA'} v_{AA'}; with
-    ``upper=True`` it applies v^a = g^a_{AA'} v^{AA'}.
-    """
+    """Convert ``n_pairs`` spinor index pairs, the trailing axes arranged
+    (A_1..A_n, A'_1..A'_n), to world indices: v_a = g_a^{AA'} v_{AA'} for lower
+    spinor indices (default), v^a = g^a_{AA'} v^{AA'} with ``upper=True``."""
     g = build_ivdw().lo_w if upper else build_ivdw().up
     arr = np.asarray(arr, dtype=complex)
-    n = n_pairs
-    us, vs, ws = _LETTERS[:n], _LETTERS[n:2 * n], _LETTERS[2 * n:3 * n]
-    subs = [f"...{us}{vs}"] + [f"{ws[i]}{us[i]}{vs[i]}" for i in range(n)]
-    return np.einsum(",".join(subs) + f"->...{ws}", arr, *(g for _ in range(n)))
+    n, nb = n_pairs, arr.ndim - 2 * n_pairs
+    # one slot per pair (A_k, A'_k), then the batch
+    pairs = arr.transpose([nb + a for k in range(n) for a in (k, n + k)] + list(range(nb)))
+    return _convert_slots(pairs.reshape((4,) * n + arr.shape[:nb]), g.reshape(4, 4).T, n)
 
 
 def spinor_from_world(arr: np.ndarray, n_world: int, upper: bool = False) -> np.ndarray:
-    """Inverse of :func:`world_from_spinor`: v_{AA'} = g^a_{AA'} v_a.
-
-    Output trailing axes are grouped (A_1..A_n, A'_1..A'_n) with the same
-    index height as the world input.
-    """
+    """Inverse of :func:`world_from_spinor`: v_{AA'} = g^a_{AA'} v_a, with the
+    output's trailing axes grouped (A_1..A_n, A'_1..A'_n) at the input's height."""
     g = build_ivdw().up if upper else build_ivdw().lo_w
     arr = np.asarray(arr, dtype=complex)
-    n = n_world
-    us, vs, ws = _LETTERS[:n], _LETTERS[n:2 * n], _LETTERS[2 * n:3 * n]
-    subs = [f"...{ws}"] + [f"{ws[i]}{us[i]}{vs[i]}" for i in range(n)]
-    return np.einsum(",".join(subs) + f"->...{us}{vs}", arr, *(g for _ in range(n)))
+    n, nb = n_world, arr.ndim - n_world
+    pairs = _convert_slots(np.moveaxis(arr, range(nb), range(n, n + nb)), g.reshape(4, 4), n)
+    pairs = pairs.reshape(arr.shape[:nb] + (2, 2) * n)
+    return pairs.transpose(list(range(nb)) + [nb + 2 * k + a for a in (0, 1) for k in range(n)])
 
 
 # ---------------------------------------------------------------------------

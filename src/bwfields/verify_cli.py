@@ -38,7 +38,7 @@ DEFAULT_SEED = 20240901
 CHECK_PARAMETERS = frozenset(default_parameters())
 # keys a config file and its "sampler" mapping may set
 CONFIG_KEYS = ("seed", "sampler", "spins", "mass", "tolerances", "checks")
-SAMPLER_KEYS = ("samples", "width", "seed", "scheme")
+SAMPLER_KEYS = ("samples", "width", "scheme")
 # accepted mass and sampler width, ends included: every check runs to a
 # result at both ends, while a mass of 1e40 or 1e-40, or a width of 1e155,
 # breaks float64 (an overflow, a complex world tensor) before any check can
@@ -137,8 +137,6 @@ def load_config(path: str | None) -> dict:
         config["parameters"]["samples"] = _integer(sampler["samples"], "sampler samples")
     if "width" in sampler:
         config["parameters"]["width"] = _real(sampler["width"], "sampler width")
-    if "seed" in sampler:
-        config["seed"] = _integer(sampler["seed"], "sampler seed")
     scheme = sampler.get("scheme", "monte-carlo")
     if scheme != "monte-carlo":
         raise ConfigError(f"unknown sampler scheme {scheme!r}")

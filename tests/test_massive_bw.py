@@ -91,6 +91,12 @@ class TestConstruction:
             mbw.build_from_seed(bad, mom.on_shell(1.0, 1, [0, 0, 0]), 2)
         with pytest.raises(ValueError, match="symmetric"):
             mbw.GaussianPacket(2, 1.0, 1, bad)
+        # symmetric in its first two slots only: the second adjacent exchange sees it
+        odd = np.zeros((2, 2, 2))
+        odd[0, 0, 1] = 1.0
+        odd[1, 0, 0] = odd[0, 1, 0] = 2.0
+        with pytest.raises(ValueError, match="slot exchange"):
+            mbw.build_from_seed(odd, mom.on_shell(1.0, 1, [0, 0, 0]), 3)
 
     @pytest.mark.parametrize("check", ["packet_norm_invariance", "bilinear_norm_equality"])
     def test_packet_values_match_the_checked_builder(self, check, monkeypatch):
@@ -326,12 +332,8 @@ class TestScalar:
 def seed_norm_loop(seed, p, n):
     """Reference for seed_form: 2^n phibar (p^{AA'T})^{(x)n} phi, applying p^{AA'T} to
     the 2^n seed entries slot by slot, batch last."""
-    p_uu = mom.momentum_matrix(p, "uu")
-    sbatch = seed.shape[: seed.ndim - n]
-    nb = len(np.broadcast_shapes(sbatch, p_uu.shape[:-2]))
-    phi = np.moveaxis(seed, range(len(sbatch)), range(n, n + len(sbatch)))
-    phi = phi.reshape((2,) * n + (1,) * (nb - len(sbatch)) + sbatch)
-    pm = np.moveaxis(p_uu, (-2, -1), (0, 1))
+    pm = np.moveaxis(mom.momentum_matrix(p, "uu"), (-2, -1), (0, 1))
+    phi = np.asarray(seed).reshape((2,) * n + (1,) * (pm.ndim - 2))
     q = phi
     for k in range(n):
         lo, hi = q[(slice(None),) * k + (0,)], q[(slice(None),) * k + (1,)]
@@ -356,11 +358,10 @@ class TestSeedNorm:
         rng = np.random.default_rng(5000 + 10 * n + sign)
         for mass in (0.6, 1.0, 2.3):
             for batch in [(), (7,), (3, 5)]:
-                shape = batch + (2,) * n
-                seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
                 seed = mbw.symmetrize(seed, n) if n > 1 else seed
                 p = mom.on_shell(mass, sign, rng.normal(size=batch + (3,)))
-                got = mbw.seed_norm(seed, p, n)
+                got = mbw.seed_form(seed, n)(p)
                 ref = mbw.scalar_N(mbw.build_from_seed(seed, p, n))
                 assert got.shape == ref.shape == batch
                 assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
@@ -369,9 +370,8 @@ class TestSeedNorm:
     def test_equals_the_seed_entry_loop(self, n):
         rng = np.random.default_rng(5050 + n)
         for sign in (1, -1):
-            for seed_batch, p_batch in [((), ()), ((), (9,)), ((7,), (7,)), ((3, 5), (3, 5)), ((4,), (2, 4))]:
-                shape = seed_batch + (2,) * n
-                seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for p_batch in [(), (9,), (3, 5)]:
+                seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
                 seed = mbw.symmetrize(seed, n) if n > 1 else seed
                 p = mom.on_shell(1.1, sign, rng.normal(size=p_batch + (3,)))
                 got = mbw.seed_form(seed, n)(p)
@@ -412,15 +412,6 @@ class TestSeedNorm:
         assert len(forms) == 1
         assert blocks == [mom.INTEGRATE_BLOCK] * 4 + [20000 - 4 * mom.INTEGRATE_BLOCK]
 
-    def test_unbatched_seed_under_batched_momenta(self):
-        rng = np.random.default_rng(5100)
-        seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
-        p = mom.on_shell(1.0, 1, rng.normal(size=(3, 5, 3)))
-        got = mbw.seed_norm(seed, p, 2)
-        ref = mbw.scalar_N(mbw.build_from_seed(seed, p, 2))
-        assert got.shape == (3, 5)
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
-
     def test_packet_integral_equals_the_stack_route(self):
         from bwfields.checks import _seed_form_norm
 
@@ -437,9 +428,11 @@ class TestSeedNorm:
         bad = np.zeros((2, 2))
         bad[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            mbw.seed_norm(bad, p, 2)
+            mbw.seed_form(bad, 2)
+        with pytest.raises(ValueError, match="one seed"):
+            mbw.seed_form(np.ones((3, 2, 2)), 2)
         with pytest.raises(ValueError, match="m > 0"):
-            mbw.seed_norm(np.ones(2), mom.on_shell(0.0, 1, [0.1, 0.2, 0.3]), 1)
+            mbw.seed_form(np.ones(2), 1)(mom.on_shell(0.0, 1, [0.1, 0.2, 0.3]))
 
 
 class TestBatchedTransform:

@@ -252,6 +252,8 @@ class TestMain:
         {"spin": [7]},
         {"parameters": {"spins": [7]}},
         {"sampler": {"sampels": 10}},
+        # the run seed has one key, the top-level "seed"
+        {"sampler": {"seed": 4}},
         {"mass": 1e40},
         {"mass": 1e-40},
         {"mass": 10**400},
@@ -373,7 +375,7 @@ class TestConfigFuzz:
         optional={
             "seed": st.integers(-3, 2**70) | value,
             "sampler": st.fixed_dictionaries(
-                {}, optional={"samples": number, "width": number, "seed": number,
+                {}, optional={"samples": number, "width": number,
                               "scheme": st.sampled_from(["monte-carlo", "grid"]) | value}) | value,
             "spins": spins,
             "mass": number,
