@@ -211,7 +211,9 @@ def _check_projection(params, rng):
             for k in range(n):
                 yield np.abs(T - mbw.project_slot(T, f.p, k, n)) / scale
                 yield np.abs(T - mbw.trace_reverse_slot(T, f.p, k, n)) / scale
-            full = mbw.scalar_N(f) / f.p.mass ** (2 * n)
+            # m^-2n overflows at the low end of the mass range: inf, a failure
+            with np.errstate(over="ignore"):
+                full = mbw.scalar_N(f) / f.p.mass ** (2 * n)
             nfold = full[(...,) + (None,) * n] * core.outer_power(f.p.covec, n)
             yield np.abs(T - nfold) / scale
 
@@ -228,7 +230,8 @@ def _check_norm_equivalences(params, rng):
             scale = float(np.max(np.abs(cov)))
             probes = rng.normal(size=(10, n, 4))
             pr = mbw.norm_primed_integrand(f, [probes[:, k, None] for k in range(n)])
-            yield np.abs(pr - cov) / scale
+            with np.errstate(invalid="ignore"):  # an overflowed cov gives inf / inf
+                yield np.abs(pr - cov) / scale
             # the first set through the world tensor, a route that shares no
             # code with the spinor-pair contraction
             world = mbw.tensor_T(f)
@@ -265,6 +268,19 @@ def _check_scalar_covariance(params, rng):
         # gives inf (or NaN): a failure, without a warning
         with np.errstate(divide="ignore", invalid="ignore"):
             yield np.abs(n_tr - n_ref) / np.abs(n_ref)
+
+
+def _check_seed_form_norm(params, rng):
+    """The seed form against scalar_N of the field built from the same seed,
+    sample by sample."""
+    for n in params["spins"]:
+        for sign in (1, -1):
+            seed = _rand_sym_seed(rng, n)
+            p = mom.on_shell(params["mass"], sign, rng.normal(size=(50, 3)))
+            form = mbw.seed_form(seed, n)(p)
+            # a form that underflows to 0 or overflows gives inf or NaN: a failure
+            with np.errstate(divide="ignore", invalid="ignore"):
+                yield np.abs(mbw.scalar_N(mbw.build_from_seed(seed, p, n)) - form) / np.abs(form)
 
 
 def _seed_form_norm(packet, sampler):
@@ -597,6 +613,11 @@ _register(
     "scalar_lorentz_covariance", "massive",
     "N'(p) = N(Lambda^-1 p) pointwise for 100 random group elements",
     "residual", 1e-10, _check_scalar_covariance,
+)
+_register(
+    "seed_form_norm", "massive",
+    "scalar_N of a built field equals its seed form 2^n phibar (P^T)^(x)n phi, P = p^{AA'}, at 50 momenta",
+    "residual", 1e-12, _check_seed_form_norm,
 )
 _register(
     "packet_norm_invariance", "massive",

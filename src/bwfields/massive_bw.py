@@ -265,8 +265,10 @@ def norm_primed_integrand(f: BWFieldAtP, ts: list[np.ndarray]) -> np.ndarray:
 
 
 def norm_covariant_integrand(f: BWFieldAtP) -> np.ndarray:
-    """Manifestly invariant integrand m^{-2n} p..p.T; equals the probe form."""
-    return scalar_N(f) / f.p.mass ** (2 * f.n)
+    """Manifestly invariant integrand m^{-2n} p..p.T; equals the probe form.
+    Where m^{-2n} overflows, at the low end of the mass range, it is inf."""
+    with np.errstate(over="ignore"):
+        return scalar_N(f) / f.p.mass ** (2 * f.n)
 
 
 def _apply_world_slot(T: np.ndarray, op: np.ndarray, k: int, n: int) -> np.ndarray:

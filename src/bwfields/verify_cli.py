@@ -344,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
                 config["seed"] = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"BW_SEED must be an integer, got {env_seed!r}") from exc
+            if args.seed is not None and args.seed != config["seed"]:
+                raise ConfigError(f"--seed {args.seed} and BW_SEED={env_seed} differ; set one of them")
         results = run_suite(config, args.suite)
         skipped = _skipped_massless_spins(config, args.suite)
         if skipped:

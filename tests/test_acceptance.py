@@ -56,6 +56,14 @@ def test_check_within_bound(name, mass, bound):
     assert check.run(params, np.random.default_rng(101)) <= bound
 
 
+@pytest.mark.parametrize("mass", [0.6, 1.0, 2.3])
+def test_seed_form_norm_at_every_spin(mass):
+    # the default run stops at spin 4; the seed form is meant to hold to the cap
+    check = REGISTRY["seed_form_norm"]
+    params = dict(default_parameters(), spins=[1, 2, 3, 4, 5, 6], mass=mass)
+    assert check.run(params, np.random.default_rng(101)) <= check.tolerance
+
+
 def test_criterion_1_identity_suite():
     t0 = time.perf_counter()
     run_checks(101, [name for name, check in REGISTRY.items() if check.module == "identities"])

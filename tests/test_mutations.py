@@ -273,20 +273,24 @@ def upper_momentum_in_em_spinor(monkeypatch):
 
 MUTATIONS = {
     "sqrt2 dropped in build_from_seed": (
-        drop_sqrt2, ["massive_field_equations", "packet_norm_invariance", "bilinear_norm_equality"]),
-    "2^(n-1) for 2^n in the seed form": (halved_seed_form, ["packet_norm_invariance", "bilinear_norm_equality"]),
+        drop_sqrt2,
+        ["massive_field_equations", "seed_form_norm", "packet_norm_invariance", "bilinear_norm_equality"]),
+    "2^(n-1) for 2^n in the seed form": (
+        halved_seed_form, ["seed_form_norm", "packet_norm_invariance", "bilinear_norm_equality"]),
+    "E_k for E_k^T in the seed form": (untransposed_slot_moments, ["seed_form_norm"]),
     "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
     "wrong row in the shared slot contraction": (
-        wrong_row, ["massive_field_equations", "massless_field_equations"]),
+        wrong_row, ["massive_field_equations", "seed_form_norm", "massless_field_equations"]),
     "transposed kernel in the shared probe contraction": (
         transposed_probe_kernel, ["norm_equivalences", "maxwell_vs_massless_norm"]),
-    "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, ["norm_equivalences"]),
-    "scalar_N on the all-unprimed label only": (unprimed_label_only, ["norm_equivalences"]),
+    "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, ["norm_equivalences", "seed_form_norm"]),
+    "scalar_N on the all-unprimed label only": (unprimed_label_only, ["norm_equivalences", "seed_form_norm"]),
     "integrate drops its last partial block": (last_block_dropped, ["amplitude_gaussian_norm"]),
     "momenta rolled by one sample in faraday_from_potential": (
         rolled_faraday_momenta, ["three_way_tensor_equality", "energy_density"]),
     "generator pair swapped in em_spinor": (swapped_em_generators, ["three_way_tensor_equality"]),
-    "cached ul table transposed": (transposed_ul_table, ["massive_field_equations", "norm_equivalences"]),
+    "cached ul table transposed": (
+        transposed_ul_table, ["massive_field_equations", "norm_equivalences", "seed_form_norm"]),
     "cached ll table lowered with a raising eps": (
         raising_eps_in_ll_table,
         ["three_way_tensor_equality", "helicity_eigenequation", "eta_normalization",
@@ -337,9 +341,10 @@ def test_every_registered_check_has_a_mutation():
 def test_untransposed_seed_form_is_a_reflection_seen_only_pointwise(monkeypatch):
     # E_k for E_k^T: p^{AA'} is Hermitian, so its transpose is its conjugate,
     # which is p^{AA'} at p^2 -> -p^2.  The Gaussian packets and the sampler are
-    # invariant under that reflection, so the integrals of both seed-form checks
-    # keep their values and only the sampling noise moves; the comparison with
-    # scalar_N at each momentum (TestSeedNorm) is what sees it.
+    # invariant under that reflection, so the integrals of both Monte-Carlo
+    # seed-form checks keep their values and only the sampling noise moves;
+    # the comparison with scalar_N at each momentum, the registry check
+    # seed_form_norm (its row in MUTATIONS), is what sees it.
     rng = np.random.default_rng(31)
     seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
     spatial = rng.normal(size=(50, 3))

@@ -217,6 +217,16 @@ class TestMain:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["seed"] == 12345
 
+    def test_env_seed_against_a_different_seed_flag_is_usage_error(self, capsys, monkeypatch):
+        # neither silently replaces the other; an equal pair runs
+        monkeypatch.setenv("BW_SEED", "7")
+        assert vc.main(["identities", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed 5 and BW_SEED=7 differ; set one of them\n"
+        assert vc.main(["identities", "--seed", "7", "--format", "json"]) == 0
+        assert {row["seed"] for row in json.loads(capsys.readouterr().out)} == {7}
+
     def test_flag_overrides(self, capsys):
         rc = vc.main(["massless", "--spin", "1", "--samples", "2000",
                       "--seed", "9", "--format", "json"])
@@ -230,6 +240,17 @@ class TestMain:
         vc.main(["identities", "--seed", "42", "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_byte_identical_reports_across_interpreters(self):
+        # string hashing is salted per interpreter: no report byte may depend on it
+        src = Path(__file__).resolve().parents[1] / "src"
+        outs = [
+            subprocess.run([sys.executable, "-m", "bwfields.verify_cli", "identities", "--format", "json"],
+                           capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hashseed)).stdout
+            for hashseed in ("0", "1")
+        ]
+        assert outs[0] and outs[0] == outs[1]
 
     @pytest.mark.parametrize("raw", [
         {"seed": "abc"},
@@ -407,26 +428,26 @@ class TestConfigFuzz:
             assert captured.err.startswith("error: ")
             assert len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("config", [
-        None,
+    @pytest.mark.parametrize("args, config, expected", [
+        (["all", "--mass", str(LO), "--samples", "2000"], None, {"scalar_lorentz_covariance": "inf"}),
         # with the mass end, the largest width overflows the Monte-Carlo variance
-        {"mass": LO, "sampler": {"width": HI, "samples": 2000}},
+        (["all"], {"mass": LO, "sampler": {"width": HI, "samples": 2000}},
+         {"packet_norm_invariance": "nan", "bilinear_norm_equality": "nan"}),
+        # m^-2n overflows at spins 5 and 6
+        (["massive", "--mass", str(LO), "--samples", "2000", "--spin", "5", "--spin", "6"], None,
+         {"trace_reversal_projection": "inf", "norm_equivalences": "nan"}),
     ])
-    def test_range_ends_write_no_warning(self, config, tmp_path):
+    def test_range_ends_write_no_warning(self, args, config, expected, tmp_path):
         # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
-        args = ["all", "--mass", str(self.LO), "--samples", "2000"]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
-            args = ["all", "--config", str(tmp_path / "cfg.json")]
+            args = args + ["--config", str(tmp_path / "cfg.json")]
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-m", "bwfields.verify_cli", *args], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 1 and "Warning" not in proc.stderr, proc.stderr
         rows = dict(line.split()[1:3] for line in proc.stdout.splitlines())
-        if config is None:
-            assert rows["scalar_lorentz_covariance"] == "residual=inf"
-        else:
-            assert rows["packet_norm_invariance"] == rows["bilinear_norm_equality"] == "residual=nan"
+        assert {name: rows[name] for name in expected} == {k: f"residual={v}" for k, v in expected.items()}
 
     @pytest.mark.parametrize("mass", vc.SCALE_RANGE)
     @pytest.mark.parametrize("width", vc.SCALE_RANGE)
