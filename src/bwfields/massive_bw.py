@@ -43,7 +43,7 @@ from .slot_core import (
     transform,
     world_tensor,
 )
-from .spinor_core import build_ivdw
+from .spinor_core import _convert_slots, build_ivdw
 
 __all__ = [
     "Label",
@@ -117,9 +117,10 @@ def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
 def _require_slot_symmetric(stack: np.ndarray, n: int, what: str) -> None:
     """Raise unless no exchange of two slots moves an entry by more than 1e-12
     of the largest (at least 1); adjacent exchanges generate them all."""
+    tol = 1e-12 * max(1.0, np.max(np.abs(stack))) if n > 1 else 0.0
     for k in range(n - 1):
         swapped = np.swapaxes(np.swapaxes(stack, 2 * k, 2 * k + 2), 2 * k + 1, 2 * k + 3)
-        if not np.max(np.abs(stack - swapped)) <= 1e-12 * max(1.0, np.max(np.abs(stack))):
+        if not np.max(np.abs(stack - swapped)) <= tol:
             raise ValueError(f"{what} not symmetric under slot exchange")
 
 
@@ -229,16 +230,15 @@ def seed_form(seed: np.ndarray, n: int) -> Callable[[FourMomentum], np.ndarray]:
     B^dagger P B = 2 P^T for P = p^{AA'}, so the norm is 2^n phibar (P^T)^{(x)n}
     phi.  With P = sum_k w_k E_k it is the real polynomial sum M[k_1..k_n]
     w_{k_1}..w_{k_n} in w = (P00, P11, Re P01, Im P01), four columns of the
-    cached "uu" table, contracted slot by slot, the first slot in one
-    product.  ``seed`` is one symmetric seed, shape (2,)*n.
+    cached "uu" table; M is phibar (x) phi through the E_k^T table on each
+    slot, and w is contracted slot by slot, the first slot in one product.
+    ``seed`` is one symmetric seed, shape (2,)*n.
     """
     phi = _symmetric_seed(seed, n)
     if phi.ndim != n:
         raise ValueError("seed_form takes one seed of shape (2,)*n")
     coef = (np.conj(phi)[(slice(None), None) * n] * phi[(None, slice(None)) * n]).reshape((4,) * n)
-    for k in range(n):
-        coef = np.moveaxis(np.tensordot(_SLOT_MOMENTS, coef, axes=(1, k)), 0, k)
-    coef = np.ascontiguousarray(2.0**n * coef.real)
+    coef = np.ascontiguousarray(2.0**n * _convert_slots(coef, _SLOT_MOMENTS.T, n).real)
     rows = _POSITION_TABLES["uu"][:, [0, 6, 2, 3]].T
 
     def norm(p: FourMomentum) -> np.ndarray:
