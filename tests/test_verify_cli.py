@@ -273,8 +273,6 @@ class TestMain:
         {"spin": [7]},
         {"parameters": {"spins": [7]}},
         {"sampler": {"sampels": 10}},
-        # the run seed has one key, the top-level "seed"
-        {"sampler": {"seed": 4}},
         {"mass": 1e40},
         {"mass": 1e-40},
         {"mass": 10**400},
@@ -282,6 +280,8 @@ class TestMain:
         {"sampler": {"width": 1e-100, "samples": 2000}},
         {"sampler": {"samples": 1e12}},
         {"sampler": {"samples": vc.MAX_SAMPLES + 1}},
+        # the run seed has one key, the top-level "seed"
+        {"sampler": {"seed": 4}},
     ])
     def test_malformed_config_value_is_usage_error(self, raw, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
