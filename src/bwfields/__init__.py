@@ -13,7 +13,7 @@ driver (console script ``bw-verify``).
 """
 
 from .momentum import FourMomentum, on_shell
-from .spinor_core import SL2CElement, LorentzMatrix, SpinorTensor
+from .spinor_core import SL2CElement, LorentzMatrix
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,5 @@ __all__ = [
     "on_shell",
     "SL2CElement",
     "LorentzMatrix",
-    "SpinorTensor",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .massive_bw import BWFieldAtP
 from .momentum import FourMomentum
-from .spinor_core import EPS_LO, EPS_UP, build_ivdw, levi_civita4
+from .spinor_core import EPS_LO, EPS_UP, build_ivdw, levi_civita4, world_from_spinor
 
 __all__ = [
     "GammaSet",
@@ -122,13 +122,12 @@ def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:
     """Spinor form j_a = sqrt2 g_a^{AA'} (psi_A psibar_{A'} + xi_{A'} xibar_A)."""
-    g = build_ivdw().up
     psi = np.asarray(psi, dtype=complex)
     u, v = psi[..., :2], psi[..., 2:]
     pair = np.einsum("...i,...j->...ij", u, np.conj(u)) + np.einsum(
         "...i,...j->...ij", np.conj(v), v
     )
-    j = np.sqrt(2.0) * np.einsum("aij,...ij->...a", g, pair)
+    j = np.sqrt(2.0) * world_from_spinor(pair, 1)
     scale = max(1.0, float(np.max(np.abs(j))))
     if not np.max(np.abs(j.imag)) <= 1e-12 * scale:
         raise AssertionError("current has non-negligible imaginary part")

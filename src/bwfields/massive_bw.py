@@ -303,14 +303,17 @@ class GaussianPacket:
 
     def __post_init__(self):
         # checked once here: a scalar amplitude times it stays symmetric
-        object.__setattr__(self, "seed_spinor", _symmetric_seed(self.seed_spinor, self.n))
+        seed = _symmetric_seed(self.seed_spinor, self.n)
+        if seed.ndim != self.n:
+            raise ValueError("GaussianPacket takes one seed of shape (2,)*n")
+        object.__setattr__(self, "seed_spinor", seed)
 
     def amplitude(self, p: FourMomentum) -> np.ndarray:
         return np.exp(-p.spatial_sq / (2 * self.width**2))
 
     def __call__(self, p: FourMomentum) -> BWFieldAtP:
-        seed = self.seed_spinor
-        return _build_from_symmetric(_batch_last(seed, self.n, seed.ndim - self.n), p, self.n, self.amplitude(p))
+        # an unbatched seed is already in the stack's batch-last layout
+        return _build_from_symmetric(self.seed_spinor, p, self.n, self.amplitude(p))
 
 
 def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mass: float, sign: int) -> tuple[float, float]:

@@ -1,11 +1,13 @@
 """Massless spin-n/2 fields with only unprimed indices.
 
-Fields are generated either from a symmetric primed potential spinor,
-psi = (-i)^n p x ... x p xi, or from a scalar amplitude against the
-canonical frame direction, psi = (-+i)^n pi x ... x pi f.  The intrinsic
-spin vector built from the momentum acts slot-wise; on these fields the
-slot sum is an exact eigenoperator with eigenvalue -(n/2) p^a, which is
-the helicity statement for the unprimed index convention.
+Fields are generated either from a symmetric upper primed potential
+spinor, psi = (-i)^n p x ... x p xi, or from a scalar amplitude against the
+canonical frame direction, psi = (-+i)^n pi x ... x pi f.  Both take a
+plain array, the momentum and the rank: ``field_from_potential(xi, p, n)``
+and ``field_from_amplitude(f, p, n)``.  The intrinsic spin vector built
+from the momentum acts slot-wise; on these fields the slot sum is an exact
+eigenoperator with eigenvalue -(n/2) p^a, which is the helicity statement
+for the unprimed index convention.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .spinor_core import EPS_UP, build_ivdw
 
 __all__ = [
     "MasslessFieldAtP",
-    "HertzPotentialAtP",
     "field_from_potential",
     "eta_canonical",
     "field_from_amplitude",
@@ -71,27 +72,19 @@ class MasslessFieldAtP(StackField):
         return self._batch_first((0,) * self.n)
 
 
-@dataclass(frozen=True)
-class HertzPotentialAtP:
-    """Totally symmetric rank-n upper primed potential spinor."""
-
-    n: int
-    xi: np.ndarray  # (..., 2)*n
-
-
-def _potential_stack(xi: HertzPotentialAtP, p: FourMomentum) -> tuple[np.ndarray, int]:
+def _potential_stack(xi: np.ndarray, p: FourMomentum, n: int) -> tuple[np.ndarray, int]:
     """xi as a one-bit stack whose batch axes also fit p's, and their number."""
-    arr = np.asarray(xi.xi, dtype=complex)
-    nb = len(np.broadcast_shapes(arr.shape[: arr.ndim - xi.n], np.shape(p.p0)))
-    return _unprimed_stack(arr, xi.n, nb), nb
+    xi = np.asarray(xi, dtype=complex)
+    nb = len(np.broadcast_shapes(xi.shape[: xi.ndim - n], np.shape(p.p0)))
+    return _unprimed_stack(xi, n, nb), nb
 
 
-def field_from_potential(xi: HertzPotentialAtP, p: FourMomentum) -> MasslessFieldAtP:
-    """psi_{A_1..A_n} = (-i)^n p_{A_1A'_1} .. p_{A_nA'_n} xi^{A'_1..A'_n}."""
+def field_from_potential(xi: np.ndarray, p: FourMomentum, n: int) -> MasslessFieldAtP:
+    """psi_{A_1..A_n} = (-i)^n p_{A_1A'_1} .. p_{A_nA'_n} xi^{A'_1..A'_n} for a
+    symmetric upper primed potential xi, shape batch + (2,)*n."""
     if p.mass != 0.0:
         raise ValueError("potential construction needs a null momentum")
-    n = xi.n
-    stack, nb = _potential_stack(xi, p)
+    stack, nb = _potential_stack(xi, p, n)
     # new index A at slot k from p_{AA'} xi^{..A'..}
     kernel = _kernel((momentum_matrix(p, "ll"),), nb)
     for k in range(n):
@@ -161,14 +154,14 @@ def norm_primed_integrand(field: MasslessFieldAtP, ts: list[np.ndarray]) -> np.n
     return probe_norm(field, ts)
 
 
-def potential_route_integrand(xi: HertzPotentialAtP, p: FourMomentum) -> np.ndarray:
+def potential_route_integrand(xi: np.ndarray, p: FourMomentum, n: int) -> np.ndarray:
     """p_{b_1}..p_{b_n} U^{b_1..b_n}; equals the probe form pointwise.
 
     The probe contraction of xibar with p_{AA'} = p_b g^b_{AA'} on every slot.
     """
-    stack, nb = _potential_stack(xi, p)
+    stack, nb = _potential_stack(xi, p, n)
     kernel = probe_kernel(momentum_matrix(p, "ll"), 1, nb)
-    return contract_probes(np.conj(stack), [kernel] * xi.n)
+    return contract_probes(np.conj(stack), [kernel] * n)
 
 
 def amplitude_norm_integrand(f_values: np.ndarray) -> np.ndarray:

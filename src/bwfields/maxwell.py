@@ -31,7 +31,7 @@ import numpy as np
 
 from .momentum import FourMomentum, minkowski_dot, momentum_matrix
 from .slot_core import _unprimed_stack, world_tensor
-from .spinor_core import EPS_LO, EPS_UP, METRIC, build_ivdw, sigma_generators
+from .spinor_core import EPS_LO, EPS_UP, METRIC, build_ivdw, sigma_generators, spinor_from_world
 
 __all__ = [
     "FaradayAtP",
@@ -132,8 +132,7 @@ def em_spinor_from_potential(pot: PotentialAtP, ordering: str = "first") -> np.n
     type enforces.
     """
     p_ll = momentum_matrix(pot.p, "ll")
-    phi_lo_sp = np.einsum("aij,...b,ba->...ij", build_ivdw().lo_w, pot.phi, METRIC)
-    phi_mixed = phi_lo_sp @ EPS_UP.T  # phi_B^{A'}
+    phi_mixed = spinor_from_world(pot.phi @ METRIC, 1) @ EPS_UP.T  # phi_B^{A'}
     if ordering == "first":
         return -1j * np.einsum("...am,...bm->...ab", p_ll, phi_mixed)
     if ordering == "second":

@@ -281,7 +281,6 @@ class HyperboloidSampler:
     weights: np.ndarray  # (N,)
     mass: float
     sign: int
-    seed: int
 
     def __post_init__(self):
         _check_branch(self.mass, self.sign)
@@ -336,7 +335,7 @@ def monte_carlo_sampler(
         np.multiply(sign, energy, out=rows[start:stop, 0])
         for k in range(3):  # as FourMomentum fills its rows
             rows[start:stop, k + 1] = pts[:, k]
-    return HyperboloidSampler(rows=rows, weights=weights, mass=mass, sign=sign, seed=seed)
+    return HyperboloidSampler(rows=rows, weights=weights, mass=mass, sign=sign)
 
 
 def integrate(

@@ -146,9 +146,11 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     """
     bits = kernel.shape[1]
     batch = stack.shape[2 * n:]
-    total = stack.reshape((bits, 2, 1) * n + batch) * np.conj(stack).reshape((bits, 1, 2) * n + batch)
-    # one (bit, i, j) slot through the conversion table per world index
-    total = _convert_slots(total.reshape((4 * bits,) * n + batch), kernel.reshape(4, -1).T, n)
+    psi = stack.reshape((bits, 2, 1) * n + batch)
+    psibar = np.conj(stack).reshape((bits, 1, 2) * n + batch)
+    # psi psibar through the conversion table, one (bit, i, j) slot per world
+    # index; the product is left unbound, so it is freed after the first slot
+    total = _convert_slots((psi * psibar).reshape((4 * bits,) * n + batch), kernel.reshape(4, -1).T, n)
     entries = tuple(range(len(batch), total.ndim))
     scale = np.maximum(1.0, np.max(np.abs(total), axis=entries))
     if not np.all(np.max(np.abs(total.imag), axis=entries) <= 1e-12 * scale):

@@ -1,5 +1,10 @@
 """Two-spinor index algebra, Infeld-van der Waerden symbols and SL(2,C) maps.
 
+Spinor components are plain complex arrays whose trailing axes are the
+indices.  ``_raise_axis``/``_lower_axis`` move one index with epsilon, and
+``_convert_slots`` is the one route between world indices and spinor index
+pairs (``world_from_spinor``, ``spinor_from_world`` and the field tensors).
+
 Conventions (fixed once, everything downstream relies on them):
 
 * Metric signature (+,-,-,-); Levi-Civita normalization e^{0123} = +1.
@@ -29,7 +34,6 @@ __all__ = [
     "EPS_LO",
     "EPS_UP",
     "METRIC",
-    "SpinorTensor",
     "IvdWSymbol",
     "SigmaGenerators",
     "SL2CElement",
@@ -74,67 +78,6 @@ def _lower_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """psi_A = psi^B eps_{BA} applied to one axis of a component array."""
     out = np.tensordot(EPS_LO, arr, axes=([0], [axis]))
     return np.moveaxis(out, 0, axis)
-
-
-# ---------------------------------------------------------------------------
-# Spinor tensors
-# ---------------------------------------------------------------------------
-
-Slot = tuple[bool, bool]  # (primed, upper)
-
-
-@dataclass(frozen=True)
-class SpinorTensor:
-    """Dense complex array with per-axis spinor index metadata.
-
-    The trailing ``len(slots)`` axes of ``array`` are spinor indices of
-    dimension 2; any leading axes are broadcast (batch) dimensions.  Each
-    slot records ``(primed, upper)`` flags.
-    """
-
-    array: np.ndarray
-    slots: tuple[Slot, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.array, dtype=complex)
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "slots", tuple((bool(p), bool(u)) for p, u in self.slots))
-        if arr.ndim < len(self.slots):
-            raise ValueError("array rank smaller than number of slots")
-        if arr.shape[arr.ndim - len(self.slots):] != (2,) * len(self.slots):
-            raise ValueError("spinor axes must all have dimension 2")
-
-    @property
-    def rank(self) -> int:
-        return len(self.slots)
-
-    def _axis(self, slot: int) -> int:
-        if not 0 <= slot < self.rank:
-            raise IndexError(f"slot {slot} out of range for rank {self.rank}")
-        return self.array.ndim - self.rank + slot
-
-    def raise_index(self, slot: int) -> "SpinorTensor":
-        primed, upper = self.slots[slot]
-        if upper:
-            raise ValueError(f"slot {slot} is already upper")
-        new = _raise_axis(self.array, self._axis(slot))
-        slots = list(self.slots)
-        slots[slot] = (primed, True)
-        return SpinorTensor(new, tuple(slots))
-
-    def lower_index(self, slot: int) -> "SpinorTensor":
-        primed, upper = self.slots[slot]
-        if not upper:
-            raise ValueError(f"slot {slot} is already lower")
-        new = _lower_axis(self.array, self._axis(slot))
-        slots = list(self.slots)
-        slots[slot] = (primed, False)
-        return SpinorTensor(new, tuple(slots))
-
-    def conjugate(self) -> "SpinorTensor":
-        """Complex conjugation swaps primed and unprimed index character."""
-        slots = tuple((not p, u) for p, u in self.slots)
-        return SpinorTensor(np.conj(self.array), slots)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +276,7 @@ class LorentzMatrix:
     """Real proper orthochronous Lorentz matrix Lambda^a_b.
 
     ``matrix`` may carry leading batch axes, shape (..., 4, 4); each matrix
-    of a batch is validated on its own.  Products and inverses broadcast.
+    of a batch is validated on its own.  Inverses broadcast.
     """
 
     matrix: np.ndarray
@@ -354,9 +297,6 @@ class LorentzMatrix:
     def inverse(self) -> "LorentzMatrix":
         # Lambda^{-1} = g Lambda^T g for metric-preserving matrices.
         return LorentzMatrix(METRIC @ np.swapaxes(self.matrix, -1, -2) @ METRIC)
-
-    def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(self.matrix @ other.matrix)
 
 
 _EYE2 = np.eye(2)

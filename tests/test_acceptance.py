@@ -103,7 +103,7 @@ def test_criterion_5_massless():
     for sign in (1, -1):
         for n in (1, 2, 3):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
-            fld = ml.field_from_potential(ml.HertzPotentialAtP(n=n, xi=_rand_sym_seed(rng, n, 50)), p)
+            fld = ml.field_from_potential(_rand_sym_seed(rng, n, 50), p, n)
             assert core.residual_field_equations(fld) < 1e-12
             famp = ml.field_from_amplitude(rng.normal(size=50) + 1j * rng.normal(size=50), p, n)
             assert core.residual_field_equations(famp) < 1e-12

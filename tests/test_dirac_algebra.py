@@ -88,6 +88,18 @@ class TestCurrent:
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             assert da.dirac_current(psi)[0] > 0
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_spinor_form_matches_its_einsum(self, sign):
+        # the g_a^{AA'} contraction as it was written before it went through
+        # world_from_spinor, on packed fields of each energy branch
+        psi = np.array(da.pack_bispinor(random_field(np.random.default_rng(8), 1.0, sign, batch=50)))
+        u, v = psi[..., :2], psi[..., 2:]
+        pair = np.einsum("...i,...j->...ij", u, np.conj(u)) + np.einsum("...i,...j->...ij", np.conj(v), v)
+        ref = np.sqrt(2.0) * np.einsum("aij,...ij->...a", sc.build_ivdw().up, pair)
+        j = da.dirac_current(psi)
+        assert j.shape == ref.shape
+        assert np.max(np.abs(j - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_matrix_route_agreement(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -98,6 +98,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="slot exchange"):
             mbw.build_from_seed(odd, mom.on_shell(1.0, 1, [0, 0, 0]), 3)
 
+    def test_batched_packet_seed_rejected(self):
+        # a batch of seeds would build fields no packet integral can take
+        seeds = mbw.symmetrize(np.random.default_rng(2).normal(size=(3, 2, 2)) + 0j, 2)
+        with pytest.raises(ValueError, match="one seed"):
+            mbw.GaussianPacket(2, 1.0, 1, seeds)
+
     @pytest.mark.parametrize("check", ["packet_norm_invariance", "bilinear_norm_equality"])
     def test_packet_values_match_the_checked_builder(self, check, monkeypatch):
         # a packet checks its seed once and skips the check on every block

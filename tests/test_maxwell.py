@@ -80,6 +80,20 @@ class TestEmSpinor:
         pot = mx.PotentialAtP(phi=(0.4 - 1.1j) * p.vec, p=p)
         assert np.max(np.abs(mx.em_spinor_from_potential(pot))) < 1e-13
 
+    @pytest.mark.parametrize("ordering", ["first", "second"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_potential_route_matches_its_einsum(self, sign, ordering):
+        # phi_{AA'} = g^a_{AA'} phi_a as it was written before it went through
+        # spinor_from_world, on a batch of each energy branch
+        rng = np.random.default_rng(6)
+        pot = complex_lorenz_potential(rng, rand_null(rng, sign, 40))
+        phi_lo_sp = np.einsum("aij,...b,ba->...ij", sc.build_ivdw().lo_w, pot.phi, sc.METRIC)
+        pair = "...bm,...am->...ab" if ordering == "second" else "...am,...bm->...ab"
+        ref = -1j * np.einsum(pair, mom.momentum_matrix(pot.p, "ll"), phi_lo_sp @ sc.EPS_UP.T)
+        phi = mx.em_spinor_from_potential(pot, ordering)
+        assert phi.shape == ref.shape == (40, 2, 2)
+        assert np.max(np.abs(phi - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_field_tensor_route_consistency(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

@@ -252,7 +252,7 @@ class TestQuadrature:
         assert val == 0 and se == 0
 
     def test_empty_sampler_rejected(self):
-        s = mom.HyperboloidSampler(rows=np.zeros((0, 4)), weights=np.zeros(0), mass=1.0, sign=1, seed=0)
+        s = mom.HyperboloidSampler(rows=np.zeros((0, 4)), weights=np.zeros(0), mass=1.0, sign=1)
         with pytest.raises(ValueError):
             mom.integrate(lambda p: np.zeros(0), s)
 
@@ -269,7 +269,7 @@ class TestQuadrature:
         # integrate hands out without checking them again
         rows = np.array([[1.0, 0.0, 0.0, 1.0][: len(row)], row])
         with pytest.raises(ValueError, match=match):
-            mom.HyperboloidSampler(rows=rows, weights=np.ones(2), mass=mass, sign=sign, seed=0)
+            mom.HyperboloidSampler(rows=rows, weights=np.ones(2), mass=mass, sign=sign)
 
     @pytest.mark.parametrize("mass, sign, width", [(1.3, -1, 0.8), (0.0, 1, 1.0)])
     def test_block_momenta_are_on_shell_of_the_points_bit_for_bit(self, mass, sign, width):

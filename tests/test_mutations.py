@@ -325,8 +325,16 @@ def test_check_passes_unmutated(check):
     assert run_check(check).status == "pass"
 
 
-@pytest.mark.parametrize(
-    "mutation, check", [(mutation, check) for mutation, (_, checks) in MUTATIONS.items() for check in checks])
+# rows whose mutation makes every spin frame NaN by design, so numpy warns on
+# the way to the failure; every other row must run free of RuntimeWarnings
+NAN_BY_DESIGN = {("cached ll table lowered with a raising eps", check) for check in (
+    "helicity_eigenequation", "eta_normalization", "amplitude_norm_identity", "fd_plane_wave_massless")}
+
+
+@pytest.mark.parametrize("mutation, check", [
+    pytest.param(mutation, check, marks=[pytest.mark.filterwarnings("ignore::RuntimeWarning")]
+                 if (mutation, check) in NAN_BY_DESIGN else [])
+    for mutation, (_, checks) in MUTATIONS.items() for check in checks])
 def test_mutation_fails_its_check(mutation, check, monkeypatch):
     MUTATIONS[mutation][0](monkeypatch)
     result = run_check(check)
@@ -357,6 +365,7 @@ def test_untransposed_seed_form_is_a_reflection_seen_only_pointwise(monkeypatch)
     assert np.max(np.abs(mutant(p) - built) / np.abs(built)) > 0.1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_fields_fail_the_massless_suite(monkeypatch, capsys):
     # under the ll-table mutation every spin frame is NaN: the massless suite
     # must report failures (exit 1), not pass them or raise
