@@ -79,24 +79,27 @@ class BWFieldAtP(StackField):
     ``stack`` holds them in one complex array of shape (2, 2)*n + batch, axes
     (bit_1, i_1, ..., bit_n, i_n, batch...).  ``components`` maps each label
     to a read-only batch-first view of the stack, shape batch + (2,)*n.
+
+    For n >= 2 the stack must be symmetric under the exchange of any two
+    slots (label bits and indices together), as every field built from a
+    symmetric seed is: ``scalar_N`` relies on it.  A stack with a NaN entry
+    is accepted, so that its results read NaN.
     """
 
     bits: ClassVar[int] = 2
 
+    def __post_init__(self):
+        super().__post_init__()
+        _require_slot_symmetric(self.stack, self.n, "stack is", nan_passes=True)
+
     @classmethod
     def from_components(cls, n: int, p: FourMomentum, components: Mapping[Label, np.ndarray]) -> "BWFieldAtP":
-        """Stack per-label arrays of shape batch + (2,)*n; batches broadcast.
-
-        For n >= 2 the stack must be symmetric under the exchange of any two
-        slots (label bits and indices together), as every field built from a
-        symmetric seed is: ``scalar_N`` relies on it.
-        """
+        """Stack per-label arrays of shape batch + (2,)*n; batches broadcast."""
         arrs = {lab: np.asarray(components[lab], dtype=complex) for lab in all_labels(n)}
         batch = np.broadcast_shapes(*(a.shape[: a.ndim - n] for a in arrs.values()))
         stack = np.empty((2, 2) * n + batch, dtype=complex)
         for lab, a in arrs.items():
             stack[_label_index(lab)] = _batch_last(a, n, len(batch))
-        _require_slot_symmetric(stack, n, "components are")
         return cls(n=n, p=p, stack=stack)
 
     @cached_property
@@ -114,13 +117,16 @@ def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
     return out / len(perms)
 
 
-def _require_slot_symmetric(stack: np.ndarray, n: int, what: str) -> None:
+def _require_slot_symmetric(stack: np.ndarray, n: int, what: str, nan_passes: bool = False) -> None:
     """Raise unless no exchange of two slots moves an entry by more than 1e-12
-    of the largest (at least 1); adjacent exchanges generate them all."""
-    tol = 1e-12 * max(1.0, np.max(np.abs(stack))) if n > 1 else 0.0
+    of the largest (at least 1); adjacent exchanges generate them all.  An
+    exchange that moves a NaN entry fails, unless ``nan_passes``."""
+    tol = 1e-12 * max(1.0, np.max(np.abs(stack), initial=0.0)) if n > 1 else 0.0
     for k in range(n - 1):
         swapped = np.swapaxes(np.swapaxes(stack, 2 * k, 2 * k + 2), 2 * k + 1, 2 * k + 3)
-        if not np.max(np.abs(stack - swapped)) <= tol:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN
+            moved = np.max(np.abs(stack - swapped), initial=0.0)
+        if not (moved <= tol or nan_passes and np.isnan(moved)):
             raise ValueError(f"{what} not symmetric under slot exchange")
 
 
@@ -169,7 +175,7 @@ def _build_from_symmetric(seed: np.ndarray, p: FourMomentum, n: int, amp=1.0) ->
         lead = (slice(0, 1), slice(None)) * k
         src = _contract_slot(stack[lead + (slice(0, 1),)], kernel, k)
         np.multiply(factor, src, out=stack[lead + (slice(1, 2),)])
-    return BWFieldAtP(n=n, p=p, stack=stack)
+    return BWFieldAtP._of_stack(n, p, stack)
 
 
 def tensor_T(f: BWFieldAtP) -> np.ndarray:

@@ -126,6 +126,16 @@ class StackField:
         if self.stack.shape[: 2 * self.n] != (self.bits, 2) * self.n:
             raise ValueError(f"stack must start with a ({self.bits}, 2) pair of axes per slot")
 
+    @classmethod
+    def _of_stack(cls, n: int, p: FourMomentum, stack: np.ndarray) -> "StackField":
+        """A field on a stack its maker built with the slot axes and, for a
+        massive field, slot-symmetric: no checks, as ``FourMomentum._of_rows``."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "p", p)
+        object.__setattr__(f, "stack", stack)
+        return f
+
     def batch_shape(self) -> tuple[int, ...]:
         return self.stack.shape[2 * self.n:]
 
@@ -136,6 +146,11 @@ class StackField:
         return view
 
 
+# largest psi (x) psibar product world_tensor forms at once, in bytes: spins
+# up to 4 at a batch of 50 stay one chunk, a spin-6 batch is cut into chunks
+WORLD_TENSOR_CHUNK_BYTES = 2**24
+
+
 def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     """Rank-n world tensor sum over labels of psi psibar, shape batch + (4,)*n.
 
@@ -143,14 +158,26 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     slot of that bit (the bit is shared by both factors): a bit axis of size
     2 for a massive stack, 1 for an unprimed one.  Entries must be real: each
     sample's imaginary parts within 1e-12 of its own largest entry (at least 1).
+    The batch goes through in chunks whose product psi (x) psibar stays within
+    ``WORLD_TENSOR_CHUNK_BYTES``.
     """
     bits = kernel.shape[1]
     batch = stack.shape[2 * n:]
-    psi = stack.reshape((bits, 2, 1) * n + batch)
-    psibar = np.conj(stack).reshape((bits, 1, 2) * n + batch)
-    # psi psibar through the conversion table, one (bit, i, j) slot per world
-    # index; the product is left unbound, so it is freed after the first slot
-    total = _convert_slots((psi * psibar).reshape((4 * bits,) * n + batch), kernel.reshape(4, -1).T, n)
+    flat = stack.reshape((bits, 2) * n + (-1,))
+    table = kernel.reshape(4, -1).T
+    per_sample = (4 * bits) ** n * flat.itemsize
+    step = max(1, WORLD_TENSOR_CHUNK_BYTES // per_sample)
+    parts = []
+    # an empty batch is one empty chunk
+    for start in range(0, max(1, flat.shape[-1]), step):
+        chunk = flat[..., start:start + step]
+        psi = chunk.reshape((bits, 2, 1) * n + chunk.shape[-1:])
+        psibar = np.conj(chunk).reshape((bits, 1, 2) * n + chunk.shape[-1:])
+        # psi psibar through the conversion table, one (bit, i, j) slot per
+        # world index; the product is left unbound, so it is freed after the
+        # first slot
+        parts.append(_convert_slots((psi * psibar).reshape((4 * bits,) * n + chunk.shape[-1:]), table, n))
+    total = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(batch + (4,) * n)
     entries = tuple(range(len(batch), total.ndim))
     scale = np.maximum(1.0, np.max(np.abs(total), axis=entries))
     if not np.all(np.max(np.abs(total.imag), axis=entries) <= 1e-12 * scale):
@@ -284,6 +311,7 @@ def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
                 # (earlier slots, bit, index, later axes), one product
                 view = (math.prod(shape[: 2 * k]),) + shape[2 * k:2 * k + 2] + (math.prod(shape[2 * k + 2:]),)
                 stack = np.matmul(maps, stack.reshape(view)).reshape(shape)
-        return type(f)(n=f.n, p=p, stack=stack)
+        # D(s) on every slot keeps the exchange symmetry of f's stack
+        return type(f)._of_stack(f.n, p, stack)
 
     return new_gen

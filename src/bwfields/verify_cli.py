@@ -298,8 +298,16 @@ def render_report(results: list[CheckResult], fmt: str) -> bytes:
     raise ConfigError(f"unknown report format {fmt!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors: exit 2 with one
+    ``error: ...`` line, as a bad configuration gives, not the usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bw-verify",
         description="Run the spinor-field identity verification suites.",
     )
@@ -319,12 +327,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(exc: ConfigError) -> int:
+    """Exit code 2 after one ``error: ...`` line on stderr, even where the
+    message quotes an argument with a line break."""
+    print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help, the one exit left to argparse
+        return 0
+    except ConfigError as exc:
+        return _usage_error(exc)
     try:
         config = load_config(args.config)
         if args.spin:
@@ -355,8 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.buffer.write(render_report(results, args.format))
         sys.stdout.buffer.flush()
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if any(r.status == "fail" for r in results):
         return 1
     return 0

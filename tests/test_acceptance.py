@@ -118,7 +118,7 @@ def test_criterion_6_maxwell():
 
 def test_criterion_7_dirac_bridge():
     run_checks(107, ["dirac_bridge", "current_tensor_correspondence", "bilinear_norm_equality"])
-    _report(7, "bispinor equation, current-tensor match, bilinear norm within 3 sigma")
+    _report(7, "bispinor equation, current-tensor match, bilinear norm equals the seed form pointwise")
 
 
 def test_criterion_8_finite_difference_convergence():

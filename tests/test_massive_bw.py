@@ -104,12 +104,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="one seed"):
             mbw.GaussianPacket(2, 1.0, 1, seeds)
 
-    @pytest.mark.parametrize("check", ["packet_norm_invariance", "bilinear_norm_equality"])
-    def test_packet_values_match_the_checked_builder(self, check, monkeypatch):
+    def test_packet_values_match_the_checked_builder(self, monkeypatch):
         # a packet checks its seed once and skips the check on every block
         def run():
             params = {**default_parameters(), "samples": 20000}
-            return REGISTRY[check].run(params, np.random.default_rng(8))
+            return REGISTRY["packet_norm_invariance"].run(params, np.random.default_rng(8))
 
         def checked_call(packet, p):
             amp = np.exp(-np.sum(p.spatial**2, axis=-1) / (2 * packet.width**2))
@@ -227,13 +226,13 @@ class TestTensor:
 
     def test_matches_per_label_sum_on_independent_components(self):
         # components that no seed generates, not even slot-symmetric ones
-        # (which from_components rejects): every one of them enters T
+        # (which the public constructor rejects): every one of them enters T
         rng = np.random.default_rng(20)
         n = 3
         p = mom.on_shell(1.0, 1, rng.normal(size=(5, 3)))
         shape = (2, 2) * n + (5,)
         stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert_matches_per_label(mbw.BWFieldAtP(n, p, stack), (5,))
+        assert_matches_per_label(mbw.BWFieldAtP._of_stack(n, p, stack), (5,))
 
     def test_matches_per_label_sum_on_broadcast_components(self):
         # an unbatched seed with batched momenta, broadcast over them in the stack
@@ -244,6 +243,16 @@ class TestTensor:
     def test_matches_per_label_sum_at_n5(self):
         rng = np.random.default_rng(21)
         assert_matches_per_label(random_field(rng, 5, 1.0, 1, batch=1), (1,))
+
+    @pytest.mark.parametrize("batch", [(2, 5), (0,)])
+    def test_chunked_batch_equals_one_chunk(self, batch, monkeypatch):
+        # chunks of 3 fields, the last one short, against the batch at once
+        rng = np.random.default_rng(23)
+        seed = mbw.symmetrize(rng.normal(size=batch + (2,) * 3) + 1j * rng.normal(size=batch + (2,) * 3), 3)
+        f = mbw.build_from_seed(seed, mom.on_shell(1.1, -1, rng.normal(size=batch + (3,))), 3)
+        whole = mbw.tensor_T(f)
+        monkeypatch.setattr(core, "WORLD_TENSOR_CHUNK_BYTES", 3 * 8**3 * 16)
+        assert np.array_equal(mbw.tensor_T(f), whole) and whole.shape == batch + (4,) * 3
 
     def test_complex_tensor_rejected(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -398,8 +407,7 @@ class TestSeedNorm:
                 exact = seed_norm_clongdouble(seed, p, n)
                 assert np.all(np.abs(mbw.seed_form(seed, n)(p) - exact) <= 1e-12 * np.abs(exact))
 
-    @pytest.mark.parametrize("check", ["packet_norm_invariance", "bilinear_norm_equality"])
-    def test_form_built_once_per_check(self, check, monkeypatch):
+    def test_form_built_once_per_check(self, monkeypatch):
         # 20000 samples are five integrand blocks: one form, evaluated once per block
         seed_form, forms, blocks = mbw.seed_form, [], []
 
@@ -414,7 +422,7 @@ class TestSeedNorm:
             return counted
 
         monkeypatch.setattr(mbw, "seed_form", counting)
-        REGISTRY[check].run(dict(default_parameters(), samples=20000), np.random.default_rng(1))
+        REGISTRY["packet_norm_invariance"].run(dict(default_parameters(), samples=20000), np.random.default_rng(1))
         assert len(forms) == 1
         assert blocks == [mom.INTEGRATE_BLOCK] * 4 + [20000 - 4 * mom.INTEGRATE_BLOCK]
 
@@ -574,6 +582,17 @@ class TestStack:
         # one slot has no exchange: any n = 1 components are accepted
         comps = {(0,): rng.normal(size=(4, 2)), (1,): rng.normal(size=(4, 2))}
         assert mbw.BWFieldAtP.from_components(1, f.p, comps).batch_shape() == (4,)
+
+    def test_stack_not_symmetric_under_slot_exchange_rejected(self):
+        # scalar_N reads only symmetric stacks: on this one it would be wrong
+        rng = np.random.default_rng(85)
+        p = mom.on_shell(1.0, 1, rng.normal(size=(4, 3)))
+        stack = rng.normal(size=(2, 2, 2, 2, 4)) + 1j * rng.normal(size=(2, 2, 2, 2, 4))
+        with pytest.raises(ValueError, match="slot exchange"):
+            mbw.BWFieldAtP(2, p, stack)
+        # symmetrized, the same stack is accepted
+        f = mbw.BWFieldAtP(2, p, (stack + np.transpose(stack, (2, 3, 0, 1, 4))) / 2)
+        assert f.batch_shape() == (4,)
 
     def test_stack_without_slot_axes_rejected(self):
         with pytest.raises(ValueError, match="slot"):

@@ -177,9 +177,22 @@ class TestMain:
         assert vc.main(["all", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
-    def test_usage_error(self, capsys):
-        assert vc.main(["not-a-suite"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv, message", [
+        (["not-a-suite"], "argument suite: invalid choice: 'not-a-suite'"),
+        (["identities", "--spin", "x"], "argument --spin: invalid int value: 'x'"),
+        ([], "the following arguments are required: suite"),
+        (["identities", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_is_one_line(self, argv, message, capsys):
+        # not argparse's usage block: one line, as a bad configuration gives
+        assert vc.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert vc.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: bw-verify")
 
     def test_mass_zero_is_parameter_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -430,9 +443,10 @@ class TestConfigFuzz:
 
     @pytest.mark.parametrize("args, config, expected", [
         (["all", "--mass", str(LO), "--samples", "2000"], None, {"scalar_lorentz_covariance": "inf"}),
-        # with the mass end, the largest width overflows the Monte-Carlo variance
+        # with the mass end, the largest width overflows the Monte-Carlo
+        # variance; the pointwise bilinear check has none, and fails on its value
         (["all"], {"mass": LO, "sampler": {"width": HI, "samples": 2000}},
-         {"packet_norm_invariance": "nan", "bilinear_norm_equality": "nan"}),
+         {"packet_norm_invariance": "nan", "bilinear_norm_equality": None}),
         # m^-2n overflows at spins 5 and 6
         (["massive", "--mass", str(LO), "--samples", "2000", "--spin", "5", "--spin", "6"], None,
          {"trace_reversal_projection": "inf", "norm_equivalences": "nan"}),
@@ -446,8 +460,11 @@ class TestConfigFuzz:
         proc = subprocess.run([sys.executable, "-m", "bwfields.verify_cli", *args], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 1 and "Warning" not in proc.stderr, proc.stderr
-        rows = dict(line.split()[1:3] for line in proc.stdout.splitlines())
-        assert {name: rows[name] for name in expected} == {k: f"residual={v}" for k, v in expected.items()}
+        rows = {name: (status, value) for status, name, value, _ in map(str.split, proc.stdout.splitlines())}
+        for name, value in expected.items():
+            assert rows[name][0] == "FAIL", (name, rows[name])
+            if value is not None:
+                assert rows[name][1] == f"residual={value}", (name, rows[name])
 
     @pytest.mark.parametrize("mass", vc.SCALE_RANGE)
     @pytest.mark.parametrize("width", vc.SCALE_RANGE)
@@ -455,3 +472,56 @@ class TestConfigFuzz:
         config = fast_config()
         config["parameters"].update(mass=mass, width=width)
         assert len(vc.run_suite(config, "all")) == len(REGISTRY)
+
+
+class TestFlagFuzz:
+    """Any command line, with or without BW_SEED, ends in exit 0, 1 or 2,
+    never in a traceback, and exit 2 writes one line and no report."""
+
+    LO, HI = vc.SCALE_RANGE
+    EDGES = [LO * 0.999, HI * 1.001, 0, -1, 1e40, "nan", "inf", -5, 2**70, vc.MAX_SAMPLES + 1, "json"]
+    junk = st.text(max_size=4)
+    whole = st.sampled_from(["1", "2", "3", "2000"])
+    real = whole | st.sampled_from(["0.5", str(LO), str(HI)])
+    # a command line of valid flags, then at most one flag given a wrong value
+    flags = st.fixed_dictionaries({}, optional={
+        "--spin": st.lists(st.integers(1, 6).map(str), min_size=1, max_size=2),
+        "--mass": real, "--samples": whole, "--seed": whole, "--tol": real,
+        "--format": st.sampled_from(["json", "text"]),
+        # a writable file, a directory, a file in a missing directory
+        "--timings": st.sampled_from(["file", "file", "dir", "missing"]),
+    })
+    wrong = st.none() | st.tuples(
+        st.sampled_from(["suite", "--spin", "--mass", "--samples", "--seed", "--tol", "--format"]),
+        st.sampled_from([str(x) for x in EDGES]) | st.integers(-1, 7).map(str) | st.floats().map(str) | junk)
+    env_seed = st.none() | st.none() | st.integers(-3, 2**70).map(str) | st.text(alphabet="0123456789-+ .ex", max_size=5)
+
+    # the two suites that take a few milliseconds at any mass and sample count
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(suite=st.sampled_from(["identities", "dirac"]), flags=flags, wrong=wrong, env_seed=env_seed)
+    def test_any_command_line_gives_an_exit_code(self, suite, flags, wrong, env_seed, tmp_path, capsys,
+                                                 monkeypatch):
+        paths = {"file": tmp_path / "timings.json", "dir": tmp_path, "missing": tmp_path / "missing" / "t.json"}
+        if "--timings" in flags:
+            flags["--timings"] = str(paths[flags["--timings"]])
+        if wrong is not None:
+            if wrong[0] == "suite":
+                suite = wrong[1]
+            else:
+                flags[wrong[0]] = [wrong[1]] if wrong[0] == "--spin" else wrong[1]
+        argv = [suite]
+        for flag, value in flags.items():
+            for v in value if flag == "--spin" else [value]:
+                argv += [flag, v]
+        if env_seed is None:
+            monkeypatch.delenv("BW_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BW_SEED", env_seed)
+        rc = vc.main(argv)
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
