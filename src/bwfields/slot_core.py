@@ -177,7 +177,7 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
         # world index; the product is left unbound, so it is freed after the
         # first slot
         parts.append(_convert_slots((psi * psibar).reshape((4 * bits,) * n + chunk.shape[-1:]), table, n))
-    total = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(batch + (4,) * n)
+    total = np.concatenate(parts).reshape(batch + (4,) * n)
     entries = tuple(range(len(batch), total.ndim))
     scale = np.maximum(1.0, np.max(np.abs(total), axis=entries))
     if not np.all(np.max(np.abs(total.imag), axis=entries) <= 1e-12 * scale):
