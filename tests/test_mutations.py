@@ -198,8 +198,8 @@ def unsigned_adjoint(monkeypatch):
 
 
 def scaled_bilinear_integrand(monkeypatch):
-    # the current norm 1 % high at every momentum: a Monte-Carlo comparison
-    # of its integral read z = 2.5 at 20000 samples, within 3 sigma
+    # 1 % high at every momentum: within three standard errors of a
+    # Monte-Carlo comparison at 20000 samples (z = 2.5), not of a pointwise one
     integrand = da.norm_bilinear_integrand
     monkeypatch.setattr(da, "norm_bilinear_integrand", lambda psi, p, mass: 1.01 * integrand(psi, p, mass))
 
