@@ -594,6 +594,14 @@ class TestStack:
         f = mbw.BWFieldAtP(2, p, (stack + np.transpose(stack, (2, 3, 0, 1, 4))) / 2)
         assert f.batch_shape() == (4,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_accepted_without_warning(self, bad):
+        # its results then read NaN or inf: a failure, not a crash or a warning
+        f = random_field(np.random.default_rng(86), 2, batch=3)
+        stack = f.stack.copy()
+        stack[0, 0, 0, 0, 1] = bad
+        assert mbw.BWFieldAtP(2, f.p, stack).batch_shape() == (3,)
+
     def test_stack_without_slot_axes_rejected(self):
         with pytest.raises(ValueError, match="slot"):
             mbw.BWFieldAtP(2, mom.on_shell(1.0, 1, [0, 0, 0]), np.zeros((2, 2, 2)))
