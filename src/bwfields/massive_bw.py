@@ -118,15 +118,19 @@ def symmetrize(arr: np.ndarray, n: int) -> np.ndarray:
 
 
 def _require_slot_symmetric(stack: np.ndarray, n: int, what: str, nan_passes: bool = False) -> None:
-    """Raise unless no exchange of two slots moves an entry by more than 1e-12
-    of the largest (at least 1); adjacent exchanges generate them all.  An
-    exchange that moves a NaN entry fails, unless ``nan_passes``."""
-    tol = 1e-12 * max(1.0, np.max(np.abs(stack), initial=0.0)) if n > 1 else 0.0
+    """Raise unless no exchange of two slots moves an entry of a sample by
+    more than 1e-12 of that sample's largest entry (at least 1); adjacent
+    exchanges generate them all.  An exchange that moves a NaN entry fails,
+    unless ``nan_passes``."""
+    if n < 2:
+        return
+    spinor_axes = tuple(range(2 * n))
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(stack), axis=spinor_axes))
     for k in range(n - 1):
         swapped = np.swapaxes(np.swapaxes(stack, 2 * k, 2 * k + 2), 2 * k + 1, 2 * k + 3)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, without a warning
-            moved = np.max(np.abs(stack - swapped), initial=0.0)
-        if not (moved <= tol or nan_passes and np.isnan(moved)):
+            moved = np.max(np.abs(stack - swapped), axis=spinor_axes)
+        if not np.all((moved <= tol) | (nan_passes & np.isnan(moved))):
             raise ValueError(f"{what} not symmetric under slot exchange")
 
 

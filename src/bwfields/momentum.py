@@ -41,6 +41,7 @@ __all__ = [
     "spin_frame",
     "act",
     "monte_carlo_sampler",
+    "shell_cubature",
     "integrate",
     "minkowski_dot",
 ]
@@ -338,6 +339,74 @@ def monte_carlo_sampler(
     return HyperboloidSampler(rows=rows, weights=weights, mass=mass, sign=sign)
 
 
+# Nodes of shell_cubature along cos(theta), phi and the rapidity u, in the
+# order its rows run.  At the packet check's radius (9 widths past the image
+# of a rapidity-0.84 element) the spin-1 packet's two norms agree to 3.3e-13
+# at m = 0.2, 2.0e-15 at m = 1 and 8.4e-12 at m = 5 (worst over seeds
+# 1-100); the rapidity count sets the low-mass error and the angular ones
+# the high-mass error.  The 48 600 rows are not a whole number of
+# INTEGRATE_BLOCKs, so a last, partial block carries weight.
+SHELL_NODES = (30, 30, 54)
+
+
+def _legendre(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_k(x) and P_k'(x) by the three-term recurrence, for |x| < 1."""
+    prev, cur = np.ones_like(x), x
+    for j in range(2, k + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, k * (x * cur - prev) / (x * x - 1)
+
+
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the k-point Gauss-Legendre rule on
+    [-1, 1], by Newton's method on P_k from the guesses -cos(pi (i + 3/4) /
+    (k + 1/2)).  numpy's leggauss takes the same nodes from an eigenvalue
+    solver, whose first call maps LAPACK in and raises the peak RSS by about
+    1 MiB."""
+    x = -np.cos(np.pi * (np.arange(k) + 0.75) / (k + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(k, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, dp = _legendre(k, x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def shell_cubature(mass: float, sign: int, radius: float) -> HyperboloidSampler:
+    """Product Gauss rule for integral f(p) d^3p / (2|p^0|) over |p| <= radius.
+
+    With |p| = m sinh u the measure is (m^2 sinh^2 u / 2) du dcos(theta) dphi,
+    and a Gaussian packet's integrand is entire in u.  The rule takes
+    Gauss-Legendre nodes in u on [0, asinh(radius / m)] and in cos(theta),
+    and the trapezoid rule in phi (Stroud, Approximate Calculation of
+    Multiple Integrals, 1971), with SHELL_NODES nodes along each.  The
+    weights carry the node count, as ``integrate`` divides by it; the
+    standard error it returns for this rule is not an error estimate.
+    """
+    _check_branch(mass, sign)
+    if not mass > 0 or not radius > 0:
+        raise ValueError("the shell cubature needs a positive mass and radius")
+    n_cos, n_phi, n_u = SHELL_NODES
+    cos, w_cos = _gauss_legendre(n_cos)
+    sin = np.sqrt(1.0 - cos * cos)
+    phi = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    x, w_x = _gauss_legendre(n_u)
+    half = 0.5 * np.arcsinh(radius / mass)
+    r = mass * np.sinh(half * (x + 1.0))
+    n = n_cos * n_phi * n_u
+    weights = np.empty((n_cos, n_phi, n_u))
+    weights[...] = w_cos[:, None, None] * (2 * np.pi / n_phi * n) * (0.5 * r * r * half * w_x)
+    rows = np.empty((n_cos, n_phi, n_u, 4))
+    rows[..., 1] = sin[:, None, None] * np.cos(phi)[:, None] * r
+    rows[..., 2] = sin[:, None, None] * np.sin(phi)[:, None] * r
+    rows[..., 3] = cos[:, None, None] * r
+    rows = rows.reshape(n, 4)
+    rows[:, 0] = sign * np.sqrt(mass**2 + _spatial_sq(rows[:, 1:]))
+    return HyperboloidSampler(rows=rows, weights=weights.reshape(n), mass=mass, sign=sign)
+
+
 def integrate(
     f: Callable[[FourMomentum], np.ndarray], sampler: HyperboloidSampler
 ) -> tuple[complex, float]:
@@ -345,27 +414,32 @@ def integrate(
 
     Returns (value, standard_error).  ``f`` is evaluated on consecutive
     blocks of INTEGRATE_BLOCK samples, so it must work sample by sample and
-    return one value per sample of each block.  Each block's momentum is a
-    view of the sampler's rows, checked when the sampler was built.  The
-    values are reduced together in a fixed order, so results are
-    deterministic per seed.
+    return one value per sample of each block, of one dtype on every block.
+    Each block's momentum is a view of the sampler's rows, checked when the
+    sampler was built.  The weighted values fill one N-sized buffer, which
+    the variance then reuses in place.  The values are reduced together in
+    a fixed order, so results are deterministic per seed.
     """
     n = len(sampler)
     if n == 0:
         raise ValueError("sampler is empty")
-    blocks = []
+    contrib = None
     for start in range(0, n, INTEGRATE_BLOCK):
-        rows = sampler.rows[start:start + INTEGRATE_BLOCK]
+        stop = min(start + INTEGRATE_BLOCK, n)
+        rows = sampler.rows[start:stop]
         vals = np.asarray(f(FourMomentum._of_rows(sampler.mass, sampler.sign, rows)))
         if vals.shape != rows.shape[:1]:
             raise ValueError("integrand must return one value per sample")
-        blocks.append(vals)
-    contrib = sampler.weights * np.concatenate(blocks)
-    # the blocks go before the variance's N-sized temporaries are made
-    blocks.clear()
+        if contrib is None:
+            contrib = np.empty(n, np.result_type(sampler.weights, vals))
+        np.multiply(sampler.weights[start:stop], vals, out=contrib[start:stop])
     mean = np.sum(contrib) / n
     # an overflow here, at the ends of the accepted mass and width ranges,
-    # gives an infinite error, which the z-score checks read as a failure
+    # gives an infinite error, which the z-score check reads as a failure;
+    # a complex buffer keeps |contrib - mean|^2 as its real part
     with np.errstate(over="ignore", invalid="ignore"):
-        var = np.sum(np.abs(contrib - mean) ** 2) / (n - 1) if n > 1 else 0.0
+        contrib -= mean
+        np.abs(contrib, out=contrib)
+        np.square(contrib, out=contrib)
+        var = np.sum(contrib).real / (n - 1) if n > 1 else 0.0
     return complex(mean), float(np.sqrt(var / n))

@@ -64,6 +64,24 @@ def test_seed_form_norm_at_every_spin(mass):
     assert check.run(params, np.random.default_rng(101)) <= check.tolerance
 
 
+def test_packet_norm_invariance_at_a_seed_the_z_score_failed():
+    # bw-verify all --seed 3000010: the Monte-Carlo z-score read 3.254 here
+    config = vc.load_config(None)
+    config["seed"] = 3000010
+    config["checks"] = [{"name": "packet_norm_invariance", "parameters": {}}]
+    (result,) = vc.run_suite(config)
+    assert result.status == "pass", result.value
+
+
+@pytest.mark.parametrize("mass", [0.2, 1.0, 5.0])
+def test_packet_norm_invariance_over_seeds(mass):
+    # the residual is the cubature's own error, which hardly moves with the seed
+    check = REGISTRY["packet_norm_invariance"]
+    params = dict(default_parameters(), mass=mass)
+    worst = max(check.run(params, np.random.default_rng(seed)) for seed in range(1, 21))
+    assert worst <= check.tolerance
+
+
 def test_criterion_1_identity_suite():
     t0 = time.perf_counter()
     run_checks(101, [name for name, check in REGISTRY.items() if check.module == "identities"])

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 from types import SimpleNamespace
 
@@ -408,7 +409,7 @@ class TestSeedNorm:
                 assert np.all(np.abs(mbw.seed_form(seed, n)(p) - exact) <= 1e-12 * np.abs(exact))
 
     def test_form_built_once_per_check(self, monkeypatch):
-        # 20000 samples are five integrand blocks: one form, evaluated once per block
+        # the shell cubature's rows in integrand blocks: one form, evaluated once per block
         seed_form, forms, blocks = mbw.seed_form, [], []
 
         def counting(seed, n):
@@ -422,9 +423,10 @@ class TestSeedNorm:
             return counted
 
         monkeypatch.setattr(mbw, "seed_form", counting)
-        REGISTRY["packet_norm_invariance"].run(dict(default_parameters(), samples=20000), np.random.default_rng(1))
+        REGISTRY["packet_norm_invariance"].run(default_parameters(), np.random.default_rng(1))
         assert len(forms) == 1
-        assert blocks == [mom.INTEGRATE_BLOCK] * 4 + [20000 - 4 * mom.INTEGRATE_BLOCK]
+        full, last = divmod(math.prod(mom.SHELL_NODES), mom.INTEGRATE_BLOCK)
+        assert blocks == [mom.INTEGRATE_BLOCK] * full + [last]
 
     def test_packet_integral_equals_the_stack_route(self):
         from bwfields.checks import _seed_form_norm
@@ -593,6 +595,22 @@ class TestStack:
         # symmetrized, the same stack is accepted
         f = mbw.BWFieldAtP(2, p, (stack + np.transpose(stack, (2, 3, 0, 1, 4))) / 2)
         assert f.batch_shape() == (4,)
+
+    def test_slot_symmetry_judged_per_sample(self):
+        # a large symmetric sample must not lend its scale to a small one:
+        # alone or beside it, a 1e-7 exchange defect is rejected
+        rng = np.random.default_rng(87)
+        f = random_field(rng, 2, batch=2)
+        stack = f.stack.copy()
+        stack[..., 0] *= 1e6
+        stack[0, 0, 1, 1, 1] += 1e-7
+        first, second = (mom.on_shell(1.0, 1, f.p.spatial[i:i + 1]) for i in (0, 1))
+        with pytest.raises(ValueError, match="slot exchange"):
+            mbw.BWFieldAtP(2, second, stack[..., 1:])
+        with pytest.raises(ValueError, match="slot exchange"):
+            mbw.BWFieldAtP(2, f.p, stack)
+        # the symmetric sample, at its own scale, is accepted
+        assert mbw.BWFieldAtP(2, first, stack[..., :1]).batch_shape() == (1,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_stack_accepted_without_warning(self, bad):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -343,6 +345,10 @@ class TestQuadrature:
         assert sizes == blocks + [samples]
         gauss = lambda p: np.exp(-np.sum(p.spatial**2, axis=-1))
         assert mom.integrate(gauss, sampler) == one_shot_integrate(gauss, sampler)
+        # a complex buffer sums |contrib - mean|^2 as complex numbers, in
+        # another order than the reference's real sum
+        wave = lambda p: np.exp(1j * p.spatial[:, 0]) * gauss(p)
+        assert_allclose(mom.integrate(wave, sampler), one_shot_integrate(wave, sampler), rtol=1e-13)
 
     def test_wrong_shape_in_a_later_block_rejected(self):
         sampler = mom.monte_carlo_sampler(1.0, 1, mom.INTEGRATE_BLOCK + 10, seed=18)
@@ -359,3 +365,45 @@ class TestQuadrature:
         a = mom.integrate(f, mom.monte_carlo_sampler(1.0, 1, 1000, seed=16))
         b = mom.integrate(f, mom.monte_carlo_sampler(1.0, 1, 1000, seed=16))
         assert a == b
+
+
+class TestShellCubature:
+    @pytest.mark.parametrize("k", [1, 2, 5, 30, 54])
+    def test_gauss_legendre_matches_numpy(self, k):
+        x, w = mom._gauss_legendre(k)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(k)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15 and np.max(np.abs(w - ref_w)) <= 1e-14
+
+    @pytest.mark.parametrize("mass", [0.2, 1.0, 5.0])
+    def test_gaussian_to_roundoff(self, mass):
+        # integral dmu 2|p^0| exp(-|p|^2) = integral d^3p exp(-|p|^2) = pi^(3/2)
+        sampler = mom.shell_cubature(mass, 1, 9.0)
+        val, _ = mom.integrate(lambda p: 2 * np.abs(p.p0) * np.exp(-p.spatial_sq), sampler)
+        assert abs(val.real - np.pi**1.5) <= 1e-13 * np.pi**1.5
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rows_on_the_shell_within_the_radius(self, sign):
+        sampler = mom.shell_cubature(1.3, sign, 7.0)
+        ref = mom.on_shell(1.3, sign, sampler.points)
+        assert np.array_equal(sampler.rows[:, 0], ref.p0)
+        assert np.all(ref.spatial_sq <= 49.0 * (1 + 1e-15))
+        assert np.all(sampler.weights > 0) and (sampler.mass, sampler.sign) == (1.3, sign)
+
+    def test_len_points_and_weights_as_a_sampler(self):
+        # as test_sampler_and_integrate_as_the_worker_and_tracer_call_them
+        # reads a Monte-Carlo sampler; integrate divides by the node count
+        n = math.prod(mom.SHELL_NODES)
+        sampler = mom.shell_cubature(1.0, 1, 5.0)
+        assert len(sampler) == n
+        points, weights = sampler.points, sampler.weights
+        assert points.shape == (n, 3) and points.dtype == np.float64 and weights.shape == (n,)
+        value, se = mom.integrate(lambda p: np.ones(len(p.p0)), sampler)
+        assert isinstance(value, complex) and isinstance(se, float)
+        assert abs(value.real - np.sum(weights) / n) <= 1e-15 * value.real
+        # a last, partial block: dropping it moves the integral
+        assert n % mom.INTEGRATE_BLOCK
+
+    @pytest.mark.parametrize("mass, radius", [(0.0, 1.0), (1.0, 0.0), (1.0, -1.0), (-1.0, 1.0)])
+    def test_degenerate_shell_rejected(self, mass, radius):
+        with pytest.raises(ValueError):
+            mom.shell_cubature(mass, 1, radius)

@@ -297,14 +297,15 @@ MUTATIONS = {
     "2^(n-1) for 2^n in the seed form": (
         halved_seed_form, ["seed_form_norm", "packet_norm_invariance", "bilinear_norm_equality"]),
     "E_k for E_k^T in the seed form": (untransposed_slot_moments, ["seed_form_norm", "bilinear_norm_equality"]),
-    "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance"]),
+    "S on primed slots in transform": (s_on_primed_slots, ["scalar_lorentz_covariance", "packet_norm_invariance"]),
     "wrong row in the shared slot contraction": (
         wrong_row, ["massive_field_equations", "seed_form_norm", "massless_field_equations"]),
     "transposed kernel in the shared probe contraction": (
         transposed_probe_kernel, ["norm_equivalences", "maxwell_vs_massless_norm"]),
     "transposed bit-1 kernel in scalar_N": (transposed_bit1_kernel, ["norm_equivalences", "seed_form_norm"]),
     "scalar_N on the all-unprimed label only": (unprimed_label_only, ["norm_equivalences", "seed_form_norm"]),
-    "integrate drops its last partial block": (last_block_dropped, ["amplitude_gaussian_norm"]),
+    "integrate drops its last partial block": (
+        last_block_dropped, ["amplitude_gaussian_norm", "packet_norm_invariance"]),
     "momenta rolled by one sample in faraday_from_potential": (
         rolled_faraday_momenta, ["three_way_tensor_equality", "energy_density"]),
     "generator pair swapped in em_spinor": (swapped_em_generators, ["three_way_tensor_equality"]),
@@ -370,11 +371,11 @@ def test_every_registered_check_has_a_mutation():
 
 def test_untransposed_seed_form_is_a_reflection_seen_only_pointwise(monkeypatch):
     # E_k for E_k^T: p^{AA'} is Hermitian, so its transpose is its conjugate,
-    # which is p^{AA'} at p^2 -> -p^2.  The Gaussian packets and the sampler are
-    # invariant under that reflection, so the integral of the Monte-Carlo
-    # seed-form check keeps its value and only the sampling noise moves;
-    # the comparisons at each momentum, the registry checks seed_form_norm
-    # and bilinear_norm_equality (their row in MUTATIONS), are what see it.
+    # which is p^{AA'} at p^2 -> -p^2.  The Gaussian packets and the shell
+    # cubature are invariant under that reflection (phi -> -phi), so the
+    # integral of packet_norm_invariance keeps its value to rounding; the
+    # comparisons at each momentum, the registry checks seed_form_norm and
+    # bilinear_norm_equality (their row in MUTATIONS), are what see it.
     rng = np.random.default_rng(31)
     seed = mbw.symmetrize(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 2)
     spatial = rng.normal(size=(50, 3))
