@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bwfields import checks
 from bwfields import dirac_algebra as da
 from bwfields import massive_bw as mbw
 from bwfields import maxwell as mx
@@ -133,6 +134,19 @@ def transposed_bit1_kernel(monkeypatch):
 
 def unprimed_label_only(monkeypatch):
     monkeypatch.setattr(mbw, "scalar_N", scalar_N_mutant(unprimed_only=True))
+
+
+def screen_with_lambda(monkeypatch):
+    # the image's envelope taken at Lambda p, not at Lambda^-1 p: the screen
+    # keeps the nodes of the packet's mirror image and drops the image's own
+    image_rule = checks._image_rule
+    monkeypatch.setattr(checks, "_image_rule", lambda sampler, lam_inv, width: image_rule(
+        sampler, lam_inv.inverse(), width))
+
+
+def coarse_screen(monkeypatch):
+    # nodes below 1e-3 of the envelope's largest value dropped from the stack route
+    monkeypatch.setattr(checks, "_IMAGE_SCREEN", 1e-3)
 
 
 def last_block_dropped(monkeypatch):
@@ -306,6 +320,8 @@ MUTATIONS = {
     "scalar_N on the all-unprimed label only": (unprimed_label_only, ["norm_equivalences", "seed_form_norm"]),
     "integrate drops its last partial block": (
         last_block_dropped, ["amplitude_gaussian_norm", "packet_norm_invariance"]),
+    "image screen built with Lambda in place of Lambda^-1": (screen_with_lambda, ["packet_norm_invariance"]),
+    "image screen at 1e-3 of its maximum": (coarse_screen, ["packet_norm_invariance"]),
     "momenta rolled by one sample in faraday_from_potential": (
         rolled_faraday_momenta, ["three_way_tensor_equality", "energy_density"]),
     "generator pair swapped in em_spinor": (swapped_em_generators, ["three_way_tensor_equality"]),
