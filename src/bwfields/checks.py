@@ -68,6 +68,14 @@ def _rand_massive(rng, n, mass, sign, batch):
     return mbw.build_from_seed(_rand_sym_seed(rng, n, batch), p, n)
 
 
+def _relative(value, ref):
+    """|value - ref| / |ref|.  A reference that underflows to 0 or overflows,
+    at the ends of the mass and width ranges, gives inf or NaN: a failure,
+    without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(value - ref) / np.abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
@@ -254,10 +262,7 @@ def _check_scalar_covariance(params, rng):
         lam_inv = sc.sl2c_to_lorentz(s).inverse()
         n_tr = mbw.scalar_N(core.transform(gen, s)(q))
         n_ref = mbw.scalar_N(gen(mom.act(lam_inv, q)))
-        # a norm that underflows to 0, at the low end of the mass range,
-        # gives inf (or NaN): a failure, without a warning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yield np.abs(n_tr - n_ref) / np.abs(n_ref)
+        yield _relative(n_tr, n_ref)
 
 
 def _check_seed_form_norm(params, rng):
@@ -268,10 +273,7 @@ def _check_seed_form_norm(params, rng):
         form = mbw.seed_form(seed, n)
         for sign in (1, -1):
             p = mom.on_shell(params["mass"], sign, rng.normal(size=(50, 3)))
-            ref = form(p)
-            # a form that underflows to 0 or overflows gives inf or NaN: a failure
-            with np.errstate(divide="ignore", invalid="ignore"):
-                yield np.abs(mbw.scalar_N(mbw.build_from_seed(seed, p, n)) - ref) / np.abs(ref)
+            yield _relative(mbw.scalar_N(mbw.build_from_seed(seed, p, n)), form(p))
 
 
 def _seed_form_norm(packet, sampler):
@@ -339,10 +341,7 @@ def _check_packet_norm_invariance(params, rng):
     # the full rule is freed before the stack route runs
     sampler = _image_rule(sampler, lam.inverse(), width)
     v2, _ = mbw.norm_covariant(core.transform(packet, element), sampler, 2, mass, 1)
-    # a norm that underflows to 0 or overflows, at the ends of the mass and
-    # width ranges, gives NaN or inf: a failure, without a warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        yield np.abs(v1 - v2) / np.abs(v1)
+    yield _relative(v2, v1)
 
 
 def _fd_order(f, x):
@@ -366,27 +365,8 @@ def _check_fd_massive(params, rng):
 # ---------------------------------------------------------------------------
 
 
-MASSLESS_SPIN_CAP = 3
-
-
-def skipped_massless_spins(params):
-    """The requested spins the massless checks leave out: those above the cap."""
-    return [n for n in params["spins"] if n > MASSLESS_SPIN_CAP]
-
-
-def _massless_spins(params):
-    """The requested spins the massless checks run, all but the skipped ones."""
-    skipped = skipped_massless_spins(params)
-    spins = [n for n in params["spins"] if n not in skipped]
-    if not spins:
-        raise ConfigError(
-            f"massless checks need a spin index in 1..{MASSLESS_SPIN_CAP}, got {params['spins']}"
-        )
-    return spins
-
-
 def _check_massless_field_equations(params, rng):
-    for n in _massless_spins(params):
+    for n in params["spins"]:
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
             xi = _rand_sym_seed(rng, n, 50)
@@ -397,7 +377,7 @@ def _check_massless_field_equations(params, rng):
 
 
 def _check_helicity(params, rng):
-    for n in _massless_spins(params):
+    for n in params["spins"]:
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
             fv = rng.normal(size=50) + 1j * rng.normal(size=50)
@@ -408,7 +388,7 @@ def _check_helicity(params, rng):
 
 
 def _check_eta_normalization(params, rng):
-    for n in _massless_spins(params):
+    for n in params["spins"]:
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
             for shift in (0.0, 0.4 - 0.7j):
@@ -418,7 +398,7 @@ def _check_eta_normalization(params, rng):
 
 
 def _check_amplitude_identity(params, rng):
-    for n in _massless_spins(params):
+    for n in params["spins"]:
         for sign in (1, -1):
             p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
             fv = rng.normal(size=50) + 1j * rng.normal(size=50)
@@ -552,9 +532,7 @@ def _check_bilinear_norm(params, rng):
         p = mom.on_shell(mass, sign, rng.normal(size=(1000, 3)))
         ref = sign * np.sqrt(2.0) * form(p) / mass**2
         psi = da.pack_bispinor(mbw.build_from_seed(seed, p, 1))
-        # a form that underflows to 0 or overflows gives inf or NaN: a failure
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yield np.abs(da.norm_bilinear_integrand(psi, p, mass) - ref) / np.abs(ref)
+        yield _relative(da.norm_bilinear_integrand(psi, p, mass), ref)
 
 
 # ---------------------------------------------------------------------------

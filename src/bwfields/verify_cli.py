@@ -5,8 +5,7 @@ configured seeds and sizes, and emits machine-readable reports.  Given the
 same configuration and seed the results and the report bytes are
 identical run to run; wall-clock timings are kept on the in-memory results
 and never enter the report (``--timings PATH`` writes them, with a manifest
-of the run's environment, to a separate JSON file).  Notes, such as the
-spins the massless checks leave out, go to standard error.
+of the run's environment, to a separate JSON file).
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad usage or
 configuration.
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import MODULES, REGISTRY, ConfigError, default_parameters, skipped_massless_spins
+from .checks import MODULES, REGISTRY, ConfigError, default_parameters
 from .massive_bw import DEFAULT_SPIN_CAP
 
 __all__ = ["CheckResult", "ConfigError", "load_config", "run_suite", "render_report", "main"]
@@ -192,18 +191,12 @@ def _selected(config: dict, suite: str) -> list[tuple[str, dict]]:
     ]
 
 
-def _base_parameters(config: dict) -> dict:
-    params = dict(default_parameters())
-    params.update(config.get("parameters", {}))
-    return params
-
-
 def run_suite(config: dict, suite: str = "all") -> list[CheckResult]:
     """Run the selected checks; deterministic given the configured seed."""
     seed = _integer(config.get("seed", DEFAULT_SEED), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    base_params = _base_parameters(config)
+    base_params = {**default_parameters(), **config.get("parameters", {})}
     tolerances = config.get("tolerances", {})
     results = []
     for name, overrides in _selected(config, suite):
@@ -226,16 +219,6 @@ def run_suite(config: dict, suite: str = "all") -> list[CheckResult]:
         )
     results.sort(key=lambda r: r.name)
     return results
-
-
-def _skipped_massless_spins(config: dict, suite: str) -> list[int]:
-    """Requested spins that the selected massless checks leave out."""
-    base_params = _base_parameters(config)
-    skipped = set()
-    for name, overrides in _selected(config, suite):
-        if REGISTRY[name].module == "massless":
-            skipped.update(skipped_massless_spins({**base_params, **overrides}))
-    return sorted(skipped)
 
 
 def _manifest(config: dict) -> dict:
@@ -363,9 +346,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None and args.seed != config["seed"]:
                 raise ConfigError(f"--seed {args.seed} and BW_SEED={env_seed} differ; set one of them")
         results = run_suite(config, args.suite)
-        skipped = _skipped_massless_spins(config, args.suite)
-        if skipped:
-            print(f"note: massless checks skipped spin indices {skipped}", file=sys.stderr)
         if args.timings is not None:
             _write_timings(args.timings, results, config)
         sys.stdout.buffer.write(render_report(results, args.format))

@@ -320,26 +320,18 @@ class TestMain:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
-    def test_unsupported_massless_spin_is_usage_error(self, capsys):
-        # the massless checks stop at spin index 3; spin 5 is not replaced by another
-        assert vc.main(["massless", "--spin", "5"]) == 2
+    def test_massless_checks_run_at_spin_5(self, capsys):
+        # massive and massless fields share one spin range
+        assert vc.main(["massless", "--spin", "5", "--format", "json"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: massless checks need a spin index in 1..3, got [5]\n"
+        assert captured.err == ""
+        rows = json.loads(captured.out)
+        expected = {name for name, check in REGISTRY.items() if check.module == "massless"}
+        assert {row["name"] for row in rows} == expected
 
-    def test_skipped_massless_spins_named_on_stderr(self, capsys):
-        assert vc.main(["massless", "--spin", "1", "--spin", "5", "--samples", "2000",
-                        "--format", "json"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == "note: massless checks skipped spin indices [5]\n"
-        # the report is the one of the spins that ran
-        assert vc.main(["massless", "--spin", "1", "--samples", "2000", "--format", "json"]) == 0
-        alone = capsys.readouterr()
-        assert alone.err == ""
-        assert captured.out == alone.out
-
-    def test_no_note_without_massless_checks(self, capsys):
-        assert vc.main(["identities", "--spin", "5"]) == 0
+    @pytest.mark.parametrize("argv", [["identities", "--spin", "5"], ["all"]], ids=["identities", "all"])
+    def test_no_note_without_massless_checks(self, argv, capsys):
+        assert vc.main(argv) == 0
         assert capsys.readouterr().err == ""
 
     def test_timings_sidecar(self, tmp_path, capsys):
@@ -497,10 +489,12 @@ class TestFlagFuzz:
         st.sampled_from([str(x) for x in EDGES]) | st.integers(-1, 7).map(str) | st.floats().map(str) | junk)
     env_seed = st.none() | st.none() | st.integers(-3, 2**70).map(str) | st.text(alphabet="0123456789-+ .ex", max_size=5)
 
-    # the two suites that take a few milliseconds at any mass and sample count
+    # the suites that take a few milliseconds at any mass and sample count;
+    # massless also runs every drawn spin, up to 6
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(suite=st.sampled_from(["identities", "dirac"]), flags=flags, wrong=wrong, env_seed=env_seed)
+    @given(suite=st.sampled_from(["identities", "dirac", "massless"]), flags=flags, wrong=wrong,
+           env_seed=env_seed)
     def test_any_command_line_gives_an_exit_code(self, suite, flags, wrong, env_seed, tmp_path, capsys,
                                                  monkeypatch):
         paths = {"file": tmp_path / "timings.json", "dir": tmp_path, "missing": tmp_path / "missing" / "t.json"}
