@@ -94,30 +94,17 @@ def dirac_residual(psi: np.ndarray, p: FourMomentum, mass: float) -> float:
     return float(np.max(np.abs(lhs - mass * psi)))
 
 
-def _adjoint_gather() -> tuple[np.ndarray, np.ndarray]:
-    """The off-diagonal epsilon block matrix M, with conj(psi) @ M the adjoint
-    row, as the one row each column reads and that entry's sign (+-1)."""
-    zero = np.zeros((2, 2))
-    block = np.block([[zero, EPS_UP.T], [-EPS_UP.T, zero]])
-    rows = np.argmax(np.abs(block), axis=0)
-    return rows, block[rows, np.arange(4)]
-
-
-_ADJOINT_ROWS, _ADJOINT_SIGNS = _adjoint_gather()
+_ADJOINT_BLOCK = np.block([[np.zeros((2, 2)), EPS_UP.T], [-EPS_UP.T, np.zeros((2, 2))]])
+_ADJOINT_BLOCK.setflags(write=False)
 
 
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
     """Adjoint row built from the epsilon-block object: (-xibar^B, psibar^{B'}).
 
-    Conjugate both blocks, raise each with eps, then multiply by the
-    off-diagonal epsilon block matrix from the left.  Every entry of that
-    product is one conjugate component times +-1, so it is one gather and a
-    sign.
+    The conjugate bispinor, each block raised with eps, is conj(psi) times
+    the off-diagonal epsilon block matrix _ADJOINT_BLOCK.
     """
-    psi = np.asarray(psi, dtype=complex)
-    adj = np.conj(psi[..., _ADJOINT_ROWS])
-    adj *= _ADJOINT_SIGNS
-    return adj
+    return np.conj(np.asarray(psi, dtype=complex)) @ _ADJOINT_BLOCK
 
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:
@@ -134,32 +121,16 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     return j.real
 
 
-@lru_cache(maxsize=1)
-def _gamma_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (a, b) at which some gamma_q^{ab} is nonzero: the 8
-    entries of the off-diagonal blocks."""
-    return np.nonzero(np.any(build_gammas().gamma != 0, axis=0))
-
-
 def dirac_current_matrix_route(psi: np.ndarray) -> np.ndarray:
-    """j_a = adjoint(psi) gamma_a psi; must match the spinor form."""
-    a, b = _gamma_pairs()
+    """j_q = adjoint(psi) gamma_q psi, as the 16 products adj_a psi_b of each
+    sample times the (16, 4) table of gamma_q^{ab}; must match the spinor form."""
     psi = np.asarray(psi, dtype=complex)
-    batch = psi.shape[:-1]
-    # components first: psi_b and adj_a as rows over the samples
-    psi_rows = np.moveaxis(psi, -1, 0).reshape(4, -1)
-    adj_rows = np.moveaxis(dirac_adjoint(psi), -1, 0).reshape(4, -1)
-    # adj_a psi_b on the nonzero pairs, weighted by gamma_q^{ab}: one product
-    j = build_gammas().gamma[:, a, b] @ (adj_rows[a] * psi_rows[b])
-    return np.moveaxis(j.real.reshape((4,) + batch), 0, -1)
+    pairs = dirac_adjoint(psi)[..., :, None] * psi[..., None, :]
+    table = build_gammas().gamma.reshape(4, 16).T
+    return (pairs.reshape(psi.shape[:-1] + (16,)) @ table).real
 
 
 def norm_bilinear_integrand(psi: np.ndarray, p: FourMomentum, mass: float) -> np.ndarray:
-    """sign * m^{-2} p^a (adjoint gamma_a psi) contraction, per sample.
-
-    The current carries a lower world index, so the contraction with p^a is a
-    plain component sum, over rows: it adds as a trailing-axis sum does.
-    """
-    j = dirac_current_matrix_route(psi)
-    return p.sign * (np.moveaxis(p.vec, -1, 0) * np.moveaxis(j, -1, 0)).sum(axis=0) / mass**2
-
+    """sign * m^{-2} p^a (adjoint gamma_a psi) per sample: the current has a
+    lower world index, so the contraction is a plain component sum."""
+    return p.sign * np.einsum("...a,...a->...", p.vec, dirac_current_matrix_route(psi)) / mass**2

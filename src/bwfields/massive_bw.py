@@ -326,9 +326,8 @@ class GaussianPacket:
         return _build_from_symmetric(self.seed_spinor, p, self.n, self.amplitude(p))
 
 
-def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mass: float, sign: int) -> tuple[float, float]:
-    """(+-1)^n 2^{n/2} m^{-2n} integral dmu p..p.T, with standard error."""
+def norm_covariant(gen: FieldGenerator, sampler: HyperboloidSampler, n: int, mass: float, sign: int) -> float:
+    """(+-1)^n 2^{n/2} m^{-2n} integral dmu p..p.T."""
     pref = float(sign) ** n * 2.0 ** (n / 2.0) / mass ** (2 * n)
-    val, se = integrate(lambda p: scalar_N(gen(p)), sampler)
-    return pref * val.real, abs(pref) * se
+    return pref * integrate(lambda p: scalar_N(gen(p)), sampler)[0].real
 

@@ -29,7 +29,6 @@ from .spinor_core import (
     LorentzMatrix,
     _read_only,
     build_ivdw,
-    world_from_spinor,
 )
 
 __all__ = [
@@ -201,11 +200,6 @@ class SpinFrame:
 
     pi: np.ndarray  # (..., 2) lower index
     omega: np.ndarray  # (..., 2) upper index
-
-    def reassembled(self, sign: int) -> np.ndarray:
-        """World components of sign * pi_A pibar_{A'} (a lower world vector)."""
-        outer = self.pi[..., :, None] * np.conj(self.pi)[..., None, :]
-        return sign * world_from_spinor(outer, 1)
 
 
 def spin_frame(p: FourMomentum) -> SpinFrame:

@@ -56,6 +56,16 @@ def test_check_within_bound(name, mass, bound):
     assert check.run(params, np.random.default_rng(101)) <= bound
 
 
+@pytest.mark.parametrize("mass", [1e-2, 0.1, 1e4, 1e8])
+@pytest.mark.parametrize("name", ["massive_field_equations", "dirac_bridge", "current_tensor_correspondence"])
+def test_first_order_checks_far_from_unit_mass(name, mass):
+    # each residual is relative to the size of its terms, |p| |psi| or |j|,
+    # which moves with the mass
+    check = REGISTRY[name]
+    params = dict(default_parameters(), mass=mass)
+    assert check.run(params, np.random.default_rng(101)) <= check.tolerance
+
+
 @pytest.mark.parametrize("mass", [0.6, 1.0, 2.3])
 def test_seed_form_norm_at_every_spin(mass):
     # the default run stops at spin 4; the seed form is meant to hold to the cap

@@ -129,14 +129,14 @@ class TestCurrent:
     def test_bilinear_norm_matches_invariant_norm_quadrature(self):
         rng = np.random.default_rng(8)
         packet = mbw.GaussianPacket(1, 1.0, 1, rng.normal(size=2) + 0j)
-        sampler = mom.monte_carlo_sampler(1.0, 1, 20000, seed=50)
-        v_cov, se_cov = mbw.norm_covariant(packet, sampler, 1, 1.0, 1)
+        sampler = mom.shell_cubature(1.0, 1, 9.0)
+        v_cov = mbw.norm_covariant(packet, sampler, 1, 1.0, 1)
 
         def integrand(p):
             return da.norm_bilinear_integrand(da.pack_bispinor(packet(p)), p, 1.0)
 
-        val, se = mom.integrate(integrand, sampler)
-        assert abs(val.real - v_cov) <= 3 * max(np.hypot(se_cov, se), 1e-15)
+        val, _ = mom.integrate(integrand, sampler)
+        assert abs(val.real - v_cov) <= 1e-12 * abs(v_cov)
 
 
 def eps_row_adjoint(psi):
@@ -148,13 +148,13 @@ def eps_row_adjoint(psi):
 
 def einsum_current(psi):
     """Reference for dirac_current_matrix_route: adj_a gamma_q^{ab} psi_b in one
-    einsum over all 16 pairs (a, b), which the route takes on the 8 nonzero
-    ones, with the adjoint from eps_row_adjoint."""
+    einsum over the 16 pairs (a, b), with the adjoint from eps_row_adjoint."""
     return np.einsum("...a,qab,...b->...q", eps_row_adjoint(psi), da.build_gammas().gamma, psi).real
 
 
 class TestComponentsFirstBridge:
-    """The components-first bispinor path against the batch-first formulas it replaced."""
+    """The bispinor view, the adjoint and the matrix route against their
+    concatenation, eps-row and einsum references."""
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_pack_is_a_read_only_view_equal_to_the_concatenation(self, shape):
@@ -168,7 +168,7 @@ class TestComponentsFirstBridge:
             psi[..., 0] = 0.0
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    def test_adjoint_gather_equals_the_eps_row_product(self, shape):
+    def test_adjoint_equals_the_eps_row_product(self, shape):
         rng = np.random.default_rng(50 + len(shape))
         psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
         assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
@@ -176,14 +176,6 @@ class TestComponentsFirstBridge:
         f = random_field(rng, 1.0, 1, batch=9)
         psi = da.pack_bispinor(f)
         assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
-
-    def test_route_pairs_hold_every_nonzero_gamma_entry(self):
-        gamma = da.build_gammas().gamma
-        a, b = da._gamma_pairs()
-        assert len(a) == 8 and np.all((a < 2) != (b < 2))
-        rest = np.ones((4, 4), dtype=bool)
-        rest[a, b] = False
-        assert np.all(gamma[:, rest] == 0) and np.all(np.any(gamma[:, a, b] != 0, axis=0))
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 9), (4096,)])
     def test_route_matches_the_einsum_route(self, shape):
@@ -204,3 +196,16 @@ class TestComponentsFirstBridge:
         psi = da.pack_bispinor(f)
         ref = einsum_current(np.array(psi))
         assert np.max(np.abs(da.dirac_current_matrix_route(psi) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("batch", [(1000,), (20, 50)])
+    def test_a_nan_sample_leaves_every_other_sample_finite(self, batch):
+        # the products with the zero entries of the block and gamma tables
+        # spread a NaN within its own sample, never across samples
+        rng = np.random.default_rng(80)
+        psi = rng.normal(size=batch + (4,)) + 1j * rng.normal(size=batch + (4,))
+        bad = (7,) * len(batch)
+        psi[bad + (1,)] = np.nan
+        for out in (da.dirac_adjoint(psi), da.dirac_current_matrix_route(psi)):
+            assert np.any(np.isnan(out[bad]))
+            out[bad] = 0.0
+            assert np.all(np.isfinite(out))

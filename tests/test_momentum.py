@@ -191,7 +191,8 @@ class TestSpinFrame:
             fr = mom.spin_frame(p)
             norm = np.einsum("...a,...a->...", fr.pi, fr.omega)
             assert np.max(np.abs(norm - 1.0)) < 1e-12
-            assert np.max(np.abs(fr.reassembled(sign) - p.covec)) < 1e-10
+            outer = fr.pi[..., :, None] * np.conj(fr.pi)[..., None, :]
+            assert np.max(np.abs(sign * sc.world_from_spinor(outer, 1) - p.covec)) < 1e-10
 
     def test_deterministic_phase(self):
         p = mom.on_shell(0.0, 1, [0.3, -0.4, 0.2])

@@ -24,9 +24,10 @@ from bwfields import verify_cli as vc
 from bwfields.checks import REGISTRY
 
 
-def run_check(name):
+def run_check(name, mass=1.0):
     config = vc.load_config(None)
     config["parameters"]["samples"] = 20000
+    config["parameters"]["mass"] = mass
     config["checks"] = [{"name": name, "parameters": {}}]
     (result,) = vc.run_suite(config)
     return result
@@ -378,6 +379,19 @@ def test_mutation_fails_its_check(mutation, check, monkeypatch):
     MUTATIONS[mutation][0](monkeypatch)
     result = run_check(check)
     assert result.status == "fail", f"{check} = {result.value} under: {mutation}"
+
+
+# the checks whose residuals are divided by a scale that moves with the mass
+SCALED = {"massive_field_equations", "dirac_bridge", "current_tensor_correspondence"}
+
+
+@pytest.mark.parametrize("mass", [1e-2, 1e4])
+@pytest.mark.parametrize("mutation, check", [
+    (mutation, check) for mutation, (_, checks) in MUTATIONS.items() for check in checks if check in SCALED])
+def test_mutation_fails_its_scaled_check_away_from_unit_mass(mutation, check, mass, monkeypatch):
+    MUTATIONS[mutation][0](monkeypatch)
+    result = run_check(check, mass)
+    assert result.status == "fail", f"{check} = {result.value} at m = {mass} under: {mutation}"
 
 
 def test_every_registered_check_has_a_mutation():
