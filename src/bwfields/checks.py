@@ -545,6 +545,8 @@ REGISTRY: dict[str, Check] = {}
 
 
 def _register(name, module, anchor, kind, tolerance, residuals):
+    if name in REGISTRY:
+        raise ValueError(f"check {name} is registered twice")
     REGISTRY[name] = Check(name, module, anchor, kind, tolerance, residuals)
 
 

@@ -36,7 +36,6 @@ from .spinor_core import EPS_LO, EPS_UP, METRIC, build_ivdw, sigma_generators, s
 __all__ = [
     "FaradayAtP",
     "PotentialAtP",
-    "em_field_tensor",
     "eb_from_faraday",
     "faraday_from_potential",
     "em_spinor",
@@ -82,18 +81,6 @@ class PotentialAtP:
         scale = np.maximum(1.0, np.maximum(np.max(np.abs(phi), axis=-1), np.max(np.abs(vec), axis=-1)))
         if not np.all(np.abs(minkowski_dot(vec, phi)) <= 1e-10 * scale):
             raise ValueError("potential violates the Lorenz gauge p.phi = 0")
-
-
-def em_field_tensor(e_vec: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
-    """Assemble F_{ab} from electric and magnetic 3-vectors."""
-    e_vec = np.asarray(e_vec, dtype=complex)
-    b_vec = np.asarray(b_vec, dtype=complex)
-    shape = np.broadcast_shapes(e_vec.shape[:-1], b_vec.shape[:-1])
-    f = np.zeros(shape + (4, 4), dtype=complex)
-    f[..., 0, 1:] = e_vec
-    f[..., 1:, 0] = -e_vec
-    f[..., 1:, 1:] = -np.einsum("ijk,...k->...ij", _EIJK, b_vec)
-    return f
 
 
 def eb_from_faraday(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,46 +32,45 @@ def run_checks(seed, names, repeat=1):
             assert value <= check.tolerance, f"{name} = {value} > {check.tolerance}"
 
 
-# Rows a check must pass beyond its default run: a bound tighter than its
-# tolerance (the conversion tables and generators are exact up to a few
-# roundings), or a mass away from m = 1, where every power of m is 1 (m^-2 in
-# project_slot, 2pp/m^2 - 1 in trace_reverse_slot, m^-2n in
-# norm_covariant_integrand, m in dirac_residual).
-BOUNDS = [
-    ("ivdw_symbol_relations", 1.0, 1e-14),
-    ("useful_expressions", 1.0, 1e-14),
-    ("generator_duality", 1.0, 1e-14),
-    ("gamma5_block_form", 1.0, 1e-14),
-    ("trace_reversal_projection", 0.9, 1e-10),
-    ("norm_equivalences", 1.1, 1e-10),
-    ("dirac_bridge", 1.2, 1e-12),
+# Registry runs beyond the default one, as (check, parameter overrides, bound),
+# each on the generator seeded 101.  A bound below the check's tolerance holds
+# an identity more tightly: the conversion and gamma tables and the generators
+# are exact up to a few roundings, and the field-strength spinor reads 1e-15
+# and the massless helicity, frame and amplitude identities 6e-14, 1e-14 and
+# 9e-13.  A mass away from m = 1 reaches the powers of m that are 1 there
+# (m^-2 in project_slot, 2pp/m^2 - 1 in trace_reverse_slot, m^-2n in
+# norm_covariant_integrand, m in dirac_residual), and moves the size of the
+# terms, |p| |psi| or |j|, that the first-order residuals are relative to.
+# The default run stops at spin 4; the seed form is meant to hold to the cap.
+ROWS = [
+    ("ivdw_symbol_relations", {}, 1e-15),
+    ("useful_expressions", {}, 1e-14),
+    ("generator_duality", {}, 1e-14),
+    ("gamma5_block_form", {}, 1e-14),
+    ("clifford_relations", {}, 1e-14),
+    ("gamma_ivdw_correspondence", {}, 1e-15),
+    ("em_spinor_symmetry", {}, 1e-13),
+    ("helicity_eigenequation", {}, 1e-12),
+    ("eta_normalization", {}, 1e-11),
+    ("amplitude_norm_identity", {}, 1e-12),
+    ("trace_reversal_projection", {"mass": 0.9}, 1e-10),
+    ("norm_equivalences", {"mass": 1.1}, 1e-10),
+    ("dirac_bridge", {"mass": 1.2}, 1e-12),
+    *[(name, {"mass": mass}, REGISTRY[name].tolerance) for mass in (1e-2, 0.1, 1e4, 1e8)
+      for name in ("massive_field_equations", "dirac_bridge", "current_tensor_correspondence")],
+    *[("seed_form_norm", {"spins": [1, 2, 3, 4, 5, 6], "mass": mass}, 1e-12) for mass in (0.6, 1.0, 2.3)],
+    *[("amplitude_gaussian_norm", {"width": width, "samples": 200000}, 3.0) for width in (1.2, 1.3)],
 ]
 
 
-@pytest.mark.parametrize("name, mass, bound", BOUNDS)
-def test_check_within_bound(name, mass, bound):
+@pytest.mark.parametrize("name, overrides, bound", ROWS,
+                         ids=["-".join([name, *(f"{k}={v}" for k, v in overrides.items())]).replace(" ", "")
+                              for name, overrides, _ in ROWS])
+def test_registry_run_within_bound(name, overrides, bound):
     check = REGISTRY[name]
     assert bound <= check.tolerance
-    params = dict(default_parameters(), mass=mass)
+    params = dict(default_parameters(), **overrides)
     assert check.run(params, np.random.default_rng(101)) <= bound
-
-
-@pytest.mark.parametrize("mass", [1e-2, 0.1, 1e4, 1e8])
-@pytest.mark.parametrize("name", ["massive_field_equations", "dirac_bridge", "current_tensor_correspondence"])
-def test_first_order_checks_far_from_unit_mass(name, mass):
-    # each residual is relative to the size of its terms, |p| |psi| or |j|,
-    # which moves with the mass
-    check = REGISTRY[name]
-    params = dict(default_parameters(), mass=mass)
-    assert check.run(params, np.random.default_rng(101)) <= check.tolerance
-
-
-@pytest.mark.parametrize("mass", [0.6, 1.0, 2.3])
-def test_seed_form_norm_at_every_spin(mass):
-    # the default run stops at spin 4; the seed form is meant to hold to the cap
-    check = REGISTRY["seed_form_norm"]
-    params = dict(default_parameters(), spins=[1, 2, 3, 4, 5, 6], mass=mass)
-    assert check.run(params, np.random.default_rng(101)) <= check.tolerance
 
 
 def test_packet_norm_invariance_at_a_seed_the_z_score_failed():

@@ -5,12 +5,15 @@ when one is gone; ``bwbench/run.py`` times the import of ``scipy.linalg``
 that ``bwfields.verify_cli`` brings in, and runs its workloads from the
 configs in ``bwbench/configs``; ``bwbench/worker.py`` recomputes a
 quadrature check from the sampler's points and weights.  Any gap ends a
-benchmark run.
+benchmark run.  The other way round, every name a ``bwfields`` module
+exports is used by the package or by the harness, not by the tests alone.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bwfields
 from bwfields import momentum as mom
 from bwfields import verify_cli as vc
 from bwfields.checks import REGISTRY
@@ -62,3 +66,29 @@ def test_sampler_and_integrate_as_the_worker_and_tracer_call_them():
     value, se = mom.integrate(lambda p: np.exp(-np.sum(p.spatial**2, axis=-1) / width**2), sampler)
     assert isinstance(value, complex) and isinstance(se, float)
     assert abs(value.real - np.sum(contrib) / n) <= 1e-12 * abs(value.real)
+
+
+def _uses(path, strings):
+    """The names a file loads, reads as attributes or imports; with ``strings``,
+    also the dotted names in its string constants other than docstrings, as
+    ``TRACED`` lists the functions it wraps."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                yield from node.value.split(".")
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    used = {name for path in (ROOT / "src" / "bwfields").glob("*.py") for name in _uses(path, False)}
+    used |= {name for path in (ROOT / "bwbench").rglob("*.py") for name in _uses(path, True)}
+    unused = [f"{info.name}.{name}" for info in pkgutil.iter_modules(bwfields.__path__)
+              for name in importlib.import_module(f"bwfields.{info.name}").__all__ if name not in used]
+    assert not unused

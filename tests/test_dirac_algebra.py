@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,14 +18,9 @@ def random_field(rng, mass=1.0, sign=1, batch=None):
 
 
 class TestGammaSet:
-    def test_gamma0_squares_to_identity(self):
+    def test_generator_off_diagonal_blocks_vanish(self):
+        # that the diagonal blocks are the core tables is gamma_ivdw_correspondence
         gs = da.build_gammas()
-        assert_allclose(gs.gamma[0] @ gs.gamma[0], np.eye(4), atol=1e-14)
-
-    def test_generator_blocks_match_core_tables(self):
-        gs, sg = da.build_gammas(), sc.sigma_generators()
-        assert np.max(np.abs(gs.sigma[:, :, :2, :2] - sg.sigma_low)) < 1e-14
-        assert np.max(np.abs(gs.sigma[:, :, 2:, 2:] - sg.sigma_bar_low)) < 1e-14
         assert np.max(np.abs(gs.sigma[:, :, :2, 2:])) == 0.0
         assert np.max(np.abs(gs.sigma[:, :, 2:, :2])) == 0.0
 
@@ -100,12 +97,6 @@ class TestCurrent:
         assert j.shape == ref.shape
         assert np.max(np.abs(j - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    def test_matrix_route_agreement(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            assert_allclose(da.dirac_current(psi), da.dirac_current_matrix_route(psi), atol=1e-13)
-
     @pytest.mark.parametrize("sign", [1, -1])
     def test_bilinear_integrand_equals_invariant_integrand(self, sign):
         rng = np.random.default_rng(7)
@@ -152,60 +143,70 @@ def einsum_current(psi):
     return np.einsum("...a,qab,...b->...q", eps_row_adjoint(psi), da.build_gammas().gamma, psi).real
 
 
-class TestComponentsFirstBridge:
-    """The bispinor view, the adjoint and the matrix route against their
-    concatenation, eps-row and einsum references."""
+def packed_view(shape):
+    """pack_bispinor, a read-only view of the stack, against the concatenation."""
+    rng = np.random.default_rng(40 + len(shape))
+    seed = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    f = mbw.build_from_seed(seed, mom.on_shell(1.1, -1, rng.normal(size=shape + (3,))), 1)
+    psi = da.pack_bispinor(f)
+    assert np.shares_memory(psi, f.stack)
+    with pytest.raises(ValueError, match="read-only"):
+        psi[..., 0] = 0.0
+    return [(psi, np.concatenate([f.components[(0,)], f.components[(1,)]], axis=-1), 0.0)]
 
-    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    def test_pack_is_a_read_only_view_equal_to_the_concatenation(self, shape):
-        rng = np.random.default_rng(40 + len(shape))
-        seed = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
-        f = mbw.build_from_seed(seed, mom.on_shell(1.1, -1, rng.normal(size=shape + (3,))), 1)
-        psi = da.pack_bispinor(f)
-        assert np.array_equal(psi, np.concatenate([f.components[(0,)], f.components[(1,)]], axis=-1))
-        assert psi.shape == shape + (4,) and np.shares_memory(psi, f.stack)
-        with pytest.raises(ValueError, match="read-only"):
-            psi[..., 0] = 0.0
 
-    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    def test_adjoint_equals_the_eps_row_product(self, shape):
-        rng = np.random.default_rng(50 + len(shape))
-        psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
-        assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
-        # a packed (strided) bispinor too
-        f = random_field(rng, 1.0, 1, batch=9)
-        psi = da.pack_bispinor(f)
-        assert np.array_equal(da.dirac_adjoint(psi), eps_row_adjoint(psi))
+def adjoint(shape):
+    """dirac_adjoint against the eps-row product, on a plain and a packed (strided) bispinor."""
+    rng = np.random.default_rng(50 + len(shape))
+    psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+    packed = da.pack_bispinor(random_field(rng, 1.0, 1, batch=9))
+    return [(da.dirac_adjoint(x), eps_row_adjoint(x), 0.0) for x in (psi, packed)]
 
-    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 9), (4096,)])
-    def test_route_matches_the_einsum_route(self, shape):
-        rng = np.random.default_rng(60 + len(shape))
-        psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
-        ref = einsum_current(psi)
-        j = da.dirac_current_matrix_route(psi)
-        assert j.shape == ref.shape
-        assert np.max(np.abs(j - ref)) <= 1e-15 * np.max(np.abs(ref))
-        assert np.max(np.abs(j - da.dirac_current(psi))) <= 1e-13 * np.max(np.abs(ref))
-        # one sample alone gives its value in the batch
-        first = (0,) * len(shape)
-        assert_allclose(da.dirac_current_matrix_route(psi[first]), j[first], rtol=0, atol=1e-14)
 
-    def test_route_on_a_packed_field(self):
-        rng = np.random.default_rng(70)
-        f = random_field(rng, 1.0, -1, batch=4096)
-        psi = da.pack_bispinor(f)
-        ref = einsum_current(np.array(psi))
-        assert np.max(np.abs(da.dirac_current_matrix_route(psi) - ref)) <= 1e-15 * np.max(np.abs(ref))
+def matrix_route(shape):
+    """dirac_current_matrix_route against the einsum route and the spinor form;
+    one sample alone gives its value in the batch."""
+    rng = np.random.default_rng(60 + len(shape))
+    psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+    ref = einsum_current(psi)
+    j = da.dirac_current_matrix_route(psi)
+    scale = np.max(np.abs(ref))
+    first = (0,) * len(shape)
+    return [(j, ref, 1e-15 * scale), (da.dirac_current(psi), j, 1e-13 * scale),
+            (da.dirac_current_matrix_route(psi[first]), j[first], 1e-14)]
 
-    @pytest.mark.parametrize("batch", [(1000,), (20, 50)])
-    def test_a_nan_sample_leaves_every_other_sample_finite(self, batch):
-        # the products with the zero entries of the block and gamma tables
-        # spread a NaN within its own sample, never across samples
-        rng = np.random.default_rng(80)
-        psi = rng.normal(size=batch + (4,)) + 1j * rng.normal(size=batch + (4,))
-        bad = (7,) * len(batch)
-        psi[bad + (1,)] = np.nan
-        for out in (da.dirac_adjoint(psi), da.dirac_current_matrix_route(psi)):
-            assert np.any(np.isnan(out[bad]))
-            out[bad] = 0.0
-            assert np.all(np.isfinite(out))
+
+def matrix_route_on_a_packed_field():
+    psi = da.pack_bispinor(random_field(np.random.default_rng(70), 1.0, -1, batch=4096))
+    ref = einsum_current(np.array(psi))
+    return [(da.dirac_current_matrix_route(psi), ref, 1e-15 * np.max(np.abs(ref)))]
+
+
+# The bispinor view, the adjoint and the matrix route against the
+# concatenation, eps-row and einsum references, each within its bound
+ORACLES = {
+    **{f"packed_view-{shape}": partial(packed_view, shape) for shape in [(), (7,), (3, 5)]},
+    **{f"adjoint-{shape}": partial(adjoint, shape) for shape in [(), (7,), (3, 5)]},
+    **{f"matrix_route-{shape}": partial(matrix_route, shape) for shape in [(), (7,), (3, 5), (2, 9), (4096,)]},
+    "matrix_route_on_a_packed_field": matrix_route_on_a_packed_field,
+}
+
+
+@pytest.mark.parametrize("oracle", list(ORACLES), ids=lambda key: key.replace(" ", ""))
+def test_against_the_reference_it_replaced(oracle):
+    for got, ref, bound in ORACLES[oracle]():
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= bound
+
+
+@pytest.mark.parametrize("batch", [(1000,), (20, 50)])
+def test_a_nan_sample_leaves_every_other_sample_finite(batch):
+    # the products with the zero entries of the block and gamma tables
+    # spread a NaN within its own sample, never across samples
+    rng = np.random.default_rng(80)
+    psi = rng.normal(size=batch + (4,)) + 1j * rng.normal(size=batch + (4,))
+    bad = (7,) * len(batch)
+    psi[bad + (1,)] = np.nan
+    for out in (da.dirac_adjoint(psi), da.dirac_current_matrix_route(psi)):
+        assert np.any(np.isnan(out[bad]))
+        out[bad] = 0.0
+        assert np.all(np.isfinite(out))

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import product
 from types import SimpleNamespace
 
@@ -787,46 +788,57 @@ def moveaxis_batch_last(a, n, nb):
     return a.reshape(a.shape[:n] + (1,) * (nb + n - a.ndim) + a.shape[n:])
 
 
-class TestComponentsFirstOracles:
-    """Each components-first rewrite against the batch-first formula it replaced."""
+def batch_last_and_kernel(shape, nb):
+    """_batch_last and the kernel it builds against the moveaxis formula."""
+    rng = np.random.default_rng(400 + len(shape) + nb)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    maps = (np.swapaxes(m, -1, -2), m.real)
+    kernel = core._kernel(maps, nb)
+    assert kernel.flags.c_contiguous
+    return [(core._batch_last(m, 2, nb), moveaxis_batch_last(m, 2, nb)),
+            (kernel, np.array([moveaxis_batch_last(x, 2, nb) for x in maps], dtype=complex))]
 
-    @pytest.mark.parametrize("shape, nb", [((2, 2), 0), ((7, 2, 2), 1), ((7, 2, 2), 3), ((3, 5, 2, 2), 2)])
-    def test_batch_last_and_kernel(self, shape, nb):
-        rng = np.random.default_rng(400 + len(shape) + nb)
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.array_equal(core._batch_last(m, 2, nb), moveaxis_batch_last(m, 2, nb))
-        maps = (np.swapaxes(m, -1, -2), m.real)
-        ref = np.array([moveaxis_batch_last(x, 2, nb) for x in maps], dtype=complex)
-        kernel = core._kernel(maps, nb)
-        assert np.array_equal(kernel, ref) and kernel.flags.c_contiguous
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
-    def test_packet_stack_equals_the_batch_first_seed(self, n, shape):
-        rng = np.random.default_rng(500 + 10 * n + len(shape))
-        seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
-        packet = mbw.GaussianPacket(n, 1.2, -1, mbw.symmetrize(seed, n) if n > 1 else seed, 0.8)
-        p = mom.on_shell(1.2, -1, rng.normal(size=shape + (3,)))
-        amp = np.exp(-p.spatial_sq / (2 * 0.8**2))
-        batch_first = np.asarray(amp)[(...,) + (None,) * n] * packet.seed_spinor
-        stack = packet(p).stack
-        label = stack[core._label_index((0,) * n)]
-        assert np.array_equal(label, moveaxis_batch_last(batch_first, n, len(shape)))
-        assert np.array_equal(stack, mbw.build_from_seed(batch_first, p, n).stack)
+def packet_stack(n, shape):
+    """The packet's stack against the batch-first seed, times the envelope."""
+    rng = np.random.default_rng(500 + 10 * n + len(shape))
+    seed = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+    packet = mbw.GaussianPacket(n, 1.2, -1, mbw.symmetrize(seed, n) if n > 1 else seed, 0.8)
+    p = mom.on_shell(1.2, -1, rng.normal(size=shape + (3,)))
+    amp = np.exp(-p.spatial_sq / (2 * 0.8**2))
+    batch_first = np.asarray(amp)[(...,) + (None,) * n] * packet.seed_spinor
+    stack = packet(p).stack
+    return [(stack[core._label_index((0,) * n)], moveaxis_batch_last(batch_first, n, len(shape))),
+            (stack, mbw.build_from_seed(batch_first, p, n).stack)]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_grouped_probe_sets_equal_the_per_set_loop(self, n, sign):
-        # norm_equivalences: ten fields as a (1, 10) batch, ten probe sets as
-        # (10, 1, 4) per slot, against ten calls on the (10,) batch
-        rng = np.random.default_rng(600 + n)
-        seed = rng.normal(size=(10,) + (2,) * n) + 1j * rng.normal(size=(10,) + (2,) * n)
-        seed = mbw.symmetrize(seed, n) if n > 1 else seed
-        sp = rng.normal(size=(10, 3))
-        f = mbw.build_from_seed(seed, mom.on_shell(1.0, sign, sp), n)
-        grouped_f = mbw.build_from_seed(seed[None], mom.on_shell(1.0, sign, sp[None]), n)
-        probes = rng.normal(size=(10, n, 4))
-        grouped = mbw.norm_primed_integrand(grouped_f, [probes[:, k, None] for k in range(n)])
-        assert grouped.shape == (10, 10)
-        for i in range(10):
-            assert np.array_equal(grouped[i], mbw.norm_primed_integrand(f, list(probes[i])))
+
+def grouped_probe_sets(n, sign):
+    """norm_equivalences' layout, ten fields as a (1, 10) batch and ten probe
+    sets as (10, 1, 4) per slot, against ten calls on the (10,) batch."""
+    rng = np.random.default_rng(600 + n)
+    seed = rng.normal(size=(10,) + (2,) * n) + 1j * rng.normal(size=(10,) + (2,) * n)
+    seed = mbw.symmetrize(seed, n) if n > 1 else seed
+    sp = rng.normal(size=(10, 3))
+    f = mbw.build_from_seed(seed, mom.on_shell(1.0, sign, sp), n)
+    grouped_f = mbw.build_from_seed(seed[None], mom.on_shell(1.0, sign, sp[None]), n)
+    probes = rng.normal(size=(10, n, 4))
+    grouped = mbw.norm_primed_integrand(grouped_f, [probes[:, k, None] for k in range(n)])
+    assert grouped.shape == (10, 10)
+    return [(grouped[i], mbw.norm_primed_integrand(f, list(probes[i]))) for i in range(10)]
+
+
+# Each components-first rewrite against the batch-first formula it replaced
+ORACLES = {
+    **{f"batch_last-{shape}-{nb}": partial(batch_last_and_kernel, shape, nb)
+       for shape, nb in [((2, 2), 0), ((7, 2, 2), 1), ((7, 2, 2), 3), ((3, 5, 2, 2), 2)]},
+    **{f"packet_stack-{n}-{shape}": partial(packet_stack, n, shape)
+       for shape in [(), (7,), (3, 5)] for n in [1, 2, 3, 4]},
+    **{f"grouped_probes-{n}-{sign}": partial(grouped_probe_sets, n, sign)
+       for sign in [1, -1] for n in [1, 2, 3, 4]},
+}
+
+
+@pytest.mark.parametrize("oracle", list(ORACLES), ids=lambda key: key.replace(" ", ""))
+def test_bit_for_bit_against_the_formula_it_replaced(oracle):
+    for got, ref in ORACLES[oracle]():
+        assert np.array_equal(got, ref)

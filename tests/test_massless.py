@@ -59,16 +59,10 @@ def test_one_bit_stack_with_read_only_psi_view():
 
 
 class TestEta:
-    def test_gauge_shift_changes_eta_not_normalization(self):
-        rng = np.random.default_rng(5)
-        p = rand_null(rng, 20)
-        n = 2
-        eta = ml.eta_canonical(p, n)
-        eta2 = ml.eta_canonical(p, n, gauge_shift=0.4 - 0.7j)
-        assert np.max(np.abs(eta2 - eta)) > 1e-3
-        v1 = ml.potential_route_integrand(eta, p, n)
-        v2 = ml.potential_route_integrand(eta2, p, n)
-        assert np.max(np.abs(v1 - v2)) < 1e-10
+    def test_gauge_shift_changes_eta(self):
+        # that it keeps the normalization is the registry's eta_normalization
+        p = rand_null(np.random.default_rng(5), 20)
+        assert np.max(np.abs(ml.eta_canonical(p, 2, gauge_shift=0.4 - 0.7j) - ml.eta_canonical(p, 2))) > 1e-3
 
     def test_explicit_components_along_z(self):
         # spin-frame oracle: omega-bar = (0, 2^{-1/4}) for the +z null ray
@@ -86,32 +80,6 @@ class TestAmplitudeRoute:
             f = ml.field_from_amplitude(np.asarray(1.0), p, 1)
             pi = mom.spin_frame(p).pi
             assert_allclose(f.psi, (-1j * sign) * pi, atol=1e-14)
-
-    def test_consistency_with_potential_route(self):
-        rng = np.random.default_rng(6)
-        for sign in (1, -1):
-            for n in (1, 2, 3):
-                p = rand_null(rng, 60, sign)
-                fv = rng.normal(size=60) + 1j * rng.normal(size=60)
-                eta = ml.eta_canonical(p, n)
-                xi = fv[(...,) + (None,) * n] * eta
-                assert (
-                    np.max(np.abs(ml.field_from_potential(xi, p, n).psi
-                                  - ml.field_from_amplitude(fv, p, n).psi))
-                    < 1e-12
-                )
-
-    def test_contracted_potential_tensor_gives_amplitude_modulus(self):
-        rng = np.random.default_rng(7)
-        for sign in (1, -1):
-            for n in (1, 2, 3):
-                p = rand_null(rng, 50, sign)
-                fv = rng.normal(size=50) + 1j * rng.normal(size=50)
-                eta = ml.eta_canonical(p, n)
-                val = ml.potential_route_integrand(fv[(...,) + (None,) * n] * eta, p, n)
-                assert np.max(np.abs(val - sign**n * np.abs(fv) ** 2)) < 1e-10 * max(
-                    1.0, float(np.max(np.abs(fv) ** 2))
-                )
 
 
 def pl_from_dual_route(p):
@@ -141,19 +109,6 @@ class TestSpinVector:
 
 
 class TestHelicity:
-    def test_eigenvalue_magnitude(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 3):
-            f = ml.field_from_amplitude(np.asarray(0.7 + 0.2j), rand_null(rng), n)
-            h = ml.helicity(f)[1]
-            assert abs(abs(h) - n / 2.0) < 1e-12
-            assert h == pytest.approx(ml.HELICITY_SIGN * n / 2.0, abs=1e-12)
-
-    def test_photon_like_eigenvalue(self):
-        rng = np.random.default_rng(12)
-        f = ml.field_from_amplitude(np.asarray(1.0), rand_null(rng), 2)
-        assert abs(abs(ml.helicity(f)[1]) - 1.0) < 1e-12
-
     def test_mixed_content_has_large_residual(self):
         rng = np.random.default_rng(13)
         p = rand_null(rng)
@@ -204,17 +159,6 @@ class TestNormIntegrands:
                 assert np.max(np.abs(T - scalar * core.outer_power(p.covec, n))) < 1e-10 * max(
                     1.0, float(np.max(np.abs(T)))
                 )
-
-    def test_gaussian_amplitude_norm_against_analytic(self):
-        width = 1.2
-        sampler = mom.monte_carlo_sampler(0.0, 1, 200000, width=width, seed=30)
-
-        def integrand(p):
-            fv = np.exp(-np.sum(p.spatial**2, axis=-1) / (2 * width**2))
-            return ml.amplitude_norm_integrand(fv)
-
-        val, se = mom.integrate(integrand, sampler)
-        assert abs(val.real - np.pi * width**2) < 3 * se
 
     def test_scalar_covariance_under_spinor_action(self):
         rng = np.random.default_rng(18)

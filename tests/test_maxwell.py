@@ -31,12 +31,23 @@ def complex_lorenz_potential(rng, p):
     return mx.PotentialAtP(phi=v, p=p)
 
 
+def em_field_tensor(e_vec, b_vec):
+    """F_{ab} from E and B, F_{0i} = E_i and F_{ij} = -e_{ijk} B_k: the
+    dictionary that eb_from_faraday inverts."""
+    e, b = np.broadcast_arrays(np.asarray(e_vec, dtype=complex), np.asarray(b_vec, dtype=complex))
+    f = np.zeros(e.shape[:-1] + (4, 4), dtype=complex)
+    f[..., 0, 1:], f[..., 1:, 0] = e, -e
+    f[..., 1, 2], f[..., 2, 3], f[..., 3, 1] = -b[..., 2], -b[..., 0], -b[..., 1]
+    f[..., 2, 1], f[..., 3, 2], f[..., 1, 3] = b[..., 2], b[..., 0], b[..., 1]
+    return f
+
+
 class TestDictionary:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         e = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         b = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        f = mx.em_field_tensor(e, b)
+        f = em_field_tensor(e, b)
         e2, b2 = mx.eb_from_faraday(f)
         assert_allclose(e, e2)
         assert_allclose(b, b2)
@@ -61,24 +72,18 @@ class TestEmSpinor:
         e = rng.normal(size=3) + 1j * rng.normal(size=3)
         b = rng.normal(size=3) + 1j * rng.normal(size=3)
         p = rand_null(rng)
-        phi = mx.em_spinor(mx.FaradayAtP(f=mx.em_field_tensor(e, b), p=p))
+        phi = mx.em_spinor(mx.FaradayAtP(f=em_field_tensor(e, b), p=p))
         assert np.max(np.abs(phi - phi.T)) < 1e-12
 
     def test_axis_plane_wave_is_rank_one(self):
         p = mom.on_shell(0.0, 1, [0, 0, 1.0])
-        far = mx.FaradayAtP(f=mx.em_field_tensor([1.0, 0, 0], [0, 1.0, 0]), p=p)
+        far = mx.FaradayAtP(f=em_field_tensor([1.0, 0, 0], [0, 1.0, 0]), p=p)
         phi = mx.em_spinor(far)
         pi = mom.spin_frame(p).pi
         outer = np.einsum("i,j->ij", pi, pi)
         ratio = phi[1, 1] / outer[1, 1]
         assert_allclose(phi, ratio * outer, atol=1e-13)
         assert np.linalg.svd(phi, compute_uv=False)[1] < 1e-13
-
-    def test_pure_gauge_gives_zero(self):
-        rng = np.random.default_rng(3)
-        p = rand_null(rng)
-        pot = mx.PotentialAtP(phi=(0.4 - 1.1j) * p.vec, p=p)
-        assert np.max(np.abs(mx.em_spinor_from_potential(pot))) < 1e-13
 
     @pytest.mark.parametrize("ordering", ["first", "second"])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -121,23 +126,15 @@ class TestEmSpinor:
 class TestTensorForms:
     def test_axis_plane_wave_energy_density(self):
         p = mom.on_shell(0.0, 1, [0, 0, 1.0])
-        far = mx.FaradayAtP(f=mx.em_field_tensor([1.0, 0, 0], [0, 1.0, 0]), p=p)
+        far = mx.FaradayAtP(f=em_field_tensor([1.0, 0, 0], [0, 1.0, 0]), p=p)
         assert_allclose(mx.stress_form(far)[0, 0], 0.5, atol=1e-14)
 
-    def test_three_way_equality_on_real_field_data(self):
+    def test_real_mode_gives_a_real_field_tensor(self):
+        # that the three tensor forms agree on such modes is three_way_tensor_equality
         rng = np.random.default_rng(6)
         for _ in range(50):
-            p = rand_null(rng)
-            pot = real_mode(rng, p)
-            far = mx.faraday_from_potential(pot)
+            far = mx.faraday_from_potential(real_mode(rng, rand_null(rng)))
             assert np.max(np.abs(far.f.imag)) < 1e-12
-            phi = mx.em_spinor_from_potential(pot)
-            a = mx.tensor_T_em(phi)
-            b = mx.stress_form(far)
-            c = mx.potential_form(pot)
-            scale = max(float(np.max(np.abs(a))), 1e-30)
-            assert np.max(np.abs(a - b)) < 1e-10 * scale
-            assert np.max(np.abs(a - c)) < 1e-10 * scale
 
     def test_circular_mode_separates_the_forms(self):
         # negative control: a single circular component has energy in only
@@ -162,19 +159,17 @@ class TestNorms:
                                    np.array([1.0, 0.1, 0, 0]))
         assert val == 0
 
-    def test_matches_massless_spin1_route_on_real_fields_only(self):
+    def test_misses_the_massless_spin1_route_on_complex_fields(self):
+        # real F meets it: maxwell_vs_massless_norm; complex F carries
+        # unbalanced circular content, which the spinor form misses
         rng = np.random.default_rng(9)
         for _ in range(20):
-            p = rand_null(rng, batch=10)
+            pot = complex_lorenz_potential(rng, rand_null(rng, batch=10))
             t1, t2 = rng.normal(size=4), rng.normal(size=4)
-            gaps = []
-            for pot in (real_mode(rng, p), complex_lorenz_potential(rng, p)):
-                v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
-                fld = ml.MasslessFieldAtP.from_psi(2, p, mx.em_spinor_from_potential(pot))
-                v_ml = ml.norm_primed_integrand(fld, [t1, t2])
-                gaps.append(np.max(np.abs(v_em - v_ml)) / max(1.0, float(np.max(np.abs(v_ml)))))
-            # complex F carries unbalanced circular content, which the spinor form misses
-            assert gaps[0] < 1e-10 and gaps[1] > 1e-3
+            v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
+            fld = ml.MasslessFieldAtP.from_psi(2, pot.p, mx.em_spinor_from_potential(pot))
+            v_ml = ml.norm_primed_integrand(fld, [t1, t2])
+            assert np.max(np.abs(v_em - v_ml)) / max(1.0, float(np.max(np.abs(v_ml)))) > 1e-3
 
     def test_grouped_probe_batch_matches_per_group_loop(self):
         # maxwell_vs_massless_norm's layout: probes (10, 1, 4) against momenta (10, 10)
@@ -244,9 +239,9 @@ def faraday_case(monkeypatch):
     def validate(f):
         mx.FaradayAtP(f=f, p=along_z(f.shape[:-2]))
 
-    big = mx.em_field_tensor(np.zeros(3), [1e6, 0, 0])
+    big = em_field_tensor(np.zeros(3), [1e6, 0, 0])
     big[2, 3] += 1e-7  # symmetric part within 1e-12 of its own largest entry
-    small = mx.em_field_tensor([1.0, 0, 0], np.zeros(3))
+    small = em_field_tensor([1.0, 0, 0], np.zeros(3))
     small[1, 2] += 1e-8
     return validate, big, small
 
@@ -261,7 +256,7 @@ def em_spinor_case(monkeypatch):
     def validate(f):
         mx.em_spinor(mx.FaradayAtP(f=f, p=along_z(f.shape[:-2])))
 
-    return validate, mx.em_field_tensor(np.zeros(3), [1e6, 0, 0]), mx.em_field_tensor([1.0, 0, 0], np.zeros(3))
+    return validate, em_field_tensor(np.zeros(3), [1e6, 0, 0]), em_field_tensor([1.0, 0, 0], np.zeros(3))
 
 
 def stress_case(monkeypatch):
@@ -269,8 +264,8 @@ def stress_case(monkeypatch):
         mx.stress_form(mx.FaradayAtP(f=f, p=along_z(f.shape[:-2])))
 
     # real F gives a real stress tensor; a small imaginary B gives it an imaginary part
-    big = mx.em_field_tensor(np.zeros(3), [1e6, 0, 0])
-    small = mx.em_field_tensor([1.0, 0, 0], [0, 1e-8j, 0])
+    big = em_field_tensor(np.zeros(3), [1e6, 0, 0])
+    small = em_field_tensor([1.0, 0, 0], [0, 1e-8j, 0])
     return validate, big, small
 
 

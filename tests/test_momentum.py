@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -109,68 +110,72 @@ def derived_table(positions):
     return table.view(float).reshape(4, 8)
 
 
-KINEMATICS = [
-    (shape, mass, sign)
-    for shape in [(), (7,), (2, 3), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]
-]
-
-
-class TestCachedKinematics:
-    @pytest.mark.parametrize("shape, mass, sign", KINEMATICS)
-    def test_bit_for_bit_against_per_call_formulas(self, shape, mass, sign):
-        rng = np.random.default_rng(60 + len(shape))
-        spatial = rng.normal(scale=2.0, size=shape + (3,))
-        p = mom.on_shell(mass, sign, spatial)
-        sq = np.sum(spatial**2, axis=-1)
-        assert np.array_equal(p.spatial_sq, sq)
-        assert np.array_equal(p.p0, sign * np.sqrt(mass**2 + sq))
-        vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
-        assert np.array_equal(p.vec, vec) and p.vec is p.vec
-        assert np.array_equal(p.covec, vec @ sc.METRIC)
-
-    @pytest.mark.parametrize("positions", ["uu", "ll", "ul", "lu"])
-    @pytest.mark.parametrize("shape, mass, sign", KINEMATICS)
-    def test_momentum_matrix_bit_for_bit_against_derived_table(self, shape, mass, sign, positions):
-        rng = np.random.default_rng(60 + len(shape))
-        spatial = rng.normal(scale=2.0, size=shape + (3,))
-        p = mom.on_shell(mass, sign, spatial)
-        vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
+def cached_kinematics(shape, mass, sign):
+    """The cached FourMomentum arrays and momentum_matrix tables against the
+    per-call formulas and derived tables they replaced."""
+    spatial = np.random.default_rng(60 + len(shape)).normal(scale=2.0, size=shape + (3,))
+    p = mom.on_shell(mass, sign, spatial)
+    sq = np.sum(spatial**2, axis=-1)
+    vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
+    assert p.vec is p.vec
+    pairs = [(p.spatial_sq, sq), (p.p0, sign * np.sqrt(mass**2 + sq)), (p.vec, vec), (p.covec, vec @ sc.METRIC)]
+    for positions in ("uu", "ll", "ul", "lu"):
         table = derived_table(positions)
-        assert np.array_equal(mom._POSITION_TABLES[positions], table)
-        ref = (vec @ table).view(complex).reshape(shape + (2, 2))
         mat = mom.momentum_matrix(p, positions)
-        assert mat.dtype == np.complex128 and np.array_equal(mat, ref)
+        assert mat.dtype == np.complex128
+        ref = (vec @ table).view(complex).reshape(shape + (2, 2))
+        pairs += [(mom._POSITION_TABLES[positions], table), (mat, ref)]
+    return pairs
 
-    def test_cached_arrays_read_only(self):
-        p = mom.on_shell(1.3, 1, np.random.default_rng(70).normal(size=(7, 3)))
-        for arr in (p.vec, p.spatial_sq, p.p0, p.spatial, *mom._POSITION_TABLES.values()):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 2.0
-        with pytest.raises(TypeError):
-            mom._POSITION_TABLES["uu"] = np.zeros((4, 8))
-        # the refused writes left momentum_matrix's tables as built
-        assert_allclose(mom.momentum_matrix(mom.on_shell(1.0, 1, [0, 0, 0])), np.eye(2) / np.sqrt(2.0))
 
-    @pytest.mark.parametrize("mass, width", [(0.0, 1.0), (1.3, 0.7), (0.4, 2.5)])
-    def test_sampler_weights_match_two_reduction_formula(self, mass, width):
-        s = mom.monte_carlo_sampler(mass, 1, 5000, width, seed=71)
-        pts = np.random.default_rng(71).normal(scale=width, size=(5000, 3))
-        log_rho = -np.sum(pts**2, axis=1) / (2 * width**2) - 1.5 * np.log(2 * np.pi * width**2)
-        w = np.exp(-log_rho) / (2 * np.sqrt(mass**2 + np.sum(pts**2, axis=1)))
-        assert np.array_equal(s.points, pts) and np.array_equal(s.weights, w)
+def sampler_weights(mass, width):
+    """The sampler's points and weights against the two-reduction formula."""
+    s = mom.monte_carlo_sampler(mass, 1, 5000, width, seed=71)
+    pts = np.random.default_rng(71).normal(scale=width, size=(5000, 3))
+    log_rho = -np.sum(pts**2, axis=1) / (2 * width**2) - 1.5 * np.log(2 * np.pi * width**2)
+    return [(s.points, pts), (s.weights, np.exp(-log_rho) / (2 * np.sqrt(mass**2 + np.sum(pts**2, axis=1))))]
 
-    @pytest.mark.parametrize("width", [0.7, 1.0, 1.3])
-    def test_sampler_draw_is_the_scaled_normal_bit_for_bit(self, width):
-        s = mom.monte_carlo_sampler(1.0, 1, 30000, width, seed=73)
-        pts = np.random.default_rng(73).normal(scale=width, size=(30000, 3))
-        assert s.points.tobytes() == pts.tobytes()
 
-    def test_vec_of_strided_spatial_columns(self):
-        # act hands FourMomentum the spatial columns of a (..., 4) product
-        rows = np.random.default_rng(72).normal(size=(3, 5, 4))
-        p = mom.on_shell(1.3, -1, rows[..., 1:])
-        vec = np.concatenate([np.asarray(p.p0)[..., None], rows[..., 1:]], -1)
-        assert np.array_equal(p.vec, vec) and p.vec.flags.c_contiguous
+def sampler_draw(width):
+    """The sampler's points, bit pattern for bit pattern the scaled normal draw."""
+    s = mom.monte_carlo_sampler(1.0, 1, 30000, width, seed=73)
+    pts = np.random.default_rng(73).normal(scale=width, size=(30000, 3))
+    return [(s.points.view(np.uint64), pts.view(np.uint64))]
+
+
+def strided_vec():
+    """vec of the strided spatial columns that act hands FourMomentum."""
+    rows = np.random.default_rng(72).normal(size=(3, 5, 4))
+    p = mom.on_shell(1.3, -1, rows[..., 1:])
+    assert p.vec.flags.c_contiguous
+    return [(p.vec, np.concatenate([np.asarray(p.p0)[..., None], rows[..., 1:]], -1))]
+
+
+ORACLES = {
+    **{f"kinematics-{shape}-{mass}-{sign}": partial(cached_kinematics, shape, mass, sign)
+       for shape in [(), (7,), (2, 3), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]},
+    **{f"sampler_weights-{mass}-{width}": partial(sampler_weights, mass, width)
+       for mass, width in [(0.0, 1.0), (1.3, 0.7), (0.4, 2.5)]},
+    **{f"sampler_draw-{width}": partial(sampler_draw, width) for width in [0.7, 1.0, 1.3]},
+    "strided_vec": strided_vec,
+}
+
+
+@pytest.mark.parametrize("oracle", list(ORACLES), ids=lambda key: key.replace(" ", ""))
+def test_bit_for_bit_against_the_formula_it_replaced(oracle):
+    for got, ref in ORACLES[oracle]():
+        assert np.array_equal(got, ref)
+
+
+def test_cached_arrays_read_only():
+    p = mom.on_shell(1.3, 1, np.random.default_rng(70).normal(size=(7, 3)))
+    for arr in (p.vec, p.spatial_sq, p.p0, p.spatial, *mom._POSITION_TABLES.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    with pytest.raises(TypeError):
+        mom._POSITION_TABLES["uu"] = np.zeros((4, 8))
+    # the refused writes left momentum_matrix's tables as built
+    assert_allclose(mom.momentum_matrix(mom.on_shell(1.0, 1, [0, 0, 0])), np.eye(2) / np.sqrt(2.0))
 
 
 class TestSpinFrame:
@@ -297,14 +302,6 @@ class TestQuadrature:
         v1, se1 = mom.integrate(f, small)
         v2, se2 = mom.integrate(f, big)
         assert abs(v1.real - v2.real) < 3 * np.hypot(se1, se2)
-
-    def test_massless_gaussian_analytic(self):
-        # integral d^3p exp(-|p|^2/w^2) / (2|p|) = pi w^2
-        w = 1.3
-        s = mom.monte_carlo_sampler(0.0, 1, 200000, width=w, seed=12)
-        f = lambda p: np.exp(-np.sum(p.spatial**2, axis=-1) / w**2)
-        val, se = mom.integrate(f, s)
-        assert abs(val.real - np.pi * w**2) < 3 * se
 
     def test_measure_invariance_under_boost(self):
         # substitution oracle: same integral for f(p) and f(Lambda p)

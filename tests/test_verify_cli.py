@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 import scipy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from bwfields import checks
 from bwfields import verify_cli as vc
 from bwfields.checks import MODULES, REGISTRY, Check, _zscore
 
@@ -24,12 +26,18 @@ def fast_config(**overrides):
 
 
 class TestRegistry:
-    def test_names_unique_and_module_tagged(self):
-        assert len(REGISTRY) == len(set(REGISTRY))
+    def test_tagged_with_module_kind_and_anchor(self):
         for check in REGISTRY.values():
             assert check.module in MODULES
             assert check.kind in ("residual", "zscore")
             assert check.anchor
+
+    def test_repeated_name_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(checks, "REGISTRY", dict(REGISTRY))
+        check = REGISTRY["epsilon_roundtrip"]
+        with pytest.raises(ValueError, match="epsilon_roundtrip"):
+            checks._register(*dataclasses.astuple(check))
+        assert checks.REGISTRY["epsilon_roundtrip"] is check
 
     def test_every_module_has_checks(self):
         for module in MODULES:
@@ -330,7 +338,7 @@ class TestMain:
         assert {row["name"] for row in rows} == expected
 
     @pytest.mark.parametrize("argv", [["identities", "--spin", "5"], ["all"]], ids=["identities", "all"])
-    def test_no_note_without_massless_checks(self, argv, capsys):
+    def test_passing_run_writes_nothing_to_stderr(self, argv, capsys):
         assert vc.main(argv) == 0
         assert capsys.readouterr().err == ""
 
