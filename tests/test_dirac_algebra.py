@@ -18,6 +18,10 @@ def random_field(rng, mass=1.0, sign=1, batch=None):
 
 
 class TestGammaSet:
+    def test_gamma0_squares_to_identity(self):
+        gs = da.build_gammas()
+        assert_allclose(gs.gamma[0] @ gs.gamma[0], np.eye(4), atol=1e-14)
+
     def test_generator_off_diagonal_blocks_vanish(self):
         # that the diagonal blocks are the core tables is gamma_ivdw_correspondence
         gs = da.build_gammas()

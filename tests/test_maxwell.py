@@ -75,6 +75,12 @@ class TestEmSpinor:
         phi = mx.em_spinor(mx.FaradayAtP(f=em_field_tensor(e, b), p=p))
         assert np.max(np.abs(phi - phi.T)) < 1e-12
 
+    def test_pure_gauge_gives_zero(self):
+        rng = np.random.default_rng(3)
+        p = rand_null(rng)
+        pot = mx.PotentialAtP(phi=(0.4 - 1.1j) * p.vec, p=p)
+        assert np.max(np.abs(mx.em_spinor_from_potential(pot))) < 1e-13
+
     def test_axis_plane_wave_is_rank_one(self):
         p = mom.on_shell(0.0, 1, [0, 0, 1.0])
         far = mx.FaradayAtP(f=em_field_tensor([1.0, 0, 0], [0, 1.0, 0]), p=p)

@@ -110,22 +110,28 @@ def derived_table(positions):
     return table.view(float).reshape(4, 8)
 
 
-def cached_kinematics(shape, mass, sign):
-    """The cached FourMomentum arrays and momentum_matrix tables against the
-    per-call formulas and derived tables they replaced."""
+def shell_draw(shape, mass, sign):
+    """A seeded on-shell batch and the vec the per-call formulas build for it."""
     spatial = np.random.default_rng(60 + len(shape)).normal(scale=2.0, size=shape + (3,))
     p = mom.on_shell(mass, sign, spatial)
+    return p, spatial, np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
+
+
+def cached_kinematics(shape, mass, sign):
+    """The cached FourMomentum arrays against the per-call formulas they replaced."""
+    p, spatial, vec = shell_draw(shape, mass, sign)
     sq = np.sum(spatial**2, axis=-1)
-    vec = np.concatenate([np.asarray(p.p0)[..., None], spatial], -1)
     assert p.vec is p.vec
-    pairs = [(p.spatial_sq, sq), (p.p0, sign * np.sqrt(mass**2 + sq)), (p.vec, vec), (p.covec, vec @ sc.METRIC)]
-    for positions in ("uu", "ll", "ul", "lu"):
-        table = derived_table(positions)
-        mat = mom.momentum_matrix(p, positions)
-        assert mat.dtype == np.complex128
-        ref = (vec @ table).view(complex).reshape(shape + (2, 2))
-        pairs += [(mom._POSITION_TABLES[positions], table), (mat, ref)]
-    return pairs
+    return [(p.spatial_sq, sq), (p.p0, sign * np.sqrt(mass**2 + sq)), (p.vec, vec), (p.covec, vec @ sc.METRIC)]
+
+
+def cached_momentum_matrix(shape, mass, sign, positions):
+    """A cached momentum_matrix table, and its product, against the table derived on the spot."""
+    p, _, vec = shell_draw(shape, mass, sign)
+    table = derived_table(positions)
+    mat = mom.momentum_matrix(p, positions)
+    assert mat.dtype == np.complex128
+    return [(mom._POSITION_TABLES[positions], table), (mat, (vec @ table).view(complex).reshape(shape + (2, 2)))]
 
 
 def sampler_weights(mass, width):
@@ -151,9 +157,12 @@ def strided_vec():
     return [(p.vec, np.concatenate([np.asarray(p.p0)[..., None], rows[..., 1:]], -1))]
 
 
+KINEMATICS = [(shape, mass, sign) for shape in [(), (7,), (2, 3), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]]
 ORACLES = {
     **{f"kinematics-{shape}-{mass}-{sign}": partial(cached_kinematics, shape, mass, sign)
-       for shape in [(), (7,), (2, 3), (3, 5)] for mass in [0.0, 1.3] for sign in [1, -1]},
+       for shape, mass, sign in KINEMATICS},
+    **{f"momentum_matrix-{shape}-{mass}-{sign}-{pos}": partial(cached_momentum_matrix, shape, mass, sign, pos)
+       for shape, mass, sign in KINEMATICS for pos in ["uu", "ll", "ul", "lu"]},
     **{f"sampler_weights-{mass}-{width}": partial(sampler_weights, mass, width)
        for mass, width in [(0.0, 1.0), (1.3, 0.7), (0.4, 2.5)]},
     **{f"sampler_draw-{width}": partial(sampler_draw, width) for width in [0.7, 1.0, 1.3]},

@@ -34,6 +34,12 @@ class TestIvdW:
         for a in range(4):
             assert_allclose(g.lo[a], g.lo[a].conj().T, atol=1e-15)
 
+    def test_diagonal_contraction_gives_identity(self):
+        # a = b = 0 entry of the pair identity: g^{00} times the unit spinor
+        g = sc.build_ivdw()
+        val = 2 * np.einsum("xm,ym->xy", g.lo_w[0], g.up_w[0])
+        assert_allclose(val, np.eye(2), atol=1e-15)
+
     def test_completeness_over_index_pairs(self):
         g = sc.build_ivdw()
         delta4 = np.einsum("ik,jl->ijkl", np.eye(2), np.eye(2))
