@@ -3,6 +3,11 @@
 Each check body draws its randomness from a dedicated generator, measures
 one family of identities and yields its residuals: scalars or arrays
 already divided by their scale, or z-scores for quadrature statements.
+A body that covers both energy branches runs them as one batch whose
+leading axis is the branch, sign [[1], [-1]]: it draws the +1 branch's
+numbers and then the -1 branch's, as a loop over the branches would, and
+takes every scale and fit per branch, so its residuals are those of one
+call per branch.
 ``Check.run`` alone reduces them to the worst violation, NaN if any is NaN.
 The anchor string states the identity being verified, so a report doubles
 as a coverage map of the identity inventory.
@@ -57,15 +62,61 @@ def _batch(batch):
     return (batch,) if isinstance(batch, int) else tuple(batch)
 
 
-def _rand_sym_seed(rng, n, batch=()):
-    shape = _batch(batch) + (2,) * n
-    seed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+def _sym_seed(re, im, n):
+    seed = re + 1j * im
     return mbw.symmetrize(seed, n) if n > 1 else seed
 
 
-def _rand_massive(rng, n, mass, sign, batch):
-    p = mom.on_shell(mass, sign, rng.normal(size=_batch(batch) + (3,)))
-    return mbw.build_from_seed(_rand_sym_seed(rng, n, batch), p, n)
+def _rand_sym_seed(rng, n, batch=()):
+    shape = _batch(batch) + (2,) * n
+    return _sym_seed(rng.normal(size=shape), rng.normal(size=shape), n)
+
+
+# ---------------------------------------------------------------------------
+# both energy branches as one batch
+# ---------------------------------------------------------------------------
+
+_SIGNS = (1, -1)
+
+
+def _branch_normals(rng, *shapes):
+    """Normal draws of the given shapes for the branches +1 and -1, each
+    stacked on a leading axis of 2: all of the +1 branch's draws in turn,
+    then all of the -1 branch's, as a loop over the branches makes them."""
+    draws = [[rng.normal(size=shape) for shape in shapes] for _ in _SIGNS]
+    return [np.stack(pair) for pair in zip(*draws)]
+
+
+def _on_branches(mass, spatial):
+    """Momenta whose leading batch axis runs over the branches +1, -1."""
+    return mom.on_shell(mass, np.reshape(_SIGNS, (2,) + (1,) * (spatial.ndim - 2)), spatial)
+
+
+def _massive_shapes(n, batch):
+    """Shapes of the draws of a massive field: its momenta, then the real and
+    imaginary parts of its seed."""
+    batch = _batch(batch)
+    return batch + (3,), batch + (2,) * n, batch + (2,) * n
+
+
+def _branch_massive(n, mass, spatial, re, im):
+    """A massive field on both branches from branch-stacked draws of
+    ``_massive_shapes``."""
+    return mbw.build_from_seed(_sym_seed(re, im, n), _on_branches(mass, spatial), n)
+
+
+def _rand_massive_branches(rng, n, mass, batch):
+    """A random massive field of batch (2,) + batch: the +1 branch's momenta
+    and seed, then the -1 branch's."""
+    return _branch_massive(n, mass, *_branch_normals(rng, *_massive_shapes(n, batch)))
+
+
+def _branch_max(a, ndim, axis=0):
+    """Largest |entry| of each branch of ``a``, whose axis ``axis`` runs over
+    the branches, shaped (2, 1, ...) to divide an array of ``ndim`` axes
+    whose leading axis does."""
+    top = np.max(np.abs(a), axis=tuple(i for i in range(a.ndim) if i != axis))
+    return top.reshape((2,) + (1,) * (ndim - 1))
 
 
 def _relative(value, ref):
@@ -188,63 +239,69 @@ def _check_gamma_ivdw(params, rng):
 # ---------------------------------------------------------------------------
 
 
-def _field_scale(f) -> float:
-    """max(1, max|psi| max|p^a|): the size of the terms p^A_{A'} psi of the
-    first-order equations, and of (p-slash - m) psi."""
-    return max(1.0, float(np.max(np.abs(f.stack))) * float(np.max(np.abs(f.p.vec))))
+def _field_scale(f) -> np.ndarray:
+    """max(1, max|psi| max|p^a|) of each branch of a field whose leading
+    batch axis runs over the branches: the size of the terms p^A_{A'} psi of
+    the first-order equations, and of (p-slash - m) psi."""
+    nb = f.stack.ndim - 2 * f.n
+    return np.fmax(1.0, _branch_max(f.stack, nb, 2 * f.n) * _branch_max(f.p.vec, nb))
 
 
 def _check_massive_field_equations(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            f = _rand_massive(rng, n, params["mass"], sign, 20)
-            yield core.residual_field_equations(f) / _field_scale(f)
+        f = _rand_massive_branches(rng, n, params["mass"], 20)
+        yield core.residual_field_equations(f) / _field_scale(f)
 
 
 def _check_projection(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            f = _rand_massive(rng, n, params["mass"], sign, 50)
-            T = mbw.tensor_T(f)
-            scale = float(np.max(np.abs(T)))
-            for k in range(n):
-                yield np.abs(T - mbw.project_slot(T, f.p, k, n)) / scale
-                yield np.abs(T - mbw.trace_reverse_slot(T, f.p, k, n)) / scale
-            full = mbw.norm_covariant_integrand(f)
-            nfold = full[(...,) + (None,) * n] * core.outer_power(f.p.covec, n)
-            yield np.abs(T - nfold) / scale
+        f = _rand_massive_branches(rng, n, params["mass"], 50)
+        T = mbw.tensor_T(f)
+        scale = _branch_max(T, T.ndim)
+        for k in range(n):
+            yield np.abs(T - mbw.project_slot(T, f.p, k, n)) / scale
+            yield np.abs(T - mbw.trace_reverse_slot(T, f.p, k, n)) / scale
+        full = mbw.norm_covariant_integrand(f)
+        nfold = full[(...,) + (None,) * n] * core.outer_power(f.p.covec, n)
+        yield np.abs(T - nfold) / scale
 
 
 def _check_norm_equivalences(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            # ten fields as a (1, 10) batch and ten probe sets as (10, 1, 4)
-            # per slot: row i of the (10, 10) integrand is probe set i; the
-            # draws are those of ten sets drawn in turn
-            f = _rand_massive(rng, n, params["mass"], sign, (1, 10))
-            std = mbw.norm_standard_integrand(f)
-            cov = mbw.norm_covariant_integrand(f)
-            scale = float(np.max(np.abs(cov)))
-            probes = rng.normal(size=(10, n, 4))
-            pr = mbw.norm_primed_integrand(f, [probes[:, k, None] for k in range(n)])
-            with np.errstate(invalid="ignore"):  # an overflowed cov gives inf / inf
-                yield np.abs(pr - cov) / scale
-            # the first set through the world tensor, a route that shares no
-            # code with the spinor-pair contraction
-            world = mbw.tensor_T(f)
-            for t in reversed(probes[0]):
-                world = world @ t
-            world = world / np.prod([mom.minkowski_dot(t, f.p.vec) for t in probes[0]], axis=0)
-            yield np.abs(world - pr[0]) / scale
-            yield np.abs(pr[1:] - pr[0]) / scale
-            tpm = [np.array([float(sign), 0.0, 0.0, 0.0])] * n
-            pr_t = mbw.norm_primed_integrand(f, tpm)
-            std_scale = float(np.max(np.abs(std)))
-            yield np.abs(pr_t - sign**n * 2.0 ** (-n / 2.0) * std) / std_scale
-            yield np.abs(std - sign**n * 2.0 ** (n / 2.0) * cov) / std_scale
-            # a negative norm fails outright; cov is N / m^{2n} with m^{2n} > 0,
-            # so it has N's sign, and a NaN compares False both ways
-            yield float(np.any(sign**n * cov < 0))
+        # per branch, ten fields as a (1, 10) batch and ten probe sets as
+        # (10, 1, 4) per slot: row i of the (10, 10) integrand is probe set
+        # i; the draws are those of ten sets drawn in turn
+        *fields, probes = _branch_normals(rng, *_massive_shapes(n, (1, 10)), (10, n, 4))
+        f = _branch_massive(n, params["mass"], *fields)
+        sign = f.p.sign
+        std = mbw.norm_standard_integrand(f)
+        cov = mbw.norm_covariant_integrand(f)
+        scale = _branch_max(cov, 3)
+        # five probe sets per call, so that no contraction is larger than
+        # one branch's ten sets (at spin 6, 4^6 labels on each of 100 pairs)
+        halves = (probes[:, :5], probes[:, 5:])
+        pr = np.concatenate([mbw.norm_primed_integrand(f, [h[:, :, k, None] for k in range(n)]) for h in halves], 1)
+        with np.errstate(invalid="ignore"):  # an overflowed cov gives inf / inf
+            yield np.abs(pr - cov) / scale
+        # each branch's first set through the world tensor, a route that
+        # shares no code with the spinor-pair contraction
+        world = mbw.tensor_T(f)
+        first = probes[:, 0]
+        for k in reversed(range(n)):
+            world = (world @ first[:, k].reshape((2,) + (1,) * (world.ndim - 3) + (4, 1)))[..., 0]
+        dots = [mom.minkowski_dot(first[:, k, None, None], f.p.vec) for k in range(n)]
+        world = world / np.prod(dots, axis=0)
+        yield np.abs(world - pr[:, :1]) / scale
+        yield np.abs(pr[:, 1:] - pr[:, :1]) / scale
+        tpm = np.zeros((2, 1, 1, 4))
+        tpm[..., 0] = sign
+        pr_t = mbw.norm_primed_integrand(f, [tpm] * n)
+        std_scale = _branch_max(std, 3)
+        yield np.abs(pr_t - sign**n * 2.0 ** (-n / 2.0) * std) / std_scale
+        yield np.abs(std - sign**n * 2.0 ** (n / 2.0) * cov) / std_scale
+        # a negative norm fails outright; cov is N / m^{2n} with m^{2n} > 0,
+        # so it has N's sign, and a NaN compares False both ways
+        yield float(np.any(sign**n * cov < 0))
 
 
 def _check_scalar_covariance(params, rng):
@@ -271,9 +328,8 @@ def _check_seed_form_norm(params, rng):
     for n in params["spins"]:
         seed = _rand_sym_seed(rng, n)
         form = mbw.seed_form(seed, n)
-        for sign in (1, -1):
-            p = mom.on_shell(params["mass"], sign, rng.normal(size=(50, 3)))
-            yield _relative(mbw.scalar_N(mbw.build_from_seed(seed, p, n)), form(p))
+        p = _on_branches(params["mass"], *_branch_normals(rng, (50, 3)))
+        yield _relative(mbw.scalar_N(mbw.build_from_seed(seed, p, n)), form(p))
 
 
 def _seed_form_norm(packet, sampler):
@@ -355,7 +411,8 @@ def _fd_order(f, x):
 
 
 def _check_fd_massive(params, rng):
-    f = _rand_massive(rng, 2, params["mass"], 1, ())
+    p = mom.on_shell(params["mass"], 1, rng.normal(size=3))
+    f = mbw.build_from_seed(_rand_sym_seed(rng, 2), p, 2)
     yield _fd_order(f, rng.normal(size=4) * 0.3)
 
 
@@ -366,50 +423,48 @@ def _check_fd_massive(params, rng):
 
 def _check_massless_field_equations(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
-            xi = _rand_sym_seed(rng, n, 50)
-            fv = rng.normal(size=50) + 1j * rng.normal(size=50)
-            for fld in (ml.field_from_potential(xi, p, n), ml.field_from_amplitude(fv, p, n)):
-                yield core.residual_field_equations(fld) / _field_scale(fld)
+        seed = (50,) + (2,) * n
+        sp, xi_re, xi_im, f_re, f_im = _branch_normals(rng, (50, 3), seed, seed, (50,), (50,))
+        p = _on_branches(0.0, sp)
+        xi = _sym_seed(xi_re, xi_im, n)
+        for fld in (ml.field_from_potential(xi, p, n), ml.field_from_amplitude(f_re + 1j * f_im, p, n)):
+            yield core.residual_field_equations(fld) / _field_scale(fld)
 
 
 def _check_helicity(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
-            fv = rng.normal(size=50) + 1j * rng.normal(size=50)
-            fld = ml.field_from_amplitude(fv, p, n)
-            residual, eigenvalue = ml.helicity(fld)
-            yield residual
-            yield abs(eigenvalue - ml.HELICITY_SIGN * n / 2.0)
+        sp, f_re, f_im = _branch_normals(rng, (50, 3), (50,), (50,))
+        fld = ml.field_from_amplitude(f_re + 1j * f_im, _on_branches(0.0, sp), n)
+        # the eigenvalue is fitted to each branch's 50 samples
+        residual, eigenvalue = ml.helicity(fld)
+        yield residual
+        yield np.abs(eigenvalue - ml.HELICITY_SIGN * n / 2.0)
 
 
 def _check_eta_normalization(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
-            for shift in (0.0, 0.4 - 0.7j):
-                eta = ml.eta_canonical(p, n, gauge_shift=shift)
-                val = ml.potential_route_integrand(eta, p, n)
-                yield np.abs(val - sign**n)
+        p = _on_branches(0.0, *_branch_normals(rng, (50, 3)))
+        for shift in (0.0, 0.4 - 0.7j):
+            eta = ml.eta_canonical(p, n, gauge_shift=shift)
+            val = ml.potential_route_integrand(eta, p, n)
+            yield np.abs(val - p.sign**n)
 
 
 def _check_amplitude_identity(params, rng):
     for n in params["spins"]:
-        for sign in (1, -1):
-            p = mom.on_shell(0.0, sign, rng.normal(size=(50, 3)))
-            fv = rng.normal(size=50) + 1j * rng.normal(size=50)
-            fld = ml.field_from_amplitude(fv, p, n)
-            target = ml.amplitude_norm_integrand(fv)
-            scale = float(np.max(target))
-            ts = [rng.normal(size=4) for _ in range(n)]
-            pr = ml.norm_primed_integrand(fld, ts)
-            yield np.abs(sign**n * pr - target) / scale
-            eta = ml.eta_canonical(p, n)
-            xi = fv[(...,) + (None,) * n] * eta
-            yield np.abs(ml.field_from_potential(xi, p, n).psi - fld.psi)
-            yield np.abs(pr - ml.potential_route_integrand(xi, p, n)) / scale
+        sp, f_re, f_im, ts = _branch_normals(rng, (50, 3), (50,), (50,), (n, 4))
+        p = _on_branches(0.0, sp)
+        fv = f_re + 1j * f_im
+        fld = ml.field_from_amplitude(fv, p, n)
+        target = ml.amplitude_norm_integrand(fv)
+        scale = _branch_max(target, 2)
+        # one probe set per branch, (2, 1, 4) per slot
+        pr = ml.norm_primed_integrand(fld, [ts[:, k, None] for k in range(n)])
+        yield np.abs(p.sign**n * pr - target) / scale
+        eta = ml.eta_canonical(p, n)
+        xi = fv[(...,) + (None,) * n] * eta
+        yield np.abs(ml.field_from_potential(xi, p, n).psi - fld.psi)
+        yield np.abs(pr - ml.potential_route_integrand(xi, p, n)) / scale
 
 
 def _check_amplitude_gaussian_norm(params, rng):
@@ -440,58 +495,55 @@ def _sample_max(a, axes=(-2, -1)):
     return np.max(np.abs(a), axis=axes)
 
 
-def _real_modes(rng, sign, shape):
-    """Real-F Lorenz-gauge potentials on a batch of null momenta of one branch."""
-    p = mom.on_shell(0.0, sign, rng.normal(size=shape + (3,)))
-    return mx.PotentialAtP(phi=1j * mx.random_transverse_polarization(rng, p), p=p)
+def _real_modes(spatial, v):
+    """Real-F Lorenz-gauge potentials on null momenta from branch-stacked
+    draws of their spatial parts and polarizations, shapes (2,) + batch +
+    (3,) and (2,) + batch + (4,)."""
+    p = _on_branches(0.0, spatial)
+    return mx.PotentialAtP(phi=1j * mx.transverse_polarization(p, v), p=p)
 
 
 def _check_em_spinor_symmetry(params, rng):
-    for sign in (1, -1):
-        p = mom.on_shell(0.0, sign, rng.normal(size=(10, 3)))
-        v = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
-        v[:, 0] -= mom.minkowski_dot(p.vec, v) / p.p0
-        pot = mx.PotentialAtP(phi=v, p=p)
-        phi1 = mx.em_spinor_from_potential(pot, "first")
-        phi2 = mx.em_spinor_from_potential(pot, "second")
-        gauge = mx.PotentialAtP(phi=(0.7 + 0.1j) * p.vec, p=p)
-        yield np.abs(phi1 - phi2)
-        yield np.abs(phi1 - np.swapaxes(phi1, -1, -2))
-        yield np.abs(mx.em_spinor_from_potential(gauge))
+    sp, v_re, v_im = _branch_normals(rng, (10, 3), (10, 4), (10, 4))
+    p = _on_branches(0.0, sp)
+    pot = mx.PotentialAtP(phi=mx.transverse_polarization(p, v_re + 1j * v_im), p=p)
+    phi1 = mx.em_spinor_from_potential(pot, "first")
+    phi2 = mx.em_spinor_from_potential(pot, "second")
+    gauge = mx.PotentialAtP(phi=(0.7 + 0.1j) * p.vec, p=p)
+    yield np.abs(phi1 - phi2)
+    yield np.abs(phi1 - np.swapaxes(phi1, -1, -2))
+    yield np.abs(mx.em_spinor_from_potential(gauge))
 
 
 def _check_three_way_tensor(params, rng):
-    for sign in (1, -1):
-        pot = _real_modes(rng, sign, (25,))
-        far = mx.faraday_from_potential(pot)
-        phi_ab = mx.em_spinor_from_potential(pot)
-        t_spinor = mx.tensor_T_em(phi_ab)
-        scale = np.maximum(_sample_max(t_spinor), 1e-30)
-        phi_scale = np.maximum(_sample_max(phi_ab), 1e-30)
-        yield _sample_max(t_spinor - mx.stress_form(far)) / scale
-        yield _sample_max(t_spinor - mx.potential_form(pot)) / scale
-        yield _sample_max(mx.em_spinor(far) - phi_ab) / phi_scale
+    pot = _real_modes(*_branch_normals(rng, (25, 3), (25, 4)))
+    far = mx.faraday_from_potential(pot)
+    phi_ab = mx.em_spinor_from_potential(pot)
+    t_spinor = mx.tensor_T_em(phi_ab)
+    scale = np.maximum(_sample_max(t_spinor), 1e-30)
+    phi_scale = np.maximum(_sample_max(phi_ab), 1e-30)
+    yield _sample_max(t_spinor - mx.stress_form(far)) / scale
+    yield _sample_max(t_spinor - mx.potential_form(pot)) / scale
+    yield _sample_max(mx.em_spinor(far) - phi_ab) / phi_scale
 
 
 def _check_energy_density(params, rng):
-    for sign in (1, -1):
-        pot = _real_modes(rng, sign, (50,))
-        e_vec, b_vec = mx.eb_from_faraday(mx.faraday_from_potential(pot).f)
-        t00 = mx.tensor_T_em(mx.em_spinor_from_potential(pot))[..., 0, 0]
-        target = 0.25 * (np.sum(e_vec.real**2, -1) + np.sum(b_vec.real**2, -1))
-        yield np.abs(t00 - target) / np.maximum(target, 1e-30)
+    pot = _real_modes(*_branch_normals(rng, (50, 3), (50, 4)))
+    e_vec, b_vec = mx.eb_from_faraday(mx.faraday_from_potential(pot).f)
+    t00 = mx.tensor_T_em(mx.em_spinor_from_potential(pot))[..., 0, 0]
+    target = 0.25 * (np.sum(e_vec.real**2, -1) + np.sum(b_vec.real**2, -1))
+    yield np.abs(t00 - target) / np.maximum(target, 1e-30)
 
 
 def _check_maxwell_vs_massless_norm(params, rng):
-    for sign in (1, -1):
-        # 10 groups of 10 momenta, one probe pair per group; real F: the
-        # field-tensor and spinor forms agree only on real fields
-        pot = _real_modes(rng, sign, (10, 10))
-        t1, t2 = rng.normal(size=(10, 1, 4)), rng.normal(size=(10, 1, 4))
-        v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
-        fld = ml.MasslessFieldAtP.from_psi(2, pot.p, mx.em_spinor_from_potential(pot))
-        v_ml = ml.norm_primed_integrand(fld, [t1, t2])
-        yield _sample_max(v_em - v_ml, -1) / _sample_max(v_ml, -1)
+    # per branch, 10 groups of 10 momenta, one probe pair per group; real
+    # F: the field-tensor and spinor forms agree only on real fields
+    sp, v, t1, t2 = _branch_normals(rng, (10, 10, 3), (10, 10, 4), (10, 1, 4), (10, 1, 4))
+    pot = _real_modes(sp, v)
+    v_em = mx.em_norm_integrand(mx.faraday_from_potential(pot), t1, t2)
+    fld = ml.MasslessFieldAtP.from_psi(2, pot.p, mx.em_spinor_from_potential(pot))
+    v_ml = ml.norm_primed_integrand(fld, [t1, t2])
+    yield _sample_max(v_em - v_ml, -1) / _sample_max(v_ml, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +552,24 @@ def _check_maxwell_vs_massless_norm(params, rng):
 
 
 def _check_dirac_bridge(params, rng):
-    for sign in (1, -1):
-        f = _rand_massive(rng, 1, params["mass"], sign, 50)
-        psi = da.pack_bispinor(f)
-        scale = _field_scale(f)
-        yield da.dirac_residual(psi, f.p, params["mass"]) / scale
-        yield core.residual_field_equations(da.unpack_bispinor(psi, f.p)) / scale
+    f = _rand_massive_branches(rng, 1, params["mass"], 50)
+    psi = da.pack_bispinor(f)
+    scale = _field_scale(f)
+    yield da.dirac_residual(psi, f.p, params["mass"]) / scale
+    yield core.residual_field_equations(da.unpack_bispinor(psi, f.p)) / scale
 
 
 def _check_current_tensor(params, rng):
-    for sign in (1, -1):
-        f = _rand_massive(rng, 1, params["mass"], sign, 50)
-        psi = da.pack_bispinor(f)
-        T = mbw.tensor_T(f)
-        j_mat = da.dirac_current_matrix_route(psi)
-        j_spin = da.dirac_current(psi)
-        scale = max(1.0, float(np.max(np.abs(j_spin))))
-        yield np.abs(T - j_mat / np.sqrt(2.0)) / scale
-        yield np.abs(j_spin - j_mat) / scale
-        # a negative charge density fails outright
-        yield float(np.any(j_spin[..., 0] < 0))
+    f = _rand_massive_branches(rng, 1, params["mass"], 50)
+    psi = da.pack_bispinor(f)
+    T = mbw.tensor_T(f)
+    j_mat = da.dirac_current_matrix_route(psi)
+    j_spin = da.dirac_current(psi)
+    scale = np.fmax(1.0, _branch_max(j_spin, 3))
+    yield np.abs(T - j_mat / np.sqrt(2.0)) / scale
+    yield np.abs(j_spin - j_mat) / scale
+    # a negative charge density fails outright
+    yield float(np.any(j_spin[..., 0] < 0))
 
 
 def _check_bilinear_norm(params, rng):
@@ -528,11 +578,10 @@ def _check_bilinear_norm(params, rng):
     mass = params["mass"]
     seed = _rand_sym_seed(rng, 1)
     form = mbw.seed_form(seed, 1)
-    for sign in (1, -1):
-        p = mom.on_shell(mass, sign, rng.normal(size=(1000, 3)))
-        ref = sign * np.sqrt(2.0) * form(p) / mass**2
-        psi = da.pack_bispinor(mbw.build_from_seed(seed, p, 1))
-        yield _relative(da.norm_bilinear_integrand(psi, p, mass), ref)
+    p = _on_branches(mass, *_branch_normals(rng, (1000, 3)))
+    ref = p.sign * np.sqrt(2.0) * form(p) / mass**2
+    psi = da.pack_bispinor(mbw.build_from_seed(seed, p, 1))
+    yield _relative(da.norm_bilinear_integrand(psi, p, mass), ref)
 
 
 # ---------------------------------------------------------------------------

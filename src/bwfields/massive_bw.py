@@ -254,8 +254,13 @@ def seed_form(seed: np.ndarray, n: int) -> Callable[[FourMomentum], np.ndarray]:
     def norm(p: FourMomentum) -> np.ndarray:
         if p.mass <= 0:
             raise ValueError("massive construction needs m > 0")
-        w = (rows @ p.vec.reshape(-1, 4).T).reshape((4,) + p.vec.shape[:-1])
-        r = (coef.reshape(-1, 4) @ w.reshape(4, -1)).reshape((4,) * (n - 1) + w.shape[1:])
+        batch = p.vec.shape[:-1]
+        w = (rows @ p.vec.reshape(-1, 4).T).reshape((4,) + batch)
+        # the first slot in one product per index of the leading batch axis,
+        # so each branch of a batch that stacks both rounds as it does alone
+        lead = batch[:1] if len(batch) > 1 else (1,)
+        r = coef.reshape(-1, 4) @ np.moveaxis(w.reshape((4,) + lead + (-1,)), 0, -2)
+        r = np.moveaxis(r, -2, 0).reshape((4,) * (n - 1) + batch)
         for k in reversed(range(n - 1)):
             r = np.sum(r * w, axis=k)
         return r

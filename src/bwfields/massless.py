@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .momentum import FourMomentum, spin_frame, momentum_matrix
+from .momentum import FourMomentum, momentum_matrix
 from .slot_core import (
     StackField,
     _contract_slot,
@@ -98,7 +98,7 @@ def eta_canonical(p: FourMomentum, n: int, gauge_shift: complex = 0.0) -> np.nda
     ``gauge_shift`` moves omega along the pi direction, which changes eta
     but not its contraction against n copies of the momentum.
     """
-    fr = spin_frame(p)
+    fr = p.frame
     omega = fr.omega
     if gauge_shift != 0.0:
         pi_up = np.einsum("AB,...B->...A", EPS_UP, fr.pi)
@@ -110,8 +110,8 @@ def field_from_amplitude(f_values: np.ndarray, p: FourMomentum, n: int) -> Massl
     """psi = (-+i)^n pi x ... x pi f, the single-degree-of-freedom form."""
     if p.mass != 0.0:
         raise ValueError("amplitude construction needs a null momentum")
-    outer = outer_power(spin_frame(p).pi, n)
-    factor = (-1j * p.sign) ** n
+    outer = outer_power(p.frame.pi, n)
+    factor = ((-1j * np.asarray(p.sign)) ** n)[(...,) + (None,) * n]
     return MasslessFieldAtP.from_psi(n, p, factor * np.asarray(f_values)[(...,) + (None,) * n] * outer)
 
 
@@ -133,15 +133,25 @@ def apply_spin_vector(field: MasslessFieldAtP) -> np.ndarray:
     return sum(_contract_slot(stack, kernel, k) for k in range(field.n))
 
 
-def helicity(field: MasslessFieldAtP) -> tuple[float, float]:
-    """One action of the spin vector, two readings: the max violation of
-    (slot sum S^a) psi = -(n/2) p^a psi, and the least-squares eigenvalue h
-    in (slot sum S^a) psi = h p^a psi."""
+def helicity(field: MasslessFieldAtP) -> tuple[np.ndarray, np.ndarray]:
+    """One action of the spin vector, two readings: each sample's largest
+    violation of (slot sum S^a) psi = -(n/2) p^a psi, shape batch, and the
+    least-squares eigenvalue h in (slot sum S^a) psi = h p^a psi, fitted to
+    each index of the leading batch axis, so shape batch[:1].  A fit's sums
+    run over its entries in the order of a field that holds them alone.
+    """
+    n = field.n
     lhs = apply_spin_vector(field)
     rhs = field.stack[..., None] * field.p.vec
-    residual = float(np.max(np.abs(lhs - HELICITY_SIGN * (field.n / 2.0) * rhs)))
-    eigenvalue = np.sum(np.conj(rhs) * lhs) / np.sum(np.abs(rhs) ** 2)
-    return residual, float(eigenvalue.real)
+    residual = np.max(np.abs(lhs - HELICITY_SIGN * (n / 2.0) * rhs), axis=tuple(range(2 * n)) + (-1,))
+    lead = rhs.shape[2 * n : -1][:1]
+
+    def total(a):
+        a = np.moveaxis(a, range(2 * n, 2 * n + len(lead)), range(len(lead)))
+        return np.sum(np.ascontiguousarray(a).reshape(lead + (-1,)), axis=-1)
+
+    eigenvalue = total(np.conj(rhs) * lhs) / total(np.abs(rhs) ** 2)
+    return residual, eigenvalue.real
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ Every function here takes a batch of momenta: the leading axes of the
 potential, field-tensor and spinor arrays are the batch shape of ``p``,
 and probe vectors broadcast against it, so probes of shape (g, 1, 4) give
 one probe per group of a (g, k) batch.  The registry's Maxwell checks draw
-one batch of null momenta per energy branch and call each function once
-per branch.  Each validation scales its tolerance by the sample's own
-largest entry (at least 1), so a batch passes exactly when each of its
-samples would pass alone.
+one batch of null momenta on both energy branches, the branch as its
+leading axis, and call each function once.  Each validation scales its
+tolerance by the sample's own largest entry (at least 1), so a batch passes
+exactly when each of its samples would pass alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "stress_form",
     "potential_form",
     "em_norm_integrand",
-    "random_transverse_polarization",
+    "transverse_polarization",
 ]
 
 _EIJK = np.zeros((3, 3, 3))
@@ -169,11 +169,10 @@ def em_norm_integrand(far: FaradayAtP, t1: np.ndarray, t2: np.ndarray) -> np.nda
     return np.einsum("...ab,...a,...b->...", stress_form(far), t1, t2) / (t1p * t2p)
 
 
-def random_transverse_polarization(rng: np.random.Generator, p: FourMomentum) -> np.ndarray:
-    """Real 4-vector with p.psi = 0; the reference direction (1,0,0,0) fixes
-    the projection, so the result is valid for any momentum off the cone tip."""
-    shape = np.asarray(p.p0).shape
-    v = rng.normal(size=shape + (4,))
-    alpha = minkowski_dot(p.vec, v) / p.p0
-    v[..., 0] -= alpha
+def transverse_polarization(p: FourMomentum, v: np.ndarray) -> np.ndarray:
+    """The 4-vectors v, shape batch + (4,), moved along the reference
+    direction (1,0,0,0) until p.v = 0, as a new array; valid for any momentum
+    off the cone tip.  Real v gives a real-F potential 1j * v."""
+    v = np.array(v, dtype=np.result_type(v, float))
+    v[..., 0] -= minkowski_dot(p.vec, v) / p.p0
     return v

@@ -2,7 +2,12 @@
 
 Momenta carry their energy-sign branch as data: p^0 = sign * sqrt(m^2 + |p|^2).
 All operations broadcast over leading batch axes of the spatial components,
-so a :class:`FourMomentum` can hold one momentum or a whole sample set.
+so a :class:`FourMomentum` can hold one momentum or a whole sample set.  The
+sign is +1, -1 or an integer array of them that broadcasts into the batch,
+so one momentum can hold both branches: with sign [[1], [-1]] a (2, k)
+batch is k momenta on each branch, which :func:`momentum_matrix`,
+:func:`spin_frame` and the fields built on it take in one call, as any
+batch.  Samplers and the quadrature keep one branch each.
 
 Each momentum's kinematics is computed once, when it is built, and kept
 read-only: |p|^2 (by column sums, which round exactly as a sum over the
@@ -17,6 +22,7 @@ of p^a with a cached (4, 8) table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -63,11 +69,29 @@ def _spatial_sq(sp: np.ndarray) -> np.ndarray:
     return x * x + y * y + z * z
 
 
-def _check_branch(mass: float, sign: int) -> None:
+def _check_branch(mass: float, sign, batch: tuple[int, ...] = ()):
+    """Raise unless mass >= 0 and the sign is +1, -1 or an array of them
+    whose shape broadcasts into ``batch`` without enlarging it.  Returns the
+    sign: one value as given, an array as a read-only integer copy."""
     if not mass >= 0:
         raise ValueError("mass must be non-negative")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if np.ndim(sign) == 0:
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        return sign
+    sign = np.asarray(sign)
+    with np.errstate(invalid="ignore"):
+        if not np.all((sign == 1) | (sign == -1)):
+            raise ValueError("sign must be +1 or -1")
+    try:
+        fits = np.broadcast_shapes(sign.shape, batch) == batch
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"sign of shape {sign.shape} does not broadcast into the batch {batch}")
+    sign = sign.astype(int)
+    _read_only(sign)
+    return sign
 
 
 def _check_components(mass: float, components: np.ndarray, p0: np.ndarray) -> None:
@@ -83,19 +107,22 @@ def _check_components(mass: float, components: np.ndarray, p0: np.ndarray) -> No
 class FourMomentum:
     """On-shell momentum with an explicit energy-sign branch.
 
-    |p|^2 (``spatial_sq``), ``p0`` and the rows p^a (``vec``) are computed
-    once, at construction, and are read-only like ``spatial``.
+    ``sign`` is +1, -1 or an integer array of them, held read-only, that
+    broadcasts into the batch without enlarging it.  |p|^2 (``spatial_sq``),
+    ``p0`` and the rows p^a (``vec``) are computed once, at construction,
+    and are read-only like ``spatial``; a null momentum's spin ``frame`` is
+    built on first use and kept.
     """
 
     mass: float
-    sign: int
+    sign: int | np.ndarray
     spatial: np.ndarray  # (..., 3)
 
     def __post_init__(self):
-        _check_branch(self.mass, self.sign)
         sp = np.asarray(self.spatial, dtype=float)
         if sp.shape[-1:] != (3,):
             raise ValueError("spatial part must have a trailing axis of length 3")
+        object.__setattr__(self, "sign", _check_branch(self.mass, self.sign, sp.shape[:-1]))
         sq = _spatial_sq(sp)
         p0 = self.sign * np.sqrt(self.mass**2 + sq)
         _check_components(self.mass, sp, p0)
@@ -144,9 +171,17 @@ class FourMomentum:
         """Covariant components p_a."""
         return self.vec @ METRIC
 
+    @cached_property
+    def frame(self) -> "SpinFrame":
+        """The spin frame of a null momentum, :func:`spin_frame`."""
+        return spin_frame(self)
 
-def on_shell(mass: float, sign: int, spatial) -> FourMomentum:
-    return FourMomentum(mass=float(mass), sign=int(sign), spatial=np.asarray(spatial, dtype=float))
+
+def on_shell(mass: float, sign, spatial) -> FourMomentum:
+    """The momenta with these spatial parts; ``sign`` is +1, -1 or an array
+    of them, as :class:`FourMomentum` takes it."""
+    sign = int(sign) if np.ndim(sign) == 0 else sign
+    return FourMomentum(mass=float(mass), sign=sign, spatial=np.asarray(spatial, dtype=float))
 
 
 def _build_position_tables() -> Mapping[str, np.ndarray]:
@@ -196,7 +231,8 @@ def momentum_matrix(p: FourMomentum, positions: str = "uu") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinFrame:
-    """Pair (pi_A, omega^A) with pi_A omega^A = 1 factorizing a null momentum."""
+    """Pair (pi_A, omega^A) with pi_A omega^A = 1 factorizing a null
+    momentum; the arrays are read-only."""
 
     pi: np.ndarray  # (..., 2) lower index
     omega: np.ndarray  # (..., 2) upper index
@@ -211,7 +247,8 @@ def spin_frame(p: FourMomentum) -> SpinFrame:
     """
     if p.mass != 0.0:
         raise ValueError("spin frames exist only for null momenta")
-    m = p.sign * momentum_matrix(p, "ll")  # positive semidefinite, rank 1
+    # positive semidefinite, rank 1
+    m = np.asarray(p.sign)[..., None, None] * momentum_matrix(p, "ll")
     d0 = m[..., 0, 0].real
     d1 = m[..., 1, 1].real
     use0 = d0 >= d1
@@ -224,6 +261,7 @@ def spin_frame(p: FourMomentum) -> SpinFrame:
     )
     pi = pi * np.exp(-1j * np.angle(big))[..., None]
     omega = np.conj(pi) / np.sum(np.abs(pi) ** 2, axis=-1)[..., None]
+    _read_only(pi, omega)
     return SpinFrame(pi=pi, omega=omega)
 
 

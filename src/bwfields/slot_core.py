@@ -146,9 +146,12 @@ class StackField:
         return view
 
 
-# largest psi (x) psibar product world_tensor forms at once, in bytes: spins
-# up to 4 at a batch of 50 stay one chunk, a spin-6 batch is cut into chunks
-WORLD_TENSOR_CHUNK_BYTES = 2**24
+# largest psi (x) psibar product world_tensor forms at once, in bytes, and
+# the fewest samples a chunk holds: the product's broadcast runs its
+# innermost loop over a chunk's samples, and with 1 or 2 it takes about 1.5
+# times as long per entry (one spin-6 sample is a 4 MiB product)
+WORLD_TENSOR_CHUNK_BYTES = 2**21
+WORLD_TENSOR_CHUNK_SAMPLES = 4
 
 
 def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
@@ -159,15 +162,17 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     2 for a massive stack, 1 for an unprimed one.  Entries must be real: each
     sample's imaginary parts within 1e-12 of its own largest entry (at least 1).
     The batch goes through in chunks whose product psi (x) psibar stays within
-    ``WORLD_TENSOR_CHUNK_BYTES``.
+    ``WORLD_TENSOR_CHUNK_BYTES``, but of at least ``WORLD_TENSOR_CHUNK_SAMPLES``
+    samples.
     """
     bits = kernel.shape[1]
     batch = stack.shape[2 * n:]
     flat = stack.reshape((bits, 2) * n + (-1,))
     table = kernel.reshape(4, -1).T
     per_sample = (4 * bits) ** n * flat.itemsize
-    step = max(1, WORLD_TENSOR_CHUNK_BYTES // per_sample)
-    parts = []
+    step = max(WORLD_TENSOR_CHUNK_SAMPLES, WORLD_TENSOR_CHUNK_BYTES // per_sample)
+    total = np.empty(flat.shape[-1:] + (4,) * n)
+    entries = tuple(range(1, n + 1))
     # an empty batch is one empty chunk
     for start in range(0, max(1, flat.shape[-1]), step):
         chunk = flat[..., start:start + step]
@@ -176,13 +181,14 @@ def world_tensor(stack: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
         # psi psibar through the conversion table, one (bit, i, j) slot per
         # world index; the product is left unbound, so it is freed after the
         # first slot
-        parts.append(_convert_slots((psi * psibar).reshape((4 * bits,) * n + chunk.shape[-1:]), table, n))
-    total = np.concatenate(parts).reshape(batch + (4,) * n)
-    entries = tuple(range(len(batch), total.ndim))
-    scale = np.maximum(1.0, np.max(np.abs(total), axis=entries))
-    if not np.all(np.max(np.abs(total.imag), axis=entries) <= 1e-12 * scale):
-        raise AssertionError("world tensor has non-negligible imaginary part")
-    return total.real
+        part = _convert_slots((psi * psibar).reshape((4 * bits,) * n + chunk.shape[-1:]), table, n)
+        # each sample is judged alone, so the chunk's real part is all that
+        # is kept
+        scale = np.maximum(1.0, np.max(np.abs(part), axis=entries))
+        if not np.all(np.max(np.abs(part.imag), axis=entries) <= 1e-12 * scale):
+            raise AssertionError("world tensor has non-negligible imaginary part")
+        total[start:start + step] = part.real
+    return total.reshape(batch + (4,) * n)
 
 
 def probe_kernel(t_pair: np.ndarray, bits: int, nb: int) -> np.ndarray:
@@ -227,23 +233,27 @@ def probe_norm(f: StackField, ts: Sequence[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _equation_residual(f: StackField, value: np.ndarray, slot_image: Callable[[int], np.ndarray]) -> float:
-    """Largest violation over all slots: on slot k, ``slot_image(k)``, the
-    kernel (D^A_{A'}^T, D_A^{A'})[:bits] with D = p or i nabla, must map the
-    bit-0 half of ``value`` to -(m/sqrt2) times the bit-1 half and the bit-1
-    half to +(m/sqrt2) times the bit-0 half; an unprimed field has the bit-0
-    half only, and m = 0."""
+def _equation_residual(f: StackField, value: np.ndarray, slot_image: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Each sample's largest violation over all slots, shape batch: on slot
+    k, ``slot_image(k)``, the kernel (D^A_{A'}^T, D_A^{A'})[:bits] with D = p
+    or i nabla, must map the bit-0 half of ``value`` to -(m/sqrt2) times the
+    bit-1 half and the bit-1 half to +(m/sqrt2) times the bit-0 half; an
+    unprimed field has the bit-0 half only, and m = 0.  A NaN entry makes
+    its sample's violation NaN."""
     c = f.p.mass / np.sqrt(2.0)
-    worst = 0.0
+    spinor_axes = tuple(range(2 * f.n))
+    worst = None
     for k in range(f.n):
         sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (value.ndim - 2 * k - 1))
-        worst = worst_of(worst, np.max(np.abs(slot_image(k) - np.flip(value, axis=2 * k) * sign)))
+        moved = np.max(np.abs(slot_image(k) - np.flip(value, axis=2 * k) * sign), axis=spinor_axes)
+        worst = moved if worst is None else np.maximum(worst, moved)
     return worst
 
 
-def residual_field_equations(f: StackField) -> float:
-    """Largest violation of the momentum-space equations over all slots:
-    p^A_{A'} on bit-0 halves and p_A^{A'} on bit-1 halves."""
+def residual_field_equations(f: StackField) -> np.ndarray:
+    """Each sample's largest violation of the momentum-space equations over
+    all slots, shape batch: p^A_{A'} on bit-0 halves and p_A^{A'} on bit-1
+    halves."""
     maps = (np.swapaxes(momentum_matrix(f.p, "ul"), -1, -2), momentum_matrix(f.p, "lu"))
     kernel = _kernel(maps[: f.bits], f.stack.ndim - 2 * f.n)
     return _equation_residual(f, f.stack, lambda k: _contract_slot(f.stack, kernel, k))
@@ -270,7 +280,7 @@ def fd_spacetime_residual(f: StackField, x: np.ndarray, h: float) -> float:
     # nabla^A_{A'} = eps^{AB} g^a_{BA'} d_a and nabla_A^{A'} = eps^{A'B'} g^a_{AB'} d_a
     g = build_ivdw().lo_w
     kernel = _kernel((np.swapaxes(EPS_UP @ g, -1, -2), g @ EPS_UP.T)[: f.bits], 1)
-    return _equation_residual(f, value, lambda k: 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1))
+    return float(_equation_residual(f, value, lambda k: 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1)))
 
 
 FieldGenerator = Callable[[FourMomentum], StackField]

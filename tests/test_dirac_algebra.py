@@ -71,7 +71,7 @@ class TestBridge:
         for delta in (1e-3, 2e-3):
             vec = f.p.vec.copy()
             vec[0] += delta
-            rs.append(da.dirac_residual(psi, OffShell(vec), 1.0))
+            rs.append(np.max(da.dirac_residual(psi, OffShell(vec), 1.0)))
         assert rs[1] / rs[0] == pytest.approx(2.0, rel=1e-6)
         vec = f.p.vec.copy()
         vec[0] += 1e-3
@@ -88,6 +88,22 @@ class TestCurrent:
         for _ in range(20):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             assert da.dirac_current(psi)[0] > 0
+
+    def test_imaginary_part_is_judged_per_sample(self, monkeypatch):
+        # a small sample's imaginary part of 1e-6 fails against its own
+        # scale (1) even beside a large sample (1e8), whose scale would
+        # forgive it
+        world = da.world_from_spinor
+
+        def leaky(pair, n):
+            out = world(pair, n)
+            return out + 1e-6j * (np.max(np.abs(out), axis=-1, keepdims=True) < 10)
+
+        monkeypatch.setattr(da, "world_from_spinor", leaky)
+        psi = np.array([[1e4, 0, 0, 0], [1.0, 0, 0, 0]], dtype=complex)
+        with pytest.raises(AssertionError, match="imaginary"):
+            da.dirac_current(psi)
+        assert da.dirac_current(psi[0])[0] == 1e8
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_spinor_form_matches_its_einsum(self, sign):

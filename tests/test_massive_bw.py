@@ -147,7 +147,7 @@ class TestFieldEquations:
         for n in (1, 2, 3, 4):
             for sign in (1, -1):
                 f = random_field(rng, n, 1.3, sign, batch=20)
-                assert mbw.residual_field_equations(f) < 1e-12
+                assert np.max(mbw.residual_field_equations(f)) < 1e-12
 
     def test_perturbation_scale(self):
         # doubling one generated component at rest: residual is exactly
@@ -175,14 +175,14 @@ class TestFieldEquations:
         rng = np.random.default_rng(3)
         f = random_field(rng, 1, 1.2)
         psi = da.pack_bispinor(f)
-        assert mbw.residual_field_equations(f) < 1e-12
-        assert da.dirac_residual(psi, f.p, 1.2) < 1e-12
+        assert np.max(mbw.residual_field_equations(f)) < 1e-12
+        assert np.max(da.dirac_residual(psi, f.p, 1.2)) < 1e-12
         # breaking the field breaks both
         comps = dict(f.components)
         comps[(1,)] = comps[(1,)] + 1.0
         broken = mbw.BWFieldAtP.from_components(1, f.p, comps)
-        assert mbw.residual_field_equations(broken) > 1e-2
-        assert da.dirac_residual(da.pack_bispinor(broken), f.p, 1.2) > 1e-2
+        assert np.min(mbw.residual_field_equations(broken)) > 1e-2
+        assert np.min(da.dirac_residual(da.pack_bispinor(broken), f.p, 1.2)) > 1e-2
 
 
 def per_label_T(f):
@@ -247,14 +247,16 @@ class TestTensor:
         rng = np.random.default_rng(21)
         assert_matches_per_label(random_field(rng, 5, 1.0, 1, batch=1), (1,))
 
-    @pytest.mark.parametrize("batch", [(2, 5), (0,)])
-    def test_chunked_batch_equals_one_chunk(self, batch, monkeypatch):
-        # chunks of 3 fields, the last one short, against the batch at once
+    @pytest.mark.parametrize("batch, fields", [((2, 5), 6), ((0,), 6), ((2, 5), 0)],
+                             ids=["batch0", "batch1", "fewest"])
+    def test_chunked_batch_equals_one_chunk(self, batch, fields, monkeypatch):
+        # chunks of 6 fields, or of the fewest a chunk holds (4) where not one
+        # field fits the bytes, the last one short, against the batch at once
         rng = np.random.default_rng(23)
         seed = mbw.symmetrize(rng.normal(size=batch + (2,) * 3) + 1j * rng.normal(size=batch + (2,) * 3), 3)
         f = mbw.build_from_seed(seed, mom.on_shell(1.1, -1, rng.normal(size=batch + (3,))), 3)
         whole = mbw.tensor_T(f)
-        monkeypatch.setattr(core, "WORLD_TENSOR_CHUNK_BYTES", 3 * 8**3 * 16)
+        monkeypatch.setattr(core, "WORLD_TENSOR_CHUNK_BYTES", fields * 8**3 * 16)
         assert np.array_equal(mbw.tensor_T(f), whole) and whole.shape == batch + (4,) * 3
 
     def test_complex_tensor_rejected(self, monkeypatch):
@@ -700,7 +702,7 @@ class TestTransform:
             s = sc.random_sl2c(rng)
             gen = mbw.transform(packet, s)
             p = mom.on_shell(1.0, 1, rng.normal(size=(7, 3)))
-            assert mbw.residual_field_equations(gen(p)) < 1e-9
+            assert np.max(mbw.residual_field_equations(gen(p))) < 1e-9
 
     def test_scalar_covariance_high_spin_moderate_boosts(self):
         # float64 cancellation grows as e^{2 n rapidity}; spins 3 and 4 are
@@ -779,7 +781,10 @@ class TestNanSafeMaximum:
         f = random_field(np.random.default_rng(20), 2, 1.0, 1, batch=5)
         stack = f.stack.copy()
         stack[1, 0, 1, 1, 3] = np.nan
-        assert np.isnan(mbw.residual_field_equations(mbw.BWFieldAtP(n=2, p=f.p, stack=stack)))
+        # the NaN sample reads NaN, and only that sample
+        residual = mbw.residual_field_equations(mbw.BWFieldAtP(n=2, p=f.p, stack=stack))
+        assert residual.shape == (5,) and np.isnan(residual[3])
+        assert np.all(np.isfinite(np.delete(residual, 3)))
 
 
 def moveaxis_batch_last(a, n, nb):

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bwfields import dirac_algebra as da
 from bwfields import massive_bw as mbw
+from bwfields import massless as ml
+from bwfields import maxwell as mx
 from bwfields import momentum as mom
+from bwfields import slot_core as core
 from bwfields import spinor_core as sc
 
 
@@ -46,6 +50,33 @@ class TestOnShell:
         for mass, sign in [(1.0, 1), (0.7, -1), (0.0, 1), (0.0, -1)]:
             p = mom.on_shell(mass, sign, rng.normal(size=(50, 3)))
             assert np.max(np.abs(mom.minkowski_dot(p.vec, p.vec) - mass**2)) < 1e-10
+
+
+BOTH = np.array([[1], [-1]])
+
+
+class TestBranchSigns:
+    def test_array_sign_holds_each_branch(self):
+        spatial = np.random.default_rng(8).normal(size=(2, 5, 3))
+        p = mom.on_shell(1.3, BOTH, spatial)
+        assert p.sign.dtype == int and p.sign.shape == (2, 1)
+        assert np.all(p.p0[0] > 0) and np.all(p.p0[1] < 0)
+        for i, sign in enumerate((1, -1)):
+            assert np.array_equal(p.vec[i], mom.on_shell(1.3, sign, spatial[i]).vec)
+
+    def test_array_sign_is_a_read_only_copy(self):
+        sign = np.array([[1], [-1]])
+        p = mom.on_shell(0.0, sign, np.ones((2, 3, 3)))
+        sign[0, 0] = -1
+        assert p.sign[0, 0] == 1
+        with pytest.raises(ValueError, match="read-only"):
+            p.sign[0, 0] = -1
+
+    @pytest.mark.parametrize("sign", [[[1], [0]], [[2], [-1]], [[1.0], [np.nan]], [[[1]], [[-1]]], [1, -1, 1]],
+                             ids=["zero", "two", "nan", "enlarging", "not-broadcasting"])
+    def test_invalid_array_sign(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            mom.on_shell(1.0, np.array(sign), np.ones((2, 5, 3)))
 
 
 class TestMomentumMatrix:
@@ -187,6 +218,92 @@ def test_cached_arrays_read_only():
     assert_allclose(mom.momentum_matrix(mom.on_shell(1.0, 1, [0, 0, 0])), np.eye(2) / np.sqrt(2.0))
 
 
+def stack_first(f):
+    """A field's stack with its batch axes first."""
+    return np.moveaxis(f.stack, range(2 * f.n), range(-2 * f.n, 0))
+
+
+def built(p, d, n):
+    return mbw.build_from_seed(d["seed"], p, n)
+
+
+def amplitude_field(p, d, n):
+    return ml.field_from_amplitude(d["amp"], p, n)
+
+
+def potential(p, d):
+    return mx.PotentialAtP(phi=1j * mx.transverse_polarization(p, d["v"]), p=p)
+
+
+def branch_eigenvalue(p, d, n):
+    """helicity's eigenvalue, which is fitted per index of the leading batch
+    axis: a single branch goes in as a (1, k) batch."""
+    if np.ndim(p.p0) == 2:
+        return ml.helicity(amplitude_field(p, d, n))[1]
+    p = mom.on_shell(0.0, p.sign, p.spatial[None])
+    return ml.helicity(amplitude_field(p, {"amp": d["amp"][None]}, n))[1][0]
+
+
+def one_seed(n):
+    return mbw.symmetrize(np.arange(2**n).reshape((2,) * n) * (1 + 0.5j) + 0.3j, n)
+
+
+# Each primitive the registry runs on both branches at once, as (mass, spins,
+# call): ``call(p, draws, n)`` gives a batch-first result, and on a (2, 50)
+# batch with sign [[1], [-1]] its row i must be bit for bit the call on
+# branch i alone.  The helicity eigenvalue is fitted per leading axis.  50
+# is the registry's batch per branch; at some other sizes (1, 3, 1000) a
+# BLAS product or a reduction picks a kernel by size or memory layout, and
+# a few entries differ in their last bit.
+BRANCH_PRIMITIVES = {
+    "vec": (1.3, [1], lambda p, d, n: p.vec),
+    "covec": (1.3, [1], lambda p, d, n: p.covec),
+    **{f"momentum_matrix-{pos}": (0.0, [1], partial(lambda pos, p, d, n: mom.momentum_matrix(p, pos), pos))
+       for pos in ["uu", "ll", "ul", "lu"]},
+    "spin_frame": (0.0, [1], lambda p, d, n: np.concatenate([mom.spin_frame(p).pi, mom.spin_frame(p).omega], -1)),
+    "build_from_seed": (1.3, [1, 2, 3, 4], lambda p, d, n: stack_first(built(p, d, n))),
+    "tensor_T": (1.3, [1, 2, 3, 4], lambda p, d, n: mbw.tensor_T(built(p, d, n))),
+    "scalar_N": (1.3, [1, 2, 3, 4], lambda p, d, n: mbw.scalar_N(built(p, d, n))),
+    "seed_form": (1.3, [1, 2, 3, 4], lambda p, d, n: mbw.seed_form(one_seed(n), n)(p)),
+    "residual_field_equations": (1.3, [1, 2, 3, 4], lambda p, d, n: core.residual_field_equations(built(p, d, n))),
+    "probe_norm-massive": (1.3, [1, 2, 3], lambda p, d, n: mbw.norm_primed_integrand(built(p, d, n), [d["t"]] * n)),
+    "field_from_amplitude": (0.0, [1, 2, 3, 4], lambda p, d, n: amplitude_field(p, d, n).psi),
+    "field_from_potential": (0.0, [1, 2, 3, 4], lambda p, d, n: ml.field_from_potential(d["seed"], p, n).psi),
+    "eta_canonical": (0.0, [1, 2, 3, 4], lambda p, d, n: ml.eta_canonical(p, n, gauge_shift=0.4 - 0.7j)),
+    "potential_route_integrand": (
+        0.0, [1, 2, 3, 4], lambda p, d, n: ml.potential_route_integrand(d["seed"], p, n)),
+    "helicity-residual": (0.0, [1, 2, 3, 4], lambda p, d, n: ml.helicity(amplitude_field(p, d, n))[0]),
+    "helicity-eigenvalue": (0.0, [1, 2, 3, 4], lambda p, d, n: branch_eigenvalue(p, d, n)),
+    "probe_norm-massless": (0.0, [1, 2, 3], lambda p, d, n: ml.norm_primed_integrand(amplitude_field(p, d, n), [d["t"]] * n)),
+    "dirac_residual": (1.3, [1], lambda p, d, n: da.dirac_residual(da.pack_bispinor(built(p, d, n)), p, 1.3)),
+    "dirac_current": (1.3, [1], lambda p, d, n: da.dirac_current(da.pack_bispinor(built(p, d, n)))),
+    "dirac_current_matrix_route": (
+        1.3, [1], lambda p, d, n: da.dirac_current_matrix_route(da.pack_bispinor(built(p, d, n)))),
+    "norm_bilinear_integrand": (
+        1.3, [1], lambda p, d, n: da.norm_bilinear_integrand(da.pack_bispinor(built(p, d, n)), p, 1.3)),
+    "em_spinor_from_potential": (0.0, [1], lambda p, d, n: mx.em_spinor_from_potential(potential(p, d))),
+    "tensor_T_em": (0.0, [1], lambda p, d, n: mx.tensor_T_em(mx.em_spinor_from_potential(potential(p, d)))),
+}
+
+
+@pytest.mark.parametrize("name, n, k", [
+    *[(name, n, 50) for name, (_, spins, _) in BRANCH_PRIMITIVES.items() for n in spins],
+    # bilinear_norm_equality's 1000 momenta per branch
+    *[(name, 1, 1000) for name in ("build_from_seed", "seed_form", "norm_bilinear_integrand")]])
+def test_both_branches_in_one_call_bit_for_bit(name, n, k):
+    mass, _, call = BRANCH_PRIMITIVES[name]
+    rng = np.random.default_rng(90 + n)
+    seed = mbw.symmetrize(rng.normal(size=(2, k) + (2,) * n) + 1j * rng.normal(size=(2, k) + (2,) * n), n)
+    draws = {"seed": seed, "amp": rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)),
+             "t": rng.normal(size=(2, 1, 4)), "v": rng.normal(size=(2, k, 4))}
+    spatial = rng.normal(size=(2, k, 3))
+    both = np.asarray(call(mom.on_shell(mass, BOTH, spatial), draws, n))
+    for i, sign in enumerate((1, -1)):
+        alone = np.asarray(call(mom.on_shell(mass, sign, spatial[i]), {key: a[i] for key, a in draws.items()}, n))
+        assert both[i].shape == alone.shape
+        assert np.ascontiguousarray(both[i]).tobytes() == np.ascontiguousarray(alone).tobytes()
+
+
 class TestSpinFrame:
     def test_massive_rejected(self):
         with pytest.raises(ValueError):
@@ -215,6 +332,20 @@ class TestSpinFrame:
         assert_allclose(a.pi, b.pi)
         big = a.pi[np.argmax(np.abs(a.pi))]
         assert abs(big.imag) < 1e-14 and big.real > 0
+
+    def test_momentum_keeps_its_frame(self, monkeypatch):
+        p = mom.on_shell(0.0, -1, np.random.default_rng(5).normal(size=(7, 3)))
+        calls = []
+        spin_frame = mom.spin_frame
+        monkeypatch.setattr(mom, "spin_frame", lambda q: calls.append(q) or spin_frame(q))
+        fr = p.frame
+        assert p.frame is fr and calls == [p]
+        assert np.array_equal(fr.pi, spin_frame(p).pi) and np.array_equal(fr.omega, spin_frame(p).omega)
+        for a in (fr.pi, fr.omega):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+        with pytest.raises(ValueError, match="null"):
+            mom.on_shell(1.0, 1, [0, 0, 1]).frame
 
 
 class TestAct:

@@ -165,13 +165,15 @@ def last_block_dropped(monkeypatch):
 
 
 def rolled_faraday_momenta(monkeypatch):
-    # each sample's F from its neighbour's momentum: a batch of one cannot show it
+    # each sample's F from its neighbour's momentum on the sample axis, the
+    # last batch axis (a leading axis may run over the energy branches): a
+    # batch of one cannot show it
     faraday = mx.faraday_from_potential
 
     def mutant(pot):
         covec = pot.p.covec
         if covec.ndim > 1:
-            covec = np.roll(covec, 1, axis=0)
+            covec = np.roll(covec, 1, axis=-2)
         f = faraday(SimpleNamespace(p=SimpleNamespace(covec=covec), phi=pot.phi)).f
         return mx.FaradayAtP(f=f, p=pot.p)
 

@@ -14,6 +14,9 @@ import scipy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bwfields import checks
+from bwfields import massive_bw as mbw
+from bwfields import maxwell as mx
+from bwfields import momentum as mom
 from bwfields import verify_cli as vc
 from bwfields.checks import MODULES, REGISTRY, Check, _zscore
 
@@ -42,6 +45,80 @@ class TestRegistry:
     def test_every_module_has_checks(self):
         for module in MODULES:
             assert any(c.module == module for c in REGISTRY.values())
+
+
+# The bodies that cover both energy branches, and whether they loop over
+# the spins: each builds its momenta in one on_shell call per spin (one call
+# in all when it has no spin loop), both branches in that call.
+BRANCH_BODIES = {
+    "massive_field_equations": True, "trace_reversal_projection": True, "norm_equivalences": True,
+    "seed_form_norm": True, "massless_field_equations": True, "helicity_eigenequation": True,
+    "eta_normalization": True, "amplitude_norm_identity": True, "em_spinor_symmetry": False,
+    "three_way_tensor_equality": False, "energy_density": False, "maxwell_vs_massless_norm": False,
+    "dirac_bridge": False, "current_tensor_correspondence": False, "bilinear_norm_equality": False,
+}
+
+
+class TestOneCallPerSpin:
+    def test_no_body_loops_over_the_energy_sign(self):
+        assert "for sign in" not in Path(checks.__file__).read_text()
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_BODIES))
+    def test_branch_body_calls_on_shell_once_per_spin(self, name, monkeypatch):
+        signs, calls = [], {}
+        on_shell = mom.on_shell
+
+        def counted_on_shell(mass, sign, spatial):
+            signs.append(np.ravel(sign).tolist())
+            return on_shell(mass, sign, spatial)
+
+        monkeypatch.setattr(mom, "on_shell", counted_on_shell)
+        # a per-momentum loop would make these calls once per sample
+        for module, fn in ((mbw, "tensor_T"), (mx, "tensor_T_em"), (mx, "stress_form")):
+            def counted(*args, _original=getattr(module, fn), _fn=fn, **kwargs):
+                calls[_fn] = calls.get(_fn, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn, counted)
+        spins = [1, 2, 3]
+        REGISTRY[name].run(dict(checks.default_parameters(), spins=spins), np.random.default_rng(0))
+        per_body = len(spins) if BRANCH_BODIES[name] else 1
+        assert signs == [[1, -1]] * per_body
+        assert all(count <= per_body for count in calls.values()), calls
+
+    def test_every_body_with_both_branches_is_listed(self):
+        # a body that builds momenta from an array of both signs is in the table
+        listed = set()
+        on_shell = mom.on_shell
+        for name, check in REGISTRY.items():
+            def spy(mass, sign, spatial, _name=name):
+                if np.ndim(sign):
+                    listed.add(_name)
+                return on_shell(mass, sign, spatial)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(mom, "on_shell", spy)
+                check.run(dict(checks.default_parameters(), spins=[1], samples=2000), np.random.default_rng(0))
+        assert listed == set(BRANCH_BODIES)
+
+    def test_default_run_builds_each_spin_frame_once(self, monkeypatch):
+        # one frame per spin in each of the four massless bodies that need
+        # one, and one in the massless plane wave
+        calls = []
+        spin_frame = mom.spin_frame
+
+        def counted(p):
+            calls.append(p)
+            return spin_frame(p)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("bwfields"):
+                for attr, value in list(vars(mod).items()):
+                    if value is spin_frame:
+                        monkeypatch.setattr(mod, attr, counted)
+        results = vc.run_suite(vc.load_config(None), "all")
+        assert all(r.status == "pass" for r in results)
+        assert len(calls) == 17
 
 
 class TestCheckRun:
