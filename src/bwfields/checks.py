@@ -192,8 +192,8 @@ def _check_lorentz_homomorphism(params, rng):
     # 100 pairs in one batch; the draws are those of 100 pairs drawn in turn
     pairs = sc.random_sl2c(rng, size=(100, 2)).matrix
     s1, s2 = sc.SL2CElement(pairs[:, 0]), sc.SL2CElement(pairs[:, 1])
-    lhs = sc.sl2c_to_lorentz(s1 @ s2).matrix
-    rhs = sc.sl2c_to_lorentz(s1).matrix @ sc.sl2c_to_lorentz(s2).matrix
+    lhs = (s1 @ s2).lorentz.matrix
+    rhs = s1.lorentz.matrix @ s2.lorentz.matrix
     # fixed elements pin the sign of exp_rep, which random ones cannot see
     rot = np.zeros((4, 4))
     rot[1, 2], rot[2, 1] = 0.7, -0.7
@@ -316,7 +316,8 @@ def _check_scalar_covariance(params, rng):
         q = mom.on_shell(params["mass"], 1, rng.normal(size=(20, 3)))
         # one batch of 100 elements: N and N' have shape (100, 20)
         s = sc.random_sl2c(rng, size=100)
-        lam_inv = sc.sl2c_to_lorentz(s).inverse()
+        # transform reads the same kept image
+        lam_inv = s.lorentz.inverse()
         n_tr = mbw.scalar_N(core.transform(gen, s)(q))
         n_ref = mbw.scalar_N(gen(mom.act(lam_inv, q)))
         yield _relative(n_tr, n_ref)
@@ -388,7 +389,7 @@ def _check_packet_norm_invariance(params, rng):
     element = sc.exp_rep(omega - omega.T)
     # the image sits at |p| = m sinh(eta) and is up to e^eta wider than the
     # packet; the rule reaches 9 of those widths past it
-    lam = sc.sl2c_to_lorentz(element)
+    lam = element.lorentz
     cosh = lam.matrix[0, 0]
     sinh = np.sqrt(cosh * cosh - 1.0)
     sampler = mom.shell_cubature(mass, 1, 9.0 * width * (cosh + sinh) + mass * sinh)
@@ -560,7 +561,11 @@ def _check_dirac_bridge(params, rng):
 
 
 def _check_current_tensor(params, rng):
-    f = _rand_massive_branches(rng, 1, params["mass"], 50)
+    # momenta in units of m, so that the bit-1 half, (sqrt2/m) p psi, is as
+    # large as the seed at any mass and a wrong gamma table shows
+    mass = params["mass"]
+    spatial, re, im = _branch_normals(rng, *_massive_shapes(1, 50))
+    f = _branch_massive(1, mass, mass * spatial, re, im)
     psi = da.pack_bispinor(f)
     T = mbw.tensor_T(f)
     j_mat = da.dirac_current_matrix_route(psi)

@@ -87,10 +87,16 @@ def unpack_bispinor(psi: np.ndarray, p: FourMomentum) -> BWFieldAtP:
 
 
 def dirac_residual(psi: np.ndarray, p: FourMomentum, mass: float) -> np.ndarray:
-    """Each sample's largest entry of (p^q gamma_q - m) psi, shape batch."""
-    gam = build_gammas().gamma
-    slash = np.einsum("...q,qab->...ab", p.vec, gam)
-    lhs = np.einsum("...ab,...b->...a", slash, np.asarray(psi, dtype=complex))
+    """Each sample's largest entry of (p^q gamma_q - m) psi, shape batch.
+
+    p-slash is one real product of the rows p^q with the gamma table viewed
+    as a (4, 32) float table, written straight into a complex array, as
+    ``momentum_matrix`` builds p^{AA'}; then one product per sample with psi.
+    """
+    batch = p.vec.shape[:-1]
+    slash = np.empty(batch + (4, 4), dtype=complex)
+    np.matmul(p.vec, build_gammas().gamma.view(float).reshape(4, 32), out=slash.view(float).reshape(batch + (32,)))
+    lhs = (slash @ np.asarray(psi, dtype=complex)[..., :, None])[..., 0]
     return np.max(np.abs(lhs - mass * psi), axis=-1)
 
 
@@ -111,9 +117,7 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     """Spinor form j_a = sqrt2 g_a^{AA'} (psi_A psibar_{A'} + xi_{A'} xibar_A)."""
     psi = np.asarray(psi, dtype=complex)
     u, v = psi[..., :2], psi[..., 2:]
-    pair = np.einsum("...i,...j->...ij", u, np.conj(u)) + np.einsum(
-        "...i,...j->...ij", np.conj(v), v
-    )
+    pair = u[..., :, None] * np.conj(u)[..., None, :] + np.conj(v)[..., :, None] * v[..., None, :]
     j = np.sqrt(2.0) * world_from_spinor(pair, 1)
     # each sample against its own largest entry (at least 1), so a batch
     # passes exactly when each of its samples would pass alone

@@ -296,13 +296,13 @@ def _apply_world_slot(T: np.ndarray, op: np.ndarray, k: int, n: int) -> np.ndarr
 
 def project_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.ndarray:
     """Apply m^{-2} p_{a_k} p^{b} T_{..b..} to world slot k."""
-    proj = np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2
+    proj = p.covec[..., :, None] * p.vec[..., None, :] / p.mass**2
     return _apply_world_slot(T, proj, k, n)
 
 
 def trace_reverse_slot(T: np.ndarray, p: FourMomentum, k: int, n: int) -> np.ndarray:
     """Apply 2 m^{-2} (p_a p^b - (m^2/2) delta_a^b) to world slot k."""
-    op = 2.0 * np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2 - np.eye(4)
+    op = 2.0 * (p.covec[..., :, None] * p.vec[..., None, :]) / p.mass**2 - np.eye(4)
     return _apply_world_slot(T, op, k, n)
 
 

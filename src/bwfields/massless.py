@@ -101,7 +101,7 @@ def eta_canonical(p: FourMomentum, n: int, gauge_shift: complex = 0.0) -> np.nda
     fr = p.frame
     omega = fr.omega
     if gauge_shift != 0.0:
-        pi_up = np.einsum("AB,...B->...A", EPS_UP, fr.pi)
+        pi_up = fr.pi @ EPS_UP.T
         omega = omega + gauge_shift * pi_up
     return outer_power(np.conj(omega), n)
 
@@ -117,12 +117,18 @@ def field_from_amplitude(f_values: np.ndarray, p: FourMomentum, n: int) -> Massl
 
 def pl_matrices(p: FourMomentum) -> np.ndarray:
     """Intrinsic spin vector on an unprimed index at fixed momentum,
-    S^a_X{}^Y as [..., a, X, Y], from the antisymmetrized g sandwiches."""
+    S^a_X{}^Y as [..., a, X, Y], from the antisymmetrized g sandwiches.
+
+    Each sandwich is one product of the momentum's rows (one row per sample
+    and unprimed index) with the (2, 8) view of a g table over (A', (a, B)).
+    """
     g = build_ivdw()
+    batch = p.vec.shape[:-1]
     # S^a_X^Y = -1/2 (p_{XA'} g^{aYA'} - g^a_{XA'} p^{YA'})
-    t1 = np.einsum("...xm,aym->...axy", momentum_matrix(p, "ll"), g.up_w)
-    t2 = np.einsum("axm,...ym->...axy", g.lo_w, momentum_matrix(p, "uu"))
-    return -0.5 * (t1 - t2)
+    t1 = (momentum_matrix(p, "ll").reshape(-1, 2) @ g.up_w.reshape(8, 2).T).reshape(batch + (2, 4, 2))
+    t2 = (momentum_matrix(p, "uu").reshape(-1, 2) @ g.lo_w.reshape(8, 2).T).reshape(batch + (2, 4, 2))
+    # t1 as [.., x, a, y] and t2 as [.., y, a, x]
+    return -0.5 * (np.swapaxes(t1, -3, -2) - np.moveaxis(t2, -3, -1))
 
 
 def apply_spin_vector(field: MasslessFieldAtP) -> np.ndarray:

@@ -51,6 +51,14 @@ _EIJK = np.zeros((3, 3, 3))
 _EIJK[0, 1, 2] = _EIJK[1, 2, 0] = _EIJK[2, 0, 1] = 1.0
 _EIJK[0, 2, 1] = _EIJK[2, 1, 0] = _EIJK[1, 0, 2] = -1.0
 
+# g^{aa}: a product with it raises (or lowers) a trailing world index
+_ETA = np.diag(METRIC)
+# sigma^{qr}_{AB}, both world indices up and the second spinor index
+# lowered, as a (16, 4) table over (q, r) and (A, B): the generators' two
+# raisings are exact sign flips, so F_qr sigma^qr rounds as F^qr sigma_qr
+_SIGMA_TABLE = np.einsum("qrxc,cb->qrxb", sigma_generators().sigma, EPS_LO).reshape(16, 4)
+_SIGMA_TABLE.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class FaradayAtP:
@@ -100,12 +108,13 @@ def faraday_from_potential(pot: PotentialAtP) -> FaradayAtP:
 
 
 def em_spinor(far: FaradayAtP) -> np.ndarray:
-    """phi_{AB} = (i/2) F^{qr} sigma_{qr AB}; symmetric for antisymmetric F."""
-    sg = sigma_generators()
-    # both world indices down, second spinor index lowered
-    sig_ll = np.einsum("qrxc,cb->qrxb", sg.sigma_low, EPS_LO)
-    f_up = np.einsum("...qr,qc,rd->...cd", far.f, METRIC, METRIC)
-    phi = 0.5j * np.einsum("...qr,qrab->...ab", f_up, sig_ll)
+    """phi_{AB} = (i/2) F^{qr} sigma_{qr AB}; symmetric for antisymmetric F.
+
+    One product of each sample's 16 entries F_qr with the (16, 4) table of
+    sigma^{qr}_{AB}.
+    """
+    batch = far.f.shape[:-2]
+    phi = 0.5j * (far.f.reshape(batch + (16,)) @ _SIGMA_TABLE).reshape(batch + (2, 2))
     scale = np.maximum(1.0, np.max(np.abs(phi), axis=(-2, -1)))
     if not np.all(np.max(np.abs(phi - np.swapaxes(phi, -1, -2)), axis=(-2, -1)) <= 1e-12 * scale):
         raise AssertionError("field spinor is not symmetric")
@@ -121,9 +130,9 @@ def em_spinor_from_potential(pot: PotentialAtP, ordering: str = "first") -> np.n
     p_ll = momentum_matrix(pot.p, "ll")
     phi_mixed = spinor_from_world(pot.phi @ METRIC, 1) @ EPS_UP.T  # phi_B^{A'}
     if ordering == "first":
-        return -1j * np.einsum("...am,...bm->...ab", p_ll, phi_mixed)
+        return -1j * (p_ll @ np.swapaxes(phi_mixed, -1, -2))
     if ordering == "second":
-        return -1j * np.einsum("...bm,...am->...ab", p_ll, phi_mixed)
+        return -1j * (phi_mixed @ np.swapaxes(p_ll, -1, -2))
     raise ValueError("ordering must be 'first' or 'second'")
 
 
@@ -133,14 +142,15 @@ def tensor_T_em(phi_ab: np.ndarray) -> np.ndarray:
 
 
 def stress_form(far: FaradayAtP) -> np.ndarray:
-    """(1/2)((1/4) g_{ab} F.Fbar - F_{ac} Fbar_b^c), sesquilinear in F."""
+    """(1/2)((1/4) g_{ab} F.Fbar - F_{ac} Fbar_b^c), sesquilinear in F.
+
+    The cross term is one product per sample, and F.Fbar = g^{aa} F_ac
+    Fbar_a^c is its diagonal summed with the metric.
+    """
     f = far.f
-    fbar = np.conj(f)
-    f_up = np.einsum("...qr,qc,rd->...cd", f, METRIC, METRIC)
-    scalar = np.einsum("...qr,...qr->...", fbar, f_up)
-    fbar_mixed = np.einsum("...bc,cd->...bd", fbar, METRIC)  # Fbar_b^c
-    cross = np.einsum("...ac,...bc->...ab", f, fbar_mixed)
-    out = 0.5 * (0.25 * np.einsum("...,ab->...ab", scalar, METRIC) - cross)
+    cross = f @ np.swapaxes(np.conj(f) * _ETA, -1, -2)  # F_ac Fbar_b^c
+    scalar = np.diagonal(cross, axis1=-2, axis2=-1) @ _ETA
+    out = 0.5 * (0.25 * scalar[..., None, None] * METRIC - cross)
     scale = np.maximum(1.0, np.max(np.abs(out), axis=(-2, -1)))
     if not np.all(np.max(np.abs(out.imag), axis=(-2, -1)) <= 1e-12 * scale):
         raise AssertionError("stress tensor has non-negligible imaginary part")
@@ -150,9 +160,8 @@ def stress_form(far: FaradayAtP) -> np.ndarray:
 def potential_form(pot: PotentialAtP) -> np.ndarray:
     """-(1/2) p_a p_b phi_c phibar^c."""
     pa = pot.p.covec
-    phi_sq = minkowski_dot(pot.phi, np.conj(pot.phi))
-    out = -0.5 * np.einsum("...,...a,...b->...ab", phi_sq, pa, pa)
-    return out.real
+    phi_sq = minkowski_dot(pot.phi, np.conj(pot.phi)).real
+    return -0.5 * phi_sq[..., None, None] * pa[..., :, None] * pa[..., None, :]
 
 
 def em_norm_integrand(far: FaradayAtP, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -166,7 +175,7 @@ def em_norm_integrand(far: FaradayAtP, t1: np.ndarray, t2: np.ndarray) -> np.nda
     t2p = minkowski_dot(t2, far.p.vec)
     if not min(np.min(np.abs(t1p)), np.min(np.abs(t2p))) >= 1e-12:
         raise ValueError("division by vanishing t.p")
-    return np.einsum("...ab,...a,...b->...", stress_form(far), t1, t2) / (t1p * t2p)
+    return (t1[..., None, :] @ stress_form(far) @ t2[..., :, None])[..., 0, 0] / (t1p * t2p)
 
 
 def transverse_polarization(p: FourMomentum, v: np.ndarray) -> np.ndarray:

@@ -80,14 +80,11 @@ def _check_branch(mass: float, sign, batch: tuple[int, ...] = ()):
             raise ValueError("sign must be +1 or -1")
         return sign
     sign = np.asarray(sign)
-    with np.errstate(invalid="ignore"):
-        if not np.all((sign == 1) | (sign == -1)):
-            raise ValueError("sign must be +1 or -1")
-    try:
-        fits = np.broadcast_shapes(sign.shape, batch) == batch
-    except ValueError:
-        fits = False
-    if not fits:
+    if not np.all((sign == 1) | (sign == -1)):
+        raise ValueError("sign must be +1 or -1")
+    # broadcasting into batch leaves it whole when each of the sign's axes,
+    # matched from the right, is 1 or the batch's length
+    if sign.ndim > len(batch) or any(s not in (1, b) for s, b in zip(sign.shape[::-1], batch[::-1])):
         raise ValueError(f"sign of shape {sign.shape} does not broadcast into the batch {batch}")
     sign = sign.astype(int)
     _read_only(sign)

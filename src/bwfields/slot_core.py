@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .momentum import FourMomentum, act, minkowski_dot, momentum_matrix
-from .spinor_core import EPS_UP, SL2CElement, _convert_slots, build_ivdw, sl2c_to_lorentz
+from .spinor_core import EPS_UP, SL2CElement, _convert_slots, build_ivdw
 
 __all__ = [
     "StackField",
@@ -233,30 +233,42 @@ def probe_norm(f: StackField, ts: Sequence[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _equation_residual(f: StackField, value: np.ndarray, slot_image: Callable[[int], np.ndarray]) -> np.ndarray:
+def _equation_residual(f: StackField, value: np.ndarray, slot_image: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """Each sample's largest violation over all slots, shape batch: on slot
-    k, ``slot_image(k)``, the kernel (D^A_{A'}^T, D_A^{A'})[:bits] with D = p
-    or i nabla, must map the bit-0 half of ``value`` to -(m/sqrt2) times the
-    bit-1 half and the bit-1 half to +(m/sqrt2) times the bit-0 half; an
-    unprimed field has the bit-0 half only, and m = 0.  A NaN entry makes
-    its sample's violation NaN."""
+    k, ``slot_image(k, bit)``, the kernel (D^A_{A'}^T, D_A^{A'})[bit] with D
+    = p or i nabla applied to the bit half of the stack, a new array with
+    that slot's bit axis of length 1, must map the bit-0 half of ``value``
+    to -(m/sqrt2) times the bit-1 half and the bit-1 half to +(m/sqrt2)
+    times the bit-0 half; an unprimed field has the bit-0 half only, and m =
+    0.  A NaN entry makes its sample's violation NaN.  One bit half at a
+    time, the other half of ``value`` times its sign is taken from the image
+    in place, so no temporary is larger than half the stack."""
     c = f.p.mass / np.sqrt(2.0)
     spinor_axes = tuple(range(2 * f.n))
     worst = None
     for k in range(f.n):
-        sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (value.ndim - 2 * k - 1))
-        moved = np.max(np.abs(slot_image(k) - np.flip(value, axis=2 * k) * sign), axis=spinor_axes)
-        worst = moved if worst is None else np.maximum(worst, moved)
+        for bit, sign in enumerate((-c, c)[: f.bits]):
+            image = slot_image(k, bit)
+            image -= value[_bit_half(k, f.bits - 1 - bit)] * sign
+            moved = np.max(np.abs(image), axis=spinor_axes)
+            del image  # freed before the next half is formed
+            worst = moved if worst is None else np.maximum(worst, moved)
     return worst
+
+
+def _bit_half(k: int, bit: int) -> tuple:
+    """Index of a stack's entries with slot k at the given bit, the slot's bit axis kept."""
+    return (slice(None),) * (2 * k) + (slice(bit, bit + 1),)
 
 
 def residual_field_equations(f: StackField) -> np.ndarray:
     """Each sample's largest violation of the momentum-space equations over
     all slots, shape batch: p^A_{A'} on bit-0 halves and p_A^{A'} on bit-1
     halves."""
-    maps = (np.swapaxes(momentum_matrix(f.p, "ul"), -1, -2), momentum_matrix(f.p, "lu"))
-    kernel = _kernel(maps[: f.bits], f.stack.ndim - 2 * f.n)
-    return _equation_residual(f, f.stack, lambda k: _contract_slot(f.stack, kernel, k))
+    kernel = _kernel((np.swapaxes(momentum_matrix(f.p, "ul"), -1, -2), momentum_matrix(f.p, "lu"))[: f.bits],
+                     f.stack.ndim - 2 * f.n)
+    return _equation_residual(
+        f, f.stack, lambda k, bit: _contract_slot(f.stack[_bit_half(k, bit)], kernel[bit:bit + 1], k))
 
 
 def _mode_value(f: StackField, x: np.ndarray) -> np.ndarray:
@@ -280,7 +292,8 @@ def fd_spacetime_residual(f: StackField, x: np.ndarray, h: float) -> float:
     # nabla^A_{A'} = eps^{AB} g^a_{BA'} d_a and nabla_A^{A'} = eps^{A'B'} g^a_{AB'} d_a
     g = build_ivdw().lo_w
     kernel = _kernel((np.swapaxes(EPS_UP @ g, -1, -2), g @ EPS_UP.T)[: f.bits], 1)
-    return float(_equation_residual(f, value, lambda k: 1j * np.sum(_contract_slot(grad, kernel, k), axis=-1)))
+    return float(_equation_residual(
+        f, value, lambda k, bit: 1j * np.sum(_contract_slot(grad[_bit_half(k, bit)], kernel[bit:bit + 1], k), axis=-1)))
 
 
 FieldGenerator = Callable[[FourMomentum], StackField]
@@ -298,7 +311,7 @@ def transform(gen: FieldGenerator, s: SL2CElement) -> FieldGenerator:
     field's batch, which must start with B..., goes through its own
     element's map.
     """
-    lam_inv = sl2c_to_lorentz(s).inverse()
+    lam_inv = s.lorentz.inverse()
     sbatch = s.matrix.shape[:-2]
     kernel = _kernel((s.matrix, np.conj(s.matrix)), len(sbatch))
 

@@ -24,7 +24,7 @@ Conventions (fixed once, everything downstream relies on them):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+# g_aa g_bb: a product with it raises (or lowers) both indices of a matrix
+_METRIC_SIGNS = np.outer(np.diag(METRIC), np.diag(METRIC))
 
 # Same numeric table for upper and lower epsilon; the asymmetry between
 # raising and lowering lives in which slot gets contracted.
@@ -232,13 +234,19 @@ def sigma_generators() -> SigmaGenerators:
     return SigmaGenerators(*_read_only(sigma, sigma_bar, sigma_low, sigma_bar_low))
 
 
+@lru_cache(maxsize=1)
+def _e_mixed() -> np.ndarray:
+    """e^{ab}_{cd}, the alternating tensor with its last two indices lowered.  Cached, read-only."""
+    (e,) = _read_only(np.einsum("abef,ec,fd->abcd", levi_civita4(), METRIC, METRIC))
+    return e
+
+
 def dual(t: np.ndarray) -> np.ndarray:
     """Half-contraction with the alternating tensor on two upper world axes.
 
     (*t)^{ab...} = (1/2) e^{ab}_{cd} t^{cd...} acting on the first two axes.
     """
-    e_mixed = np.einsum("abef,ec,fd->abcd", levi_civita4(), METRIC, METRIC)
-    return 0.5 * np.einsum("abcd,cd...->ab...", e_mixed, np.asarray(t))
+    return 0.5 * np.einsum("abcd,cd...->ab...", _e_mixed(), np.asarray(t))
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +261,14 @@ class SL2CElement:
     ``matrix`` may carry leading batch axes, shape (..., 2, 2): a batch of
     group elements, each validated on its own: |det - 1| <= 1e-12 max(1,
     max|S|)^2, as rounding in det grows like |S|^2.  Products broadcast.
+    The element's Lorentz image, ``lorentz``, is built on first use and kept.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # a read-only view, so the kept image stays the image of the matrix
+        (m,) = _read_only(np.asarray(self.matrix, dtype=complex).view())
         object.__setattr__(self, "matrix", m)
         if m.shape[-2:] != (2, 2):
             raise ValueError("SL(2,C) element must be 2x2")
@@ -270,19 +280,27 @@ class SL2CElement:
     def __matmul__(self, other: "SL2CElement") -> "SL2CElement":
         return SL2CElement(self.matrix @ other.matrix)
 
+    @cached_property
+    def lorentz(self) -> "LorentzMatrix":
+        """The induced Lorentz matrix, :func:`sl2c_to_lorentz`, built on
+        first use and kept."""
+        return sl2c_to_lorentz(self)
+
 
 @dataclass(frozen=True)
 class LorentzMatrix:
     """Real proper orthochronous Lorentz matrix Lambda^a_b.
 
     ``matrix`` may carry leading batch axes, shape (..., 4, 4); each matrix
-    of a batch is validated on its own.  Inverses broadcast.
+    of a batch is validated on its own.  The inverse is computed once, on
+    first use, and kept; it inherits the checks, as g Lambda^T g is a
+    transpose and sign flips of a matrix that passed them.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        (m,) = _read_only(np.asarray(self.matrix, dtype=float).view())
         object.__setattr__(self, "matrix", m)
         if m.shape[-2:] != (4, 4):
             raise ValueError("Lorentz matrix must be 4x4")
@@ -295,8 +313,16 @@ class LorentzMatrix:
             raise ValueError("determinant is not +1")
 
     def inverse(self) -> "LorentzMatrix":
-        # Lambda^{-1} = g Lambda^T g for metric-preserving matrices.
-        return LorentzMatrix(METRIC @ np.swapaxes(self.matrix, -1, -2) @ METRIC)
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "LorentzMatrix":
+        # Lambda^{-1} = g Lambda^T g for metric-preserving matrices: entry
+        # (a, b) is g_aa g_bb Lambda^b_a, exact, so the inverse of the
+        # inverse is this matrix bit for bit
+        inv = object.__new__(LorentzMatrix)
+        object.__setattr__(inv, "matrix", *_read_only(np.swapaxes(self.matrix, -1, -2) * _METRIC_SIGNS))
+        return inv
 
 
 _EYE2 = np.eye(2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 from itertools import product
 from types import SimpleNamespace
@@ -183,6 +184,23 @@ class TestFieldEquations:
         broken = mbw.BWFieldAtP.from_components(1, f.p, comps)
         assert np.min(mbw.residual_field_equations(broken)) > 1e-2
         assert np.min(da.dirac_residual(da.pack_bispinor(broken), f.p, 1.2)) > 1e-2
+
+    def test_field_equation_residual_peak_memory(self):
+        # spin 4 on a (2, 20) batch, a 160 KiB stack: one bit half of a slot
+        # at a time, the residual's temporaries peak near twice the stack
+        rng = np.random.default_rng(21)
+        seed = mbw.symmetrize(rng.normal(size=(2, 20, 2, 2, 2, 2)) + 1j * rng.normal(size=(2, 20, 2, 2, 2, 2)), 4)
+        f = mbw.build_from_seed(seed, mom.on_shell(1.0, np.array([[1], [-1]]), rng.normal(size=(2, 20, 3))), 4)
+        assert f.stack.nbytes == 160 * 1024
+        mbw.residual_field_equations(f)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mbw.residual_field_equations(f)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 330 * 1024
 
 
 def per_label_T(f):
@@ -832,8 +850,39 @@ def grouped_probe_sets(n, sign):
     return [(grouped[i], mbw.norm_primed_integrand(f, list(probes[i]))) for i in range(10)]
 
 
+def whole_slot_residual(f):
+    """Reference for residual_field_equations: each slot's whole image less
+    the stack flipped along that slot's bit axis times the signs."""
+    maps = (np.swapaxes(mom.momentum_matrix(f.p, "ul"), -1, -2), mom.momentum_matrix(f.p, "lu"))
+    kernel = core._kernel(maps[: f.bits], f.stack.ndim - 2 * f.n)
+    c = f.p.mass / np.sqrt(2.0)
+    worst = None
+    for k in range(f.n):
+        sign = np.array([-c, c])[: f.bits].reshape((f.bits,) + (1,) * (f.stack.ndim - 2 * k - 1))
+        moved = np.abs(core._contract_slot(f.stack, kernel, k) - np.flip(f.stack, axis=2 * k) * sign)
+        moved = np.max(moved, axis=tuple(range(2 * f.n)))
+        worst = moved if worst is None else np.maximum(worst, moved)
+    return worst
+
+
+def residual_by_halves(n, massive):
+    """The residual of a built (or amplitude) field and of one with a broken
+    component, against the whole-slot formula."""
+    rng = np.random.default_rng(700 + n)
+    if massive:
+        f = random_field(rng, n, 1.3, -1, batch=12)
+    else:
+        f = ml.field_from_amplitude(rng.normal(size=6) + 1j, mom.on_shell(0.0, 1, rng.normal(size=(6, 3))), n)
+    stack = f.stack.copy()
+    stack[(0, 0) * n + (0,)] += 0.25  # the same entry of every slot: still slot-symmetric
+    broken = type(f)(n=n, p=f.p, stack=stack)
+    return [(mbw.residual_field_equations(g), whole_slot_residual(g)) for g in (f, broken)]
+
+
 # Each components-first rewrite against the batch-first formula it replaced
 ORACLES = {
+    **{f"residual_by_halves-{n}-{massive}": partial(residual_by_halves, n, massive)
+       for n in [1, 2, 3, 4] for massive in [True, False]},
     **{f"batch_last-{shape}-{nb}": partial(batch_last_and_kernel, shape, nb)
        for shape, nb in [((2, 2), 0), ((7, 2, 2), 1), ((7, 2, 2), 3), ((3, 5, 2, 2), 2)]},
     **{f"packet_stack-{n}-{shape}": partial(packet_stack, n, shape)

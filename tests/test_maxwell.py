@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -245,11 +244,11 @@ def faraday_case(monkeypatch):
 
 
 def em_spinor_case(monkeypatch):
-    # a non-symmetric term in sigma_{01} reaches phi_AB through F^{01} only
-    sg = sc.sigma_generators()
-    sigma_low = sg.sigma_low.copy()
-    sigma_low[0, 1] += 1e-8 * np.array([[1.0, 0], [0, 0]])
-    monkeypatch.setattr(mx, "sigma_generators", lambda: dataclasses.replace(sg, sigma_low=sigma_low))
+    # a non-symmetric term in sigma^{01}_{AB}, at (A, B) = (0, 1) of the
+    # table's row (q, r) = (0, 1), reaches phi_AB through F_{01} only
+    table = mx._SIGMA_TABLE.copy()
+    table[1, 1] += 1e-8
+    monkeypatch.setattr(mx, "_SIGMA_TABLE", table)
 
     def validate(f):
         mx.em_spinor(mx.FaradayAtP(f=f, p=along_z(f.shape[:-2])))

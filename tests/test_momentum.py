@@ -248,6 +248,149 @@ def one_seed(n):
     return mbw.symmetrize(np.arange(2**n).reshape((2,) * n) * (1 + 0.5j) + 0.3j, n)
 
 
+def faraday(p, d):
+    return mx.faraday_from_potential(potential(p, d))
+
+
+# The einsum formulas that the products of em_spinor, em_spinor_from_potential,
+# stress_form, potential_form, em_norm_integrand, pl_matrices, eta_canonical,
+# dirac_residual, dirac_current, project_slot and trace_reverse_slot replaced:
+# the oracles of EINSUM_ORACLES.
+def einsum_em_spinor(far):
+    sig_ll = np.einsum("qrxc,cb->qrxb", sc.sigma_generators().sigma_low, sc.EPS_LO)
+    f_up = np.einsum("...qr,qc,rd->...cd", far.f, sc.METRIC, sc.METRIC)
+    return 0.5j * np.einsum("...qr,qrab->...ab", f_up, sig_ll)
+
+
+def einsum_em_spinor_from_potential(pot, ordering, terms=False):
+    """phi_AB, or with ``terms`` the sum of its terms' sizes, which bounds
+    its rounding as the Lorenz gauge cancels them."""
+    p_ll = mom.momentum_matrix(pot.p, "ll")
+    phi_mixed = sc.spinor_from_world(pot.phi @ sc.METRIC, 1) @ sc.EPS_UP.T
+    spec = {"first": "...am,...bm->...ab", "second": "...bm,...am->...ab"}[ordering]
+    if terms:
+        return np.einsum(spec, np.abs(p_ll), np.abs(phi_mixed))
+    return -1j * np.einsum(spec, p_ll, phi_mixed)
+
+
+def einsum_stress_form(far):
+    f, fbar = far.f, np.conj(far.f)
+    f_up = np.einsum("...qr,qc,rd->...cd", f, sc.METRIC, sc.METRIC)
+    scalar = np.einsum("...qr,...qr->...", fbar, f_up)
+    cross = np.einsum("...ac,...bc->...ab", f, np.einsum("...bc,cd->...bd", fbar, sc.METRIC))
+    return (0.5 * (0.25 * np.einsum("...,ab->...ab", scalar, sc.METRIC) - cross)).real
+
+
+def einsum_potential_form(pot):
+    phi_sq = mom.minkowski_dot(pot.phi, np.conj(pot.phi))
+    return (-0.5 * np.einsum("...,...a,...b->...ab", phi_sq, pot.p.covec, pot.p.covec)).real
+
+
+def einsum_em_norm_integrand(far, t1, t2, terms=False):
+    """The integrand, or with ``terms`` the sum of its terms' sizes, which
+    bounds its rounding as the sum cancels."""
+    stress = einsum_stress_form(far)
+    den = mom.minkowski_dot(t1, far.p.vec) * mom.minkowski_dot(t2, far.p.vec)
+    if terms:
+        stress, t1, t2, den = (np.abs(a) for a in (stress, t1, t2, den))
+    return np.einsum("...ab,...a,...b->...", stress, t1, t2) / den
+
+
+def einsum_pl_matrices(p):
+    g = sc.build_ivdw()
+    t1 = np.einsum("...xm,aym->...axy", mom.momentum_matrix(p, "ll"), g.up_w)
+    t2 = np.einsum("axm,...ym->...axy", g.lo_w, mom.momentum_matrix(p, "uu"))
+    return -0.5 * (t1 - t2)
+
+
+def einsum_eta_canonical(p, n, shift):
+    fr = p.frame
+    return core.outer_power(np.conj(fr.omega + shift * np.einsum("AB,...B->...A", sc.EPS_UP, fr.pi)), n)
+
+
+def einsum_dirac_residual(psi, p, mass):
+    slash = np.einsum("...q,qab->...ab", p.vec, da.build_gammas().gamma)
+    return np.max(np.abs(np.einsum("...ab,...b->...a", slash, psi) - mass * psi), axis=-1)
+
+
+def einsum_dirac_current(psi):
+    u, v = psi[..., :2], psi[..., 2:]
+    pair = np.einsum("...i,...j->...ij", u, np.conj(u)) + np.einsum("...i,...j->...ij", np.conj(v), v)
+    return (np.sqrt(2.0) * sc.world_from_spinor(pair, 1)).real
+
+
+def einsum_slot_operator(T, p, n, reverse):
+    """project_slot (reverse=False) and trace_reverse_slot on slot 0."""
+    op = np.einsum("...a,...b->...ab", p.covec, p.vec) / p.mass**2
+    op = 2.0 * op - np.eye(4) if reverse else op
+    return mbw._apply_world_slot(T, op, 0, n)
+
+
+def bispinor(p, d):
+    return da.pack_bispinor(built(p, d, 1))
+
+
+# name: (mass, spins, the call, its einsum oracle[, the scale of its
+# rounding, each sample's largest entry if not given]), all as
+# ``call(p, draws, n)``
+EINSUM_ORACLES = {
+    "em_spinor": (0.0, [1], lambda p, d, n: mx.em_spinor(faraday(p, d)),
+                  lambda p, d, n: einsum_em_spinor(faraday(p, d))),
+    **{f"em_spinor_from_potential-{o}": (
+        0.0, [1], partial(lambda o, p, d, n: mx.em_spinor_from_potential(potential(p, d), o), o),
+        partial(lambda o, p, d, n: einsum_em_spinor_from_potential(potential(p, d), o), o),
+        partial(lambda o, p, d, n: einsum_em_spinor_from_potential(potential(p, d), o, terms=True), o))
+       for o in ["first", "second"]},
+    "stress_form": (0.0, [1], lambda p, d, n: mx.stress_form(faraday(p, d)),
+                    lambda p, d, n: einsum_stress_form(faraday(p, d))),
+    "potential_form": (0.0, [1], lambda p, d, n: mx.potential_form(potential(p, d)),
+                       lambda p, d, n: einsum_potential_form(potential(p, d))),
+    "em_norm_integrand": (0.0, [1], lambda p, d, n: mx.em_norm_integrand(faraday(p, d), d["t"], d["t2"]),
+                          lambda p, d, n: einsum_em_norm_integrand(faraday(p, d), d["t"], d["t2"]),
+                          lambda p, d, n: einsum_em_norm_integrand(faraday(p, d), d["t"], d["t2"], terms=True)),
+    "pl_matrices": (0.0, [1], lambda p, d, n: ml.pl_matrices(p), lambda p, d, n: einsum_pl_matrices(p)),
+    "eta_canonical": (0.0, [1, 2, 3], lambda p, d, n: ml.eta_canonical(p, n, gauge_shift=0.4 - 0.7j),
+                      lambda p, d, n: einsum_eta_canonical(p, n, 0.4 - 0.7j)),
+    "dirac_residual": (1.3, [1], lambda p, d, n: da.dirac_residual(bispinor(p, d), p, 1.3),
+                       lambda p, d, n: einsum_dirac_residual(bispinor(p, d), p, 1.3)),
+    "dirac_current": (1.3, [1], lambda p, d, n: da.dirac_current(bispinor(p, d)),
+                      lambda p, d, n: einsum_dirac_current(bispinor(p, d))),
+    "project_slot": (1.3, [1, 2], lambda p, d, n: mbw.project_slot(mbw.tensor_T(built(p, d, n)), p, 0, n),
+                     lambda p, d, n: einsum_slot_operator(mbw.tensor_T(built(p, d, n)), p, n, False)),
+    "trace_reverse_slot": (
+        1.3, [1, 2], lambda p, d, n: mbw.trace_reverse_slot(mbw.tensor_T(built(p, d, n)), p, 0, n),
+        lambda p, d, n: einsum_slot_operator(mbw.tensor_T(built(p, d, n)), p, n, True)),
+}
+
+
+def oracle_draws(batch, n):
+    """Seeded draws for a call on a batch of momenta: one probe pair per
+    branch of a (2, k) batch, one for the whole batch otherwise."""
+    rng = np.random.default_rng(95 + n + len(batch))
+    seed = rng.normal(size=batch + (2,) * n) + 1j * rng.normal(size=batch + (2,) * n)
+    probes = (2, 1, 4) if len(batch) == 2 else (4,)
+    return rng.normal(size=batch + (3,)), {
+        "seed": mbw.symmetrize(seed, n), "v": rng.normal(size=batch + (4,)),
+        "t": rng.normal(size=probes), "t2": rng.normal(size=probes)}
+
+
+@pytest.mark.parametrize("name, n, batch", [
+    (name, n, batch) for name, (_, spins, *_) in EINSUM_ORACLES.items() for n in spins
+    for batch in [(), (7,), (2, 7)]])
+def test_product_against_its_einsum(name, n, batch):
+    mass, _, call, oracle, *terms = EINSUM_ORACLES[name]
+    spatial, draws = oracle_draws(batch, n)
+    p = mom.on_shell(mass, BOTH if len(batch) == 2 else 1, spatial)
+    got, ref = np.asarray(call(p, draws, n)), np.asarray(oracle(p, draws, n))
+    assert got.shape == ref.shape
+
+    def per_sample(a):
+        return np.max(np.abs(a).reshape(ref.shape[: len(batch)] + (-1,)), axis=-1)
+
+    scale = per_sample(terms[0](p, draws, n) if terms else ref)
+    assert np.all(per_sample(got - ref) <= 8 * np.finfo(float).eps * scale)
+
+
 # Each primitive the registry runs on both branches at once, as (mass, spins,
 # call): ``call(p, draws, n)`` gives a batch-first result, and on a (2, 50)
 # batch with sign [[1], [-1]] its row i must be bit for bit the call on
@@ -282,6 +425,16 @@ BRANCH_PRIMITIVES = {
     "norm_bilinear_integrand": (
         1.3, [1], lambda p, d, n: da.norm_bilinear_integrand(da.pack_bispinor(built(p, d, n)), p, 1.3)),
     "em_spinor_from_potential": (0.0, [1], lambda p, d, n: mx.em_spinor_from_potential(potential(p, d))),
+    "em_spinor_from_potential-second": (
+        0.0, [1], lambda p, d, n: mx.em_spinor_from_potential(potential(p, d), "second")),
+    "em_spinor": (0.0, [1], lambda p, d, n: mx.em_spinor(faraday(p, d))),
+    "stress_form": (0.0, [1], lambda p, d, n: mx.stress_form(faraday(p, d))),
+    "potential_form": (0.0, [1], lambda p, d, n: mx.potential_form(potential(p, d))),
+    "em_norm_integrand": (0.0, [1], lambda p, d, n: mx.em_norm_integrand(faraday(p, d), d["t"], d["t"])),
+    "pl_matrices": (0.0, [1], lambda p, d, n: ml.pl_matrices(p)),
+    "project_slot": (1.3, [1, 2], lambda p, d, n: mbw.project_slot(mbw.tensor_T(built(p, d, n)), p, 0, n)),
+    "trace_reverse_slot": (
+        1.3, [1, 2], lambda p, d, n: mbw.trace_reverse_slot(mbw.tensor_T(built(p, d, n)), p, 0, n)),
     "tensor_T_em": (0.0, [1], lambda p, d, n: mx.tensor_T_em(mx.em_spinor_from_potential(potential(p, d)))),
 }
 

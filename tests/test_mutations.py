@@ -181,10 +181,10 @@ def rolled_faraday_momenta(monkeypatch):
 
 
 def swapped_em_generators(monkeypatch):
-    # sigma_{rq} in place of sigma_{qr} flips the sign of em_spinor
-    sg = mx.sigma_generators()
-    swapped = dataclasses.replace(sg, sigma_low=np.swapaxes(sg.sigma_low, 0, 1))
-    monkeypatch.setattr(mx, "sigma_generators", lambda: swapped)
+    # sigma^{rq} in place of sigma^{qr} flips the sign of em_spinor, which
+    # reads the generators from its (16, 4) table over (q, r) and (A, B)
+    table = mx._SIGMA_TABLE.reshape(4, 4, 4)
+    monkeypatch.setattr(mx, "_SIGMA_TABLE", np.swapaxes(table, 0, 1).reshape(16, 4))
 
 
 def cached_table(monkeypatch, positions, table):
@@ -276,10 +276,12 @@ def swapped_generator_pair(monkeypatch):
 
 
 def negative_levi_civita(monkeypatch):
-    # e^{0123} = -1; the gamma set is rebuilt on every call so gamma5 sees it
+    # e^{0123} = -1; the gamma set and dual's mixed tensor are rebuilt on
+    # every call so gamma5 and the dual see it
     e = sc.levi_civita4()
     patch_everywhere(monkeypatch, sc, "levi_civita4", lambda: -e)
     monkeypatch.setattr(da, "build_gammas", da.build_gammas.__wrapped__)
+    monkeypatch.setattr(sc, "_e_mixed", sc._e_mixed.__wrapped__)
 
 
 def gammas_without_sqrt2(monkeypatch):
@@ -394,6 +396,16 @@ def test_mutation_fails_its_scaled_check_away_from_unit_mass(mutation, check, ma
     MUTATIONS[mutation][0](monkeypatch)
     result = run_check(check, mass)
     assert result.status == "fail", f"{check} = {result.value} at m = {mass} under: {mutation}"
+
+
+@pytest.mark.parametrize("mass", [1e4, 1e8, 1e12, 1e16])
+def test_transposed_gammas_fail_the_current_check_at_large_mass(mass, monkeypatch):
+    # the check draws its momenta in units of m, so the bit-1 half of its
+    # fields stays as large as the seed and a transposed table reads O(1)
+    assert run_check("current_tensor_correspondence", mass).status == "pass"
+    transposed_gammas_in_matrix_route(monkeypatch)
+    result = run_check("current_tensor_correspondence", mass)
+    assert result.status == "fail" and result.value > 1.0, f"{result.value} at m = {mass}"
 
 
 def test_every_registered_check_has_a_mutation():

@@ -132,6 +132,46 @@ class TestSL2C:
         assert_allclose(lam.matrix @ lam.inverse().matrix, np.eye(4), atol=1e-12)
 
 
+class TestKeptImages:
+    """An element's Lorentz image and a Lorentz matrix's inverse are derived once."""
+
+    def test_element_keeps_its_image(self, monkeypatch):
+        s = sc.random_sl2c(np.random.default_rng(11), size=5)
+        calls = []
+        to_lorentz = sc.sl2c_to_lorentz
+        monkeypatch.setattr(sc, "sl2c_to_lorentz", lambda t: calls.append(t) or to_lorentz(t))
+        lam = s.lorentz
+        assert s.lorentz is lam and calls == [s]
+        assert np.array_equal(lam.matrix, to_lorentz(s).matrix)
+        for m in (s.matrix, lam.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0, 0] = 0.0
+
+    def test_inverse_computed_once(self):
+        lam = sc.random_sl2c(np.random.default_rng(12), size=4).lorentz
+        inv = lam.inverse()
+        assert lam.inverse() is inv
+        # the formula it replaced, g Lambda^T g as two matrix products
+        assert np.array_equal(inv.matrix, sc.METRIC @ np.swapaxes(lam.matrix, -1, -2) @ sc.METRIC)
+        assert inv.inverse().matrix.tobytes() == lam.matrix.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            inv.matrix[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_inverse_inherits_the_checks(self, scale):
+        # the inverse is not validated again; validated, it passes.  From
+        # scale 6 up some images themselves fail the absolute 1e-9 bound on
+        # the metric drift, whose rounding grows like |Lambda|^2
+        lam = sc.random_sl2c(np.random.default_rng(13), scale=scale, size=1000).lorentz
+        sc.LorentzMatrix(lam.inverse().matrix)
+
+    def test_dual_table_is_the_rebuilt_one(self):
+        t = np.random.default_rng(14).normal(size=(4, 4, 3))
+        e_mixed = np.einsum("abef,ec,fd->abcd", sc.levi_civita4(), sc.METRIC, sc.METRIC)
+        assert sc._e_mixed() is sc._e_mixed()
+        assert np.array_equal(sc.dual(t), 0.5 * np.einsum("abcd,cd...->ab...", e_mixed, t))
+
+
 class TestExpRep:
     def test_zero_gives_identity(self):
         assert_allclose(sc.exp_rep(np.zeros((4, 4))).matrix, np.eye(2))

@@ -17,6 +17,7 @@ from bwfields import checks
 from bwfields import massive_bw as mbw
 from bwfields import maxwell as mx
 from bwfields import momentum as mom
+from bwfields import spinor_core as sc
 from bwfields import verify_cli as vc
 from bwfields.checks import MODULES, REGISTRY, Check, _zscore
 
@@ -119,6 +120,26 @@ class TestOneCallPerSpin:
         results = vc.run_suite(vc.load_config(None), "all")
         assert all(r.status == "pass" for r in results)
         assert len(calls) == 17
+
+    def test_default_run_builds_each_lorentz_image_once(self, monkeypatch):
+        # three in lorentz_homomorphism, one per spin in
+        # scalar_lorentz_covariance and one in packet_norm_invariance: the
+        # check and transform read the element's kept image
+        calls = []
+        to_lorentz = sc.sl2c_to_lorentz
+
+        def counted(s):
+            calls.append(s)
+            return to_lorentz(s)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("bwfields"):
+                for attr, value in list(vars(mod).items()):
+                    if value is to_lorentz:
+                        monkeypatch.setattr(mod, attr, counted)
+        results = vc.run_suite(vc.load_config(None), "all")
+        assert all(r.status == "pass" for r in results)
+        assert len(calls) == 6
 
 
 class TestCheckRun:
